@@ -1,9 +1,12 @@
 """Experiment configuration: a flat, typed key-value file with sections.
 
 The on-disk format is INI (language-agnostic, diff-friendly); every key is
-declared in :data:`SCHEMA` with its type, so files are validated before any
-compute and round-trip losslessly through :func:`write_config` /
-:func:`load_config`.
+parsed to its type and every value checked at load, so files are validated
+before any compute and round-trip losslessly through :func:`write_config` /
+:func:`load_config`.  In memory the [step] section is
+``ExperimentConfig.steps``: one validated :class:`StepControl` per phase,
+sharing record_every, cfl_safety and neg_tol (a single phase without
+``phases``).
 
 Sections and keys (defaults in parentheses):
 
@@ -33,7 +36,7 @@ Initial-condition generators (for ``u_kind`` / ``v_kind``):
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +101,7 @@ class ExperimentConfig:
     params: Params
     grid: Grid
     initial: InitialSpec
-    step: StepControl
-    phases: tuple[tuple[float, float], ...]  # (end time, dt_max) stages
+    steps: tuple[StepControl, ...]  # one per phase, in time order
     checks: ChecksSpec
     output_dir: str
 
@@ -111,8 +113,15 @@ class SweepConfig:
     base: ExperimentConfig
 
 
-def _parser() -> configparser.ConfigParser:
-    return configparser.ConfigParser(inline_comment_prefixes=("#",))
+def _read_ini(path: Path, what: str) -> configparser.ConfigParser:
+    if not path.is_file():
+        raise ConfigError(f"{what} file not found: {path}")
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        cp.read_string(path.read_text())
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return cp
 
 
 def _get(section, key: str, conv, required: bool = True, default=None):
@@ -195,17 +204,14 @@ def _config_from_parser(cp: configparser.ConfigParser, path: Path) -> Experiment
         initial = _initial_from_section(cp["initial"])
         ss = cp["step"]
         phases = _get(ss, "phases", _phases, required=False)
-        t_end = _get(ss, "t_end", float, required=phases is None, default=None)
-        dt_max = _get(ss, "dt_max", float, required=phases is None, default=None)
         if phases is None:
-            phases = ((t_end, dt_max),)
-        step = StepControl(
-            dt_max=phases[0][1],
-            t_end=phases[0][0],
+            phases = ((_get(ss, "t_end", float), _get(ss, "dt_max", float)),)
+        knobs = dict(
             record_every=_get(ss, "record_every", float),
             cfl_safety=_get(ss, "cfl_safety", float, required=False, default=0.5),
             neg_tol=_get(ss, "neg_tol", float, required=False, default=1e-8),
         )
+        steps = tuple(StepControl(dt_max=dt, t_end=t, **knobs) for t, dt in phases)
         checks = _checks_from_section(cp["checks"]) if "checks" in cp else ChecksSpec()
         output_dir = _get(cp["output"], "dir", str)
     except InvalidParameterError as exc:
@@ -214,8 +220,7 @@ def _config_from_parser(cp: configparser.ConfigParser, path: Path) -> Experiment
         params=params,
         grid=grid,
         initial=initial,
-        step=step,
-        phases=phases,
+        steps=steps,
         checks=checks,
         output_dir=output_dir,
     )
@@ -248,14 +253,7 @@ def _checks_from_section(sec) -> ChecksSpec:
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    cp = _parser()
-    try:
-        cp.read_string(path.read_text())
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return _config_from_parser(cp, path)
+    return _config_from_parser(_read_ini(path, "config"), path)
 
 
 def write_config(cfg: ExperimentConfig, path: str | Path) -> None:
@@ -283,13 +281,16 @@ def write_config(cfg: ExperimentConfig, path: str | Path) -> None:
     lines.append(f"v_kind = {cfg.initial.v_kind}")
     for name, value in cfg.initial.v_args.items():
         lines.append(f"v_{name} = {value!r}")
+    first = cfg.steps[0]
+    if any(replace(c, t_end=first.t_end, dt_max=first.dt_max) != first for c in cfg.steps):
+        raise ConfigError("phases in a file share record_every, cfl_safety and neg_tol")
     lines += [
         "",
         "[step]",
-        "phases = " + ", ".join(f"{t!r}:{dt!r}" for t, dt in cfg.phases),
-        f"record_every = {cfg.step.record_every!r}",
-        f"cfl_safety = {cfg.step.cfl_safety!r}",
-        f"neg_tol = {cfg.step.neg_tol!r}",
+        "phases = " + ", ".join(f"{c.t_end!r}:{c.dt_max!r}" for c in cfg.steps),
+        f"record_every = {first.record_every!r}",
+        f"cfl_safety = {first.cfl_safety!r}",
+        f"neg_tol = {first.neg_tol!r}",
         "",
         "[checks]",
         f"eventual_bound = {str(cfg.checks.eventual_bound).lower()}",
@@ -319,13 +320,7 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
     """A sweep file is an experiment file plus a [sweep] section naming one
     parameter (currently 'params.<coefficient>') and its values."""
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"sweep config file not found: {path}")
-    cp = _parser()
-    try:
-        cp.read_string(path.read_text())
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    cp = _read_ini(path, "sweep config")
     if "sweep" not in cp:
         raise ConfigError(f"{path}: missing section [sweep]")
     sec = cp["sweep"]

@@ -20,14 +20,14 @@ All functions are pure over immutable series and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .core import InvalidParameterError, Params, SimState
+from .core import InvalidParameterError, Params, SimState, VectorField
 from .constants import CalibrationConstants
-from .spectral import SemigroupPlan, gradient, laplacian
+from .spectral import SemigroupPlan
 
 __all__ = [
     "SeriesTooShortError",
@@ -59,8 +59,11 @@ class DiagnosticsRecord:
 
     lyapunov_sup is sup_x [u/chi + |grad v|^2/(2 mu)], the combined quantity
     obeying the comparison bound; err_u and err_v are sup distances to the
-    homogeneous equilibrium (a/b, mu a/(lam b)).
+    homogeneous equilibrium (a/b, mu a/(lam b)).  FIELDS names the columns
+    in declaration order.
     """
+
+    FIELDS: ClassVar[tuple[str, ...]]
 
     t: float
     sup_u: float
@@ -72,17 +75,12 @@ class DiagnosticsRecord:
     err_u: float
     err_v: float
 
-    FIELDS = (
-        "t",
-        "sup_u",
-        "inf_u",
-        "sup_v",
-        "sup_grad_v",
-        "sup_lap_v",
-        "lyapunov_sup",
-        "err_u",
-        "err_v",
-    )
+    @property
+    def err_sum(self) -> float:
+        return self.err_u + self.err_v
+
+
+DiagnosticsRecord.FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass(frozen=True)
@@ -105,9 +103,9 @@ def diagnostics(state: SimState, plan: SemigroupPlan | None = None) -> Diagnosti
     p = state.params
     u = state.u.values
     v = state.v.values
-    grad_v = gradient(plan, state.v)
-    grad_mag = grad_v.magnitude()
-    lap_v = laplacian(plan, state.v)
+    v_hat = plan.to_spectral(v)
+    grad_mag = VectorField(state.grid, plan.grad(v_hat)).magnitude()
+    lap_v = plan.to_physical(-plan.k2 * v_hat)
     lyap = u / p.chi + grad_mag**2 / (2.0 * p.mu)
     return DiagnosticsRecord(
         t=state.t,
@@ -115,7 +113,7 @@ def diagnostics(state: SimState, plan: SemigroupPlan | None = None) -> Diagnosti
         inf_u=float(u.min()),
         sup_v=float(v.max()),
         sup_grad_v=float(grad_mag.max()),
-        sup_lap_v=float(np.abs(lap_v.values).max()),
+        sup_lap_v=float(np.abs(lap_v).max()),
         lyapunov_sup=float(lyap.max()),
         err_u=float(np.abs(u - p.steady_u).max()),
         err_v=float(np.abs(v - p.steady_v).max()),
@@ -201,20 +199,6 @@ def persistence_trend_floor(p: Params, cal: CalibrationConstants) -> float:
     return p.a / p.b - cal.c2 * theta / (p.b * (1.0 - theta) ** 2)
 
 
-def _fit_log_linear(ts: np.ndarray, vals: np.ndarray, window) -> tuple[float, float]:
-    if len(ts) < 2:
-        raise WindowAdjustmentError(f"window {window} selects {len(ts)} records")
-    if np.any(vals <= 0.0):
-        raise WindowAdjustmentError("window contains nonpositive values; adjust it")
-    logs = np.log(vals)
-    slope, intercept = np.polyfit(ts, logs, 1)
-    pred = slope * ts + intercept
-    ss_res = float(np.sum((logs - pred) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return float(-slope), r_squared
-
-
 def fit_decay_rate(
     series: Sequence[DiagnosticsRecord],
     field: str,
@@ -230,11 +214,24 @@ def fit_decay_rate(
     sel = [(r.t, getattr(r, field)) for r in series if t_lo <= r.t <= t_hi]
     ts = np.array([s[0] for s in sel])
     vals = np.array([s[1] for s in sel])
-    return _fit_log_linear(ts, vals, window)
+    if len(ts) < 2:
+        raise WindowAdjustmentError(f"window {window} selects {len(ts)} records")
+    if np.any(vals <= 0.0):
+        raise WindowAdjustmentError("window contains nonpositive values; adjust it")
+    logs = np.log(vals)
+    slope, intercept = np.polyfit(ts, logs, 1)
+    pred = slope * ts + intercept
+    ss_res = float(np.sum((logs - pred) ** 2))
+    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
+    return float(-slope), r_squared
 
 
-def _err_sum(record: DiagnosticsRecord) -> float:
-    return record.err_u + record.err_v
+def fit_decay_rate_sum(
+    series: Sequence[DiagnosticsRecord], window: tuple[float, float]
+) -> tuple[float, float]:
+    """fit_decay_rate on the combined err_u + err_v series."""
+    return fit_decay_rate(series, "err_sum", window)
 
 
 def auto_fit_window(
@@ -249,7 +246,7 @@ def auto_fit_window(
     """
     if len(series) < min_points:
         raise WindowAdjustmentError(f"need at least {min_points} records")
-    vals = np.array([_err_sum(r) for r in series])
+    vals = np.array([r.err_sum for r in series])
     ts = np.array([r.t for r in series])
     vmax = vals.max()
     if vmax <= 0.0:
@@ -289,7 +286,7 @@ def check_convergence(
     """
     if len(series) < 2:
         raise SeriesTooShortError("need at least two records")
-    final = _err_sum(series[-1])
+    final = series[-1].err_sum
     if window is None:
         window = auto_fit_window(series)
     alpha, r_squared = fit_decay_rate_sum(series, window)
@@ -302,14 +299,3 @@ def check_convergence(
         slack=0.0,
         transient_time=window[0],
     )
-
-
-def fit_decay_rate_sum(
-    series: Sequence[DiagnosticsRecord], window: tuple[float, float]
-) -> tuple[float, float]:
-    """fit_decay_rate on the combined err_u + err_v series."""
-    t_lo, t_hi = window
-    sel = [(r.t, _err_sum(r)) for r in series if t_lo <= r.t <= t_hi]
-    ts = np.array([s[0] for s in sel])
-    vals = np.array([s[1] for s in sel])
-    return _fit_log_linear(ts, vals, window)

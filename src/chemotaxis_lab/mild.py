@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, InvalidParameterError, Params, SimState
+from .core import Field, GridMismatchError, InvalidParameterError, Params, SimState
 from .spectral import SemigroupPlan
 
 __all__ = [
@@ -100,16 +100,23 @@ def local_horizon(
     return x * x
 
 
-def c1_norm(plan: SemigroupPlan, f: Field) -> float:
-    """sup|f| plus the sum over axes of sup|df/dx_i| (spectral gradient)."""
-    from .spectral import gradient
-
-    g = gradient(plan, f)
-    return f.sup_abs() + sum(float(np.abs(c).max()) for c in g.components)
-
-
 def _sup(arr: np.ndarray) -> float:
     return float(np.abs(arr).max())
+
+
+def _c1(plan: SemigroupPlan, values: np.ndarray, spec: np.ndarray) -> float:
+    """sup|values| plus, axis by axis, sup|d/dx_i| of the spectrum ``spec``."""
+    c1 = _sup(values)
+    for comp in plan.grad(spec):
+        c1 += _sup(comp)
+    return c1
+
+
+def c1_norm(plan: SemigroupPlan, f: Field) -> float:
+    """sup|f| plus the sum over axes of sup|df/dx_i| (spectral gradient)."""
+    if f.grid != plan.grid:
+        raise GridMismatchError("field grid does not match plan grid")
+    return _c1(plan, f.values, plan.to_spectral(f.values))
 
 
 def picard_solve(
@@ -160,10 +167,7 @@ def picard_solve(
         for i in range(q):
             u_i = U[i]
             v_hat = plan.to_spectral(V[i])
-            flux_hat = np.zeros(plan.spectral_shape, dtype=np.complex128)
-            for ik in plan.ik:
-                vx = plan.to_physical(ik * v_hat)
-                flux_hat += ik * plan.to_spectral(u_i * vx)
+            flux_hat = plan.div_hat(u_i * vx for vx in plan.grad(v_hat))
             reac_hat = plan.to_spectral(u_i * (p.a + p.lam - p.b * u_i))
             u_hat = plan.to_spectral(u_i)
             acc_u = decay * acc_u + kernel * (reac_hat - p.chi * flux_hat)
@@ -175,10 +179,7 @@ def picard_solve(
         d_v = 0.0
         for i in range(q + 1):
             dv_hat = plan.to_spectral(new_V[i] - V[i])
-            c1 = _sup(plan.to_physical(dv_hat))
-            for ik in plan.ik:
-                c1 += _sup(plan.to_physical(ik * dv_hat))
-            d_v = max(d_v, c1)
+            d_v = max(d_v, _c1(plan, plan.to_physical(dv_hat), dv_hat))
         d = d_u + d_v
         diffs.append(d)
         U, V = new_U, new_V

@@ -2,8 +2,7 @@
 
 File inventory for a run directory:
 
-    diagnostics.csv   header
-                      t,sup_u,inf_u,sup_v,sup_grad_v,sup_lap_v,lyapunov_sup,err_u,err_v
+    diagnostics.csv   header: the DiagnosticsRecord.FIELDS, comma-separated;
                       one row per record, floats with 17 significant digits
                       (bit-stable round trips for regression tests)
     constants.json    evaluated thresholds/bounds plus calibration provenance
@@ -40,7 +39,7 @@ from .harness import (
     fit_decay_rate_sum,
     persistence_trend_floor,
 )
-from .imex import DivergenceError, PositivityViolationError, StepControl, integrate
+from .imex import DivergenceError, PositivityViolationError, integrate
 from .spectral import SemigroupPlan, measure_gradient_constant
 
 __all__ = [
@@ -60,7 +59,7 @@ EXIT_CHECK_FAILED = 2
 EXIT_DIVERGED = 3
 EXIT_CONFIG_ERROR = 4
 
-CSV_HEADER = "t,sup_u,inf_u,sup_v,sup_grad_v,sup_lap_v,lyapunov_sup,err_u,err_v"
+CSV_HEADER = ",".join(DiagnosticsRecord.FIELDS)
 
 # Seed for the gradient-envelope calibration sweep; fixed so the measured
 # constant depends only on the grid.
@@ -72,10 +71,7 @@ def _fmt(x: float) -> str:
 
 
 def _record_row(r: DiagnosticsRecord) -> str:
-    return ",".join(
-        _fmt(getattr(r, name))
-        for name in DiagnosticsRecord.FIELDS
-    )
+    return ",".join(_fmt(getattr(r, name)) for name in DiagnosticsRecord.FIELDS)
 
 
 @dataclass
@@ -144,10 +140,6 @@ def _write_constants(
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _verdict_dict(v: Verdict) -> dict:
-    return asdict(v)
-
-
 def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
     """Integrate one experiment and write its three artifacts into out_dir."""
     out = Path(out_dir)
@@ -177,14 +169,7 @@ def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
             fh.write(_record_row(record) + "\n")
 
         try:
-            for index, (t_end, dt_max) in enumerate(cfg.phases):
-                ctl = StepControl(
-                    dt_max=dt_max,
-                    t_end=t_end,
-                    record_every=cfg.step.record_every,
-                    cfl_safety=cfg.step.cfl_safety,
-                    neg_tol=cfg.step.neg_tol,
-                )
+            for index, ctl in enumerate(cfg.steps):
                 state = integrate(state, ctl, sink, plan, emit_initial=index == 0)
         except (DivergenceError, PositivityViolationError) as exc:
             status = "diverged"
@@ -198,7 +183,7 @@ def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
     payload = {
         "status": status,
         "divergence_t": divergence_t,
-        "verdicts": [_verdict_dict(v) for v in verdicts],
+        "verdicts": [asdict(v) for v in verdicts],
         "fit": {"alpha": alpha, "r_squared": r_squared},
     }
     (out / "verdicts.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -281,47 +266,6 @@ def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value: float) -> E
     return replace(cfg, params=params)
 
 
-def _run_sweep_point(args) -> dict:
-    index, parameter, value, cfg, out_dir = args
-    row = {
-        "index": index,
-        "parameter": parameter,
-        "value": value,
-        "status": "OK",
-        "theta": "",
-        "bound_general": "",
-        "bound_refined": "",
-        "K": "",
-        "final_sup_u": "",
-        "final_err_sum": "",
-        "alpha": "",
-        "r_squared": "",
-        "verdicts": "",
-    }
-    try:
-        outcome = execute_run(cfg, out_dir)
-        pc = outcome.paper_constants
-        row["theta"] = _fmt(pc.theta)
-        row["bound_general"] = _fmt(pc.bound_general) if pc.bound_general is not None else ""
-        row["bound_refined"] = _fmt(pc.bound_refined) if pc.bound_refined is not None else ""
-        row["K"] = _fmt(pc.K)
-        if outcome.status == "diverged":
-            row["status"] = f"DIVERGED(t={_fmt(outcome.divergence_t)})"
-            return row
-        last = outcome.records[-1]
-        row["final_sup_u"] = _fmt(last.sup_u)
-        row["final_err_sum"] = _fmt(last.err_u + last.err_v)
-        if outcome.alpha is not None:
-            row["alpha"] = _fmt(outcome.alpha)
-            row["r_squared"] = _fmt(outcome.r_squared)
-        row["verdicts"] = ";".join(
-            f"{v.name}={'PASS' if v.passed else 'FAIL'}" for v in outcome.verdicts
-        )
-    except Exception as exc:  # point-level isolation: record, never abort the sweep
-        row["status"] = f"ERROR({type(exc).__name__}: {exc})"
-    return row
-
-
 _SWEEP_COLUMNS = (
     "index",
     "parameter",
@@ -337,6 +281,34 @@ _SWEEP_COLUMNS = (
     "r_squared",
     "verdicts",
 )
+
+
+def _run_sweep_point(args) -> dict:
+    index, parameter, value, cfg, out_dir = args
+    row = dict.fromkeys(_SWEEP_COLUMNS, "")
+    row.update(index=index, parameter=parameter, value=value, status="OK")
+    try:
+        outcome = execute_run(cfg, out_dir)
+        pc = outcome.paper_constants
+        row["theta"] = _fmt(pc.theta)
+        row["bound_general"] = _fmt(pc.bound_general) if pc.bound_general is not None else ""
+        row["bound_refined"] = _fmt(pc.bound_refined) if pc.bound_refined is not None else ""
+        row["K"] = _fmt(pc.K)
+        if outcome.status == "diverged":
+            row["status"] = f"DIVERGED(t={_fmt(outcome.divergence_t)})"
+            return row
+        last = outcome.records[-1]
+        row["final_sup_u"] = _fmt(last.sup_u)
+        row["final_err_sum"] = _fmt(last.err_sum)
+        if outcome.alpha is not None:
+            row["alpha"] = _fmt(outcome.alpha)
+            row["r_squared"] = _fmt(outcome.r_squared)
+        row["verdicts"] = ";".join(
+            f"{v.name}={'PASS' if v.passed else 'FAIL'}" for v in outcome.verdicts
+        )
+    except Exception as exc:  # point-level isolation: record, never abort the sweep
+        row["status"] = f"ERROR({type(exc).__name__}: {exc})"
+    return row
 
 
 def execute_sweep(sweep: SweepConfig, out_dir: str | Path, workers: int | None = None) -> int:
@@ -375,7 +347,7 @@ def _load_diagnostics_csv(path: Path) -> list[tuple[str, list[float]]]:
     lines = path.read_text().strip().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: unexpected or missing diagnostics header")
-    columns = CSV_HEADER.split(",")
+    columns = DiagnosticsRecord.FIELDS
     data: list[list[float]] = [[] for _ in columns]
     for line in lines[1:]:
         parts = line.split(",")

@@ -82,6 +82,18 @@ class SemigroupPlan:
     def to_physical(self, spec: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(spec, s=self.grid.shape, axes=tuple(range(self.grid.dim)))
 
+    def grad(self, spec: np.ndarray) -> list[np.ndarray]:
+        """Physical-space gradient components of the spectrum ``spec``."""
+        return [self.to_physical(ik * spec) for ik in self.ik]
+
+    def div_hat(self, components) -> np.ndarray:
+        """Spectrum of the divergence of physical-space ``components``,
+        accumulated axis by axis."""
+        acc = np.zeros(self.spectral_shape, dtype=np.complex128)
+        for ik, comp in zip(self.ik, components):
+            acc += ik * self.to_spectral(comp)
+        return acc
+
     def multiplier(self, t: float, sigma: float) -> np.ndarray:
         m = np.exp(-(self.k2 + sigma) * t)
         m[m < _UNDERFLOW_FLUSH] = 0.0
@@ -113,8 +125,7 @@ def apply_semigroup_grad(
     """Apply grad exp(t(lap - sigma I)) to ``f``; requires t > 0."""
     _check_args(plan, f.grid, t, sigma, strict_t=True)
     spec = plan.to_spectral(f.values) * plan.multiplier(t, sigma)
-    comps = [plan.to_physical(ik * spec) for ik in plan.ik]
-    return VectorField(f.grid, comps)
+    return VectorField(f.grid, plan.grad(spec))
 
 
 def apply_semigroup_div(
@@ -122,9 +133,7 @@ def apply_semigroup_div(
 ) -> Field:
     """Apply the bounded extension exp(t(lap - sigma I)) div to ``w``; t > 0."""
     _check_args(plan, w.grid, t, sigma, strict_t=True)
-    acc = np.zeros(plan.spectral_shape, dtype=np.complex128)
-    for ik, comp in zip(plan.ik, w.components):
-        acc += ik * plan.to_spectral(comp)
+    acc = plan.div_hat(w.components)
     return Field(w.grid, plan.to_physical(acc * plan.multiplier(t, sigma)))
 
 
@@ -132,9 +141,7 @@ def gradient(plan: SemigroupPlan, f: Field) -> VectorField:
     """Exact spectral gradient of the trigonometric interpolant."""
     if f.grid != plan.grid:
         raise GridMismatchError("field grid does not match plan grid")
-    spec = plan.to_spectral(f.values)
-    comps = [plan.to_physical(ik * spec) for ik in plan.ik]
-    return VectorField(f.grid, comps)
+    return VectorField(f.grid, plan.grad(plan.to_spectral(f.values)))
 
 
 def laplacian(plan: SemigroupPlan, f: Field) -> Field:

@@ -146,8 +146,7 @@ def _bounded_family_config(seed: int, initial: InitialSpec, out_dir: Path) -> Ex
         params=p,
         grid=Grid(dim=1, extent=TWO_PI, points=256),
         initial=initial,
-        step=StepControl(dt_max=0.01, t_end=50.0, record_every=0.5, cfl_safety=0.5),
-        phases=((50.0, 0.01),),
+        steps=(StepControl(dt_max=0.01, t_end=50.0, record_every=0.5, cfl_safety=0.5),),
         checks=ChecksSpec(
             eventual_bound=True,
             eventual_bound_target="refined",
@@ -247,8 +246,10 @@ def _convergence_config(extent: float, points: int, out_dir: Path) -> Experiment
         params=p,
         grid=Grid(dim=1, extent=extent, points=points),
         initial=initial,
-        step=StepControl(dt_max=1e-3, t_end=30.0, record_every=0.25, cfl_safety=1.0),
-        phases=((30.0, 1e-3), (40.0, 4e-6)),
+        steps=(
+            StepControl(dt_max=1e-3, t_end=30.0, record_every=0.25, cfl_safety=1.0),
+            StepControl(dt_max=4e-6, t_end=40.0, record_every=0.25, cfl_safety=1.0),
+        ),
         checks=ChecksSpec(convergence=True, convergence_tol=1e-6, convergence_min_r2=0.99),
         output_dir=str(out_dir),
     )

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -75,10 +77,31 @@ def test_config_phases_round_trip(tmp_path):
         tmp_path, **{"dt_max = 0.002\nt_end = 8.0": "phases = 4.0:0.002, 8.0:0.0005"}
     )
     cfg = load_config(path)
-    assert cfg.phases == ((4.0, 0.002), (8.0, 0.0005))
+    assert tuple((c.t_end, c.dt_max) for c in cfg.steps) == ((4.0, 0.002), (8.0, 0.0005))
     copy_path = tmp_path / "copy.ini"
     write_config(cfg, copy_path)
     assert load_config(copy_path) == cfg
+
+
+def test_write_config_refuses_phases_it_cannot_write(tmp_path):
+    path = write_base_config(
+        tmp_path, **{"dt_max = 0.002\nt_end = 8.0": "phases = 4.0:0.002, 8.0:0.0005"}
+    )
+    cfg = load_config(path)
+    first, second = cfg.steps
+    cfg = replace(cfg, steps=(first, replace(second, record_every=1.0)))
+    with pytest.raises(ConfigError, match="share record_every"):
+        write_config(cfg, tmp_path / "copy.ini")
+
+
+def test_bad_later_phase_is_rejected_before_any_compute(tmp_path):
+    path = write_base_config(
+        tmp_path, **{"dt_max = 0.002\nt_end = 8.0": "phases = 0.5:0.001, 1.0:0"}
+    )
+    with pytest.raises(ConfigError, match="dt_max must be > 0"):
+        load_config(path)
+    assert main(["run", str(path)]) == 4
+    assert not (tmp_path / "results").exists()
 
 
 def test_missing_key_is_a_config_error(tmp_path):
@@ -271,6 +294,20 @@ def test_sweep_isolates_poisoned_points(tmp_path):
     assert len(lines) == 3
     assert "DIVERGED(t=" in lines[1]
     assert lines[2].split(",")[3] == "OK"
+
+
+def test_sweep_records_a_failed_point_as_an_error_row(tmp_path):
+    # t_end = 1 is shorter than the eventual bound's minimum span
+    # 2/min(a, lam) = 2, so the check raises after the run
+    path = write_sweep_config(tmp_path, "1.0", **{"t_end = 8.0": "t_end = 1.0"})
+    assert main(["sweep", str(path), "--workers", "1"]) == 0
+    with open(tmp_path / "sweep_results" / "sweep_summary.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(header) == len(row) == 13
+    point = dict(zip(header, row))
+    assert point["value"] == "1.0"
+    assert point["status"].startswith("ERROR(SeriesTooShortError")
+    assert point["final_sup_u"] == point["verdicts"] == ""
 
 
 def test_empty_sweep_grid_exits_4(tmp_path):

@@ -77,6 +77,13 @@ def test_diagnostics_lyapunov_value(unit_params):
     assert rec.lyapunov_sup == pytest.approx(1.5, rel=1e-12)
 
 
+def test_record_columns_are_the_dataclass_fields():
+    record = make_record(2.0, err_u=0.25, err_v=0.5)
+    assert DiagnosticsRecord.FIELDS == tuple(vars(record))
+    assert DiagnosticsRecord.FIELDS[0] == "t" and "err_sum" not in DiagnosticsRecord.FIELDS
+    assert record.err_sum == 0.75
+
+
 def test_eventual_bound_constant_series_passes():
     series = series_from(np.linspace(0, 10, 21))
     verdict = check_eventual_bound(series, "sup_u", 4.0 / 3.0, slack=0.05)

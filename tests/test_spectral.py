@@ -153,6 +153,17 @@ def test_two_dimensional_eigenmode():
     assert sup(g.components[1]) < 1e-13
 
 
+def test_div_hat_of_grad_is_the_laplacian():
+    grid = Grid(dim=2, extent=2 * np.pi, points=32)
+    plan = SemigroupPlan(grid)
+    xx, yy = grid.coordinate_arrays()
+    f = Field(grid, np.cos(xx) * np.sin(2 * yy) + np.sin(3 * xx))
+    spec = plan.to_spectral(f.values)
+    lap = plan.to_physical(plan.div_hat(plan.grad(spec)))
+    assert sup(lap - laplacian(plan, f).values) < 1e-12
+    assert sup(lap + 5 * np.cos(xx) * np.sin(2 * yy) + 9 * np.sin(3 * xx)) < 1e-12
+
+
 def test_huge_time_flushes_every_oscillatory_mode(plan_1d, grid_1d):
     # multipliers below 1e-300 flush to exact zero, so only the mean survives
     rng = np.random.default_rng(8)
