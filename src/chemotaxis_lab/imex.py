@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import Field, InvalidParameterError, Params, SimState
 from .harness import DiagnosticsRecord, diagnostics
-from .spectral import SemigroupPlan, dealias_mask
+from .spectral import SemigroupPlan
 
 __all__ = [
     "PositivityViolationError",
@@ -85,14 +85,13 @@ class StepControl:
 
 
 class _Workspace:
-    """Per-run spectral scratch: plan, dealias mask, one-slot cache of the
-    masked propagator, so the mask is applied once per step size."""
+    """Per-run spectral scratch: plan and a one-slot cache of the masked
+    propagator, so the plan's dealias mask is applied once per step size."""
 
-    __slots__ = ("plan", "mask", "lam", "_dt", "_prop")
+    __slots__ = ("plan", "lam", "_dt", "_prop")
 
     def __init__(self, plan: SemigroupPlan, lam: float):
         self.plan = plan
-        self.mask = dealias_mask(plan)
         self.lam = lam
         self._dt = -1.0
         self._prop = None
@@ -100,7 +99,7 @@ class _Workspace:
     def propagator(self, dt: float) -> np.ndarray:
         """E(dt) with the modes outside the 2/3 band zeroed."""
         if dt != self._dt:
-            self._prop = self.plan.multiplier(dt, self.lam) * self.mask
+            self._prop = self.plan.multiplier(dt, self.lam) * self.plan.dealias
             self._dt = dt
         return self._prop
 

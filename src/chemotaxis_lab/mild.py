@@ -143,8 +143,8 @@ def picard_solve(
 
     decay = np.exp(-(plan.k2 + p.lam) * delta)
     # Exact integral of exp(-(|k|^2+lam)(t-s)) over one subinterval against
-    # a frozen integrand: (1 - decay) / (|k|^2 + lam).
-    kernel = (1.0 - decay) / (plan.k2 + p.lam)
+    # a frozen integrand.
+    kernel = plan.phi1(delta, p.lam)
 
     u0 = s0.u.values
     v0 = s0.v.values

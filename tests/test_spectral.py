@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from chemotaxis_lab import (
     apply_semigroup,
     apply_semigroup_div,
     apply_semigroup_grad,
+    dealias_mask,
     gradient,
     laplacian,
     measure_gradient_constant,
@@ -198,3 +201,103 @@ def test_argument_validation(plan_1d, grid_1d):
     other = SemigroupPlan(Grid(dim=1, extent=2 * np.pi, points=128))
     with pytest.raises(GridMismatchError):
         apply_semigroup(other, f, 0.1, 0.0)
+
+
+TRANSFORM_GRIDS = [
+    Grid(dim=1, extent=2 * np.pi, points=64),
+    Grid(dim=2, extent=2 * np.pi, points=32),
+    Grid(dim=3, extent=2 * np.pi, points=16),
+]
+
+
+def _numpy_pair(values, grid):
+    axes = tuple(range(-grid.dim, 0))
+    spec = np.fft.rfftn(values, axes=axes)
+    return spec, np.fft.irfftn(spec, s=grid.shape, axes=axes)
+
+
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.dim}d")
+def test_transforms_equal_numpy_bit_for_bit(grid):
+    plan = SemigroupPlan(grid)
+    values = np.random.default_rng(20).standard_normal(grid.shape)
+    spec, back = _numpy_pair(values, grid)
+    assert np.array_equal(plan.to_spectral(values), spec)
+    assert np.array_equal(plan.to_physical(spec), back)
+
+
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.dim}d")
+def test_transforms_accept_a_leading_batch_axis(grid):
+    plan = SemigroupPlan(grid)
+    batch = np.random.default_rng(21).standard_normal((3, *grid.shape))
+    spec = plan.to_spectral(batch)
+    back = plan.to_physical(spec)
+    assert spec.shape == (3, *plan.spectral_shape)
+    for row, row_spec, row_back in zip(batch, spec, back):
+        ref_spec, ref_back = _numpy_pair(row, grid)
+        assert np.array_equal(row_spec, ref_spec)
+        assert np.array_equal(row_back, ref_back)
+
+
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.dim}d")
+def test_transforms_leave_their_inputs_unmodified(grid):
+    plan = SemigroupPlan(grid)
+    rng = np.random.default_rng(22)
+    values = rng.standard_normal(grid.shape)
+    components = [rng.standard_normal(grid.shape) for _ in range(grid.dim)]
+    spec = plan.to_spectral(values)
+    kept = (values.copy(), [c.copy() for c in components], spec.copy())
+    plan.to_spectral(values)
+    plan.to_physical(spec)
+    plan.grad(spec)
+    plan.div_hat(components)
+    assert np.array_equal(values, kept[0])
+    assert all(np.array_equal(c, k) for c, k in zip(components, kept[1]))
+    assert np.array_equal(spec, kept[2])
+
+
+def _reference_gradient_constant(plan, times, sigma, n_fields, seed):
+    """The calibration composed from the public apply function, one call per
+    field and time."""
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(n_fields):
+        values = rng.uniform(-1.0, 1.0, plan.grid.shape)
+        values /= np.abs(values).max()
+        f = Field(plan.grid, values)
+        for t in times:
+            g = apply_semigroup_grad(plan, f, t, sigma)
+            best = max(best, g.sup_abs() * np.sqrt(t) * np.exp(sigma * t))
+    return best
+
+
+@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+def test_gradient_constant_equals_the_per_call_composition(grid, sigma):
+    plan = SemigroupPlan(grid)
+    for times in [(1e-3, 1e-2, 1e-1, 1.0), (0.05, 0.3)]:
+        expected = _reference_gradient_constant(plan, times, sigma, n_fields=3, seed=5)
+        got = measure_gradient_constant(plan, times=times, sigma=sigma, n_fields=3, seed=5)
+        assert got == expected
+
+
+def test_gradient_constant_rejects_bad_times_and_sigma(plan_1d):
+    with pytest.raises(InvalidParameterError):
+        measure_gradient_constant(plan_1d, times=(0.1, 0.0))
+    with pytest.raises(InvalidParameterError):
+        measure_gradient_constant(plan_1d, sigma=-0.5)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.37, 25.0])
+def test_phi1_keeps_full_precision_for_small_rate_times_t(plan_1d, sigma):
+    # (1 - exp(-x))/sigma loses about -log10(x) digits; the expm1 form none.
+    for t in 10.0 ** -np.arange(0, 13):
+        expected = -math.expm1(-sigma * t) / sigma
+        assert abs(plan_1d.phi1(t, sigma)[0] - expected) <= np.spacing(expected)
+
+
+def test_dealias_mask_is_the_plans_read_only_mask():
+    plan = SemigroupPlan(Grid(dim=3, extent=2 * np.pi, points=64))
+    mask = dealias_mask(plan)
+    assert mask is plan.dealias and not mask.flags.writeable
+    # |index| <= 21 keeps 43 modes on each full axis and 22 on the half axis.
+    assert mask.shape == plan.spectral_shape and mask.sum() == 43 * 43 * 22
