@@ -1,29 +1,27 @@
 """Experiment configuration: a flat, typed key-value file with sections.
 
-The on-disk format is INI (language-agnostic, diff-friendly); every key is
-parsed to its type and every value checked at load, so files are validated
-before any compute and round-trip losslessly through :func:`write_config` /
-:func:`load_config`.  In memory the [step] section is
-``ExperimentConfig.steps``: one validated :class:`StepControl` per phase,
-sharing record_every, cfl_safety and neg_tol (a single phase without
-``phases``).
+The on-disk format is INI (language-agnostic, diff-friendly).  A section
+owned by a dataclass is read, defaulted, checked and written from it: a
+field's name is its key (only ``lam`` is spelled ``lambda`` in the file),
+its annotation is the key's type, and its default makes the key optional.
 
-Sections and keys (defaults in parentheses):
-
-    [params]   chi, a, b, lambda, mu, dim
-    [grid]     extent, points
+    [params]   Params: chi, a, b, lambda, mu, dim
+    [grid]     Grid without dim (taken from [params]): extent, points
     [initial]  seed, u_kind, v_kind plus the generator keys below
-    [step]     dt_max, t_end, record_every, cfl_safety (0.5),
-               neg_tol (1e-8), phases (optional "t:dt, t:dt, ..." schedule
-               of (end time, dt_max) stages replacing t_end/dt_max)
-    [checks]   eventual_bound (false), eventual_bound_field (sup_u),
-               eventual_bound_target ("refined" | "general" | number),
-               slack (0.05), transient_fraction (0.5),
-               lyapunov (false), lyapunov_slack (0.05),
-               persistence (false), persistence_floor (optional number),
-               convergence (false), convergence_tol (1e-6),
-               convergence_min_r2 (0.99)
+    [step]     StepControl; ``phases = t:dt, t:dt, ...``, a schedule of
+               (end time, dt_max) stages, may replace dt_max and t_end
+    [checks]   ChecksSpec; optional, like each of its keys
     [output]   dir
+    [sweep]    parameter, values (read by :func:`load_sweep_config` only)
+
+The schema is closed.  An unknown section or key, a generator key that the
+chosen kind does not take, ``phases`` together with ``dt_max`` or
+``t_end``, an unparsable value and a value its dataclass rejects are all a
+:class:`ConfigError` naming the file and the section or key, raised at
+load, before any compute or output.  Files round-trip losslessly through
+:func:`write_config` / :func:`load_config`.  In memory the [step] section
+is ``ExperimentConfig.steps``: one :class:`StepControl` per phase, sharing
+record_every, cfl_safety and neg_tol (a single phase without ``phases``).
 
 Initial-condition generators (for ``u_kind`` / ``v_kind``):
 
@@ -36,12 +34,15 @@ Initial-condition generators (for ``u_kind`` / ``v_kind``):
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+import typing
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .core import Field, Grid, InvalidParameterError, Params, SimState
+from .harness import DiagnosticsRecord
 from .imex import StepControl
 
 __all__ = [
@@ -66,6 +67,18 @@ _GENERATOR_KEYS = {
     "cosine": ("base", "amplitude", "wavenumber"),
     "random_uniform": ("low", "high"),
 }
+
+_REQUIRED_SECTIONS = ("params", "grid", "initial", "step", "output")
+_SECTIONS = _REQUIRED_SECTIONS + ("checks", "sweep")
+
+
+def _key(name: str) -> str:
+    """The file's key for the field ``name``."""
+    return {"lam": "lambda"}.get(name, name)
+
+
+# "params.<key>" of every coefficient a sweep may vary, to its Params field.
+_SWEEPABLE = {f"params.{_key(f.name)}": f.name for f in fields(Params) if f.name != "dim"}
 
 
 @dataclass(frozen=True)
@@ -92,6 +105,24 @@ class ChecksSpec:
     convergence_tol: float = 1e-6
     convergence_min_r2: float = 0.99
 
+    def __post_init__(self) -> None:
+        if self.eventual_bound_target not in ("refined", "general"):
+            try:
+                float(self.eventual_bound_target)
+            except ValueError:
+                raise InvalidParameterError(
+                    "eventual_bound_target must be 'refined', 'general', or a number"
+                ) from None
+        if self.eventual_bound_field not in DiagnosticsRecord.FIELDS:
+            raise InvalidParameterError(
+                f"eventual_bound_field must be one of {list(DiagnosticsRecord.FIELDS)}, "
+                f"got {self.eventual_bound_field!r}"
+            )
+        if not 0.0 <= self.transient_fraction <= 1.0:
+            raise InvalidParameterError(
+                f"transient_fraction must be in [0, 1], got {self.transient_fraction!r}"
+            )
+
     def any_requested(self) -> bool:
         return self.eventual_bound or self.lyapunov or self.persistence or self.convergence
 
@@ -112,37 +143,84 @@ class SweepConfig:
     values: tuple[float, ...]
     base: ExperimentConfig
 
+    def point(self, value: float) -> ExperimentConfig:
+        """The base experiment with the swept coefficient set to ``value``."""
+        params = replace(self.base.params, **{_SWEEPABLE[self.parameter]: value})
+        return replace(self.base, params=params)
 
-def _read_ini(path: Path, what: str) -> configparser.ConfigParser:
+
+@contextmanager
+def _reading(path: Path, what: str):
+    """The parsed file at ``path``; every error in parsing or checking it
+    names the file."""
     if not path.is_file():
         raise ConfigError(f"{what} file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         cp.read_string(path.read_text())
-    except (configparser.Error, UnicodeDecodeError) as exc:
+        yield cp
+    except (configparser.Error, UnicodeDecodeError, ConfigError, InvalidParameterError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return cp
 
 
-def _get(section, key: str, conv, required: bool = True, default=None):
+def _get(section, key: str, conv):
     if key not in section:
-        if required:
-            raise ConfigError(f"missing key {key!r} in section [{section.name}]")
-        return default
+        raise ConfigError(f"missing key {key!r} in section [{section.name}]")
     raw = section[key]
     try:
         return conv(raw)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"key {key!r}: cannot parse {raw!r} ({exc})") from exc
+        raise ConfigError(
+            f"key {key!r} in section [{section.name}]: cannot parse {raw!r} ({exc})"
+        ) from exc
+
+
+def _reject_unknown(section, allowed, note: str = "") -> None:
+    for key in section:
+        if key not in allowed:
+            raise ConfigError(f"unknown key {key!r} in section [{section.name}]{note}")
 
 
 def _bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "on", "1"):
-        return True
-    if low in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+
+
+_PARSERS = {bool: _bool, int: int, float: float, str: str}
+
+
+def _read_fields(section, cls, extra=(), **given):
+    """``cls`` built from ``section``: each field not in ``given`` is read from
+    its key and parsed to its annotated type (``T | None`` as ``T``); a field
+    with a default may be left out.  Keys other than these and ``extra`` are
+    rejected, and so is a value ``cls`` refuses."""
+    hints = typing.get_type_hints(cls)
+    owned = {_key(f.name): f for f in fields(cls) if f.name not in given}
+    _reject_unknown(section, owned.keys() | set(extra))
+    kwargs = dict(given)
+    for key, f in owned.items():
+        if key in section or f.default is MISSING:
+            types = [t for t in typing.get_args(hints[f.name]) if t is not type(None)]
+            kwargs[f.name] = _get(section, key, _PARSERS[types[0] if types else hints[f.name]])
+    try:
+        return cls(**kwargs)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"[{section.name}] {exc}") from exc
+
+
+def _write_fields(obj, skip=()) -> list[str]:
+    """One ``key = value`` line per field of ``obj`` not in ``skip``; a field
+    that is None (an omitted optional key) gets no line."""
+    lines = []
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in skip or value is None:
+            continue
+        if isinstance(value, bool):
+            value = str(value).lower()
+        lines.append(f"{_key(f.name)} = {value if isinstance(value, str) else repr(value)}")
+    return lines
 
 
 def _phases(raw: str) -> tuple[tuple[float, float], ...]:
@@ -165,178 +243,97 @@ def _phases(raw: str) -> tuple[tuple[float, float], ...]:
 
 def _initial_from_section(sec) -> InitialSpec:
     seed = _get(sec, "seed", int)
-    spec = {}
-    for f in ("u", "v"):
-        kind = _get(sec, f"{f}_kind", str)
+    kinds = {f: _get(sec, f"{f}_kind", str) for f in ("u", "v")}
+    for f, kind in kinds.items():
         if kind not in _GENERATOR_KEYS:
-            raise ConfigError(
-                f"{f}_kind must be one of {sorted(_GENERATOR_KEYS)}, got {kind!r}"
-            )
-        args = {}
-        for name in _GENERATOR_KEYS[kind]:
-            args[name] = _get(sec, f"{f}_{name}", float)
-        spec[f] = (kind, args)
-    return InitialSpec(
-        seed=seed,
-        u_kind=spec["u"][0],
-        v_kind=spec["v"][0],
-        u_args=spec["u"][1],
-        v_args=spec["v"][1],
+            raise ConfigError(f"{f}_kind must be one of {sorted(_GENERATOR_KEYS)}, got {kind!r}")
+    keys = {f: {name: f"{f}_{name}" for name in _GENERATOR_KEYS[k]} for f, k in kinds.items()}
+    takes = "; ".join(f"{f}_kind = {kinds[f]} takes {', '.join(keys[f].values())}" for f in keys)
+    allowed = {"seed", "u_kind", "v_kind", *keys["u"].values(), *keys["v"].values()}
+    _reject_unknown(sec, allowed, f" ({takes})")
+    args = {f: {name: _get(sec, key, float) for name, key in keys[f].items()} for f in keys}
+    return InitialSpec(seed, kinds["u"], kinds["v"], args["u"], args["v"])
+
+
+def _steps_from_section(sec) -> tuple[StepControl, ...]:
+    if "phases" not in sec:
+        return (_read_fields(sec, StepControl),)
+    for key in ("dt_max", "t_end"):
+        if key in sec:
+            raise ConfigError(f"key {key!r} in section [step]: phases replaces dt_max and t_end")
+    return tuple(
+        _read_fields(sec, StepControl, extra=("phases",), t_end=t, dt_max=dt)
+        for t, dt in _get(sec, "phases", _phases)
     )
 
 
-def _config_from_parser(cp: configparser.ConfigParser, path: Path) -> ExperimentConfig:
-    for required in ("params", "grid", "initial", "step", "output"):
-        if required not in cp:
-            raise ConfigError(f"{path}: missing section [{required}]")
-    ps = cp["params"]
-    try:
-        params = Params(
-            chi=_get(ps, "chi", float),
-            a=_get(ps, "a", float),
-            b=_get(ps, "b", float),
-            lam=_get(ps, "lambda", float),
-            mu=_get(ps, "mu", float),
-            dim=_get(ps, "dim", int),
-        )
-        gs = cp["grid"]
-        grid = Grid(dim=params.dim, extent=_get(gs, "extent", float), points=_get(gs, "points", int))
-        initial = _initial_from_section(cp["initial"])
-        ss = cp["step"]
-        phases = _get(ss, "phases", _phases, required=False)
-        if phases is None:
-            phases = ((_get(ss, "t_end", float), _get(ss, "dt_max", float)),)
-        knobs = dict(
-            record_every=_get(ss, "record_every", float),
-            cfl_safety=_get(ss, "cfl_safety", float, required=False, default=0.5),
-            neg_tol=_get(ss, "neg_tol", float, required=False, default=1e-8),
-        )
-        steps = tuple(StepControl(dt_max=dt, t_end=t, **knobs) for t, dt in phases)
-        checks = _checks_from_section(cp["checks"]) if "checks" in cp else ChecksSpec()
-        output_dir = _get(cp["output"], "dir", str)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
+    for name in cp.sections():
+        if name not in _SECTIONS:
+            raise ConfigError(f"unknown section [{name}]")
+    for name in _REQUIRED_SECTIONS:
+        if name not in cp:
+            raise ConfigError(f"missing section [{name}]")
+    params = _read_fields(cp["params"], Params)
+    _reject_unknown(cp["output"], ("dir",))
     return ExperimentConfig(
         params=params,
-        grid=grid,
-        initial=initial,
-        steps=steps,
-        checks=checks,
-        output_dir=output_dir,
-    )
-
-
-def _checks_from_section(sec) -> ChecksSpec:
-    target = _get(sec, "eventual_bound_target", str, required=False, default="refined")
-    if target not in ("refined", "general"):
-        try:
-            float(target)
-        except ValueError:
-            raise ConfigError(
-                "eventual_bound_target must be 'refined', 'general', or a number"
-            ) from None
-    return ChecksSpec(
-        eventual_bound=_get(sec, "eventual_bound", _bool, required=False, default=False),
-        eventual_bound_field=_get(sec, "eventual_bound_field", str, required=False, default="sup_u"),
-        eventual_bound_target=target,
-        slack=_get(sec, "slack", float, required=False, default=0.05),
-        transient_fraction=_get(sec, "transient_fraction", float, required=False, default=0.5),
-        lyapunov=_get(sec, "lyapunov", _bool, required=False, default=False),
-        lyapunov_slack=_get(sec, "lyapunov_slack", float, required=False, default=0.05),
-        persistence=_get(sec, "persistence", _bool, required=False, default=False),
-        persistence_floor=_get(sec, "persistence_floor", float, required=False, default=None),
-        convergence=_get(sec, "convergence", _bool, required=False, default=False),
-        convergence_tol=_get(sec, "convergence_tol", float, required=False, default=1e-6),
-        convergence_min_r2=_get(sec, "convergence_min_r2", float, required=False, default=0.99),
+        grid=_read_fields(cp["grid"], Grid, dim=params.dim),
+        initial=_initial_from_section(cp["initial"]),
+        steps=_steps_from_section(cp["step"]),
+        checks=_read_fields(cp["checks"], ChecksSpec) if "checks" in cp else ChecksSpec(),
+        output_dir=_get(cp["output"], "dir", str),
     )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    return _config_from_parser(_read_ini(path, "config"), path)
+    with _reading(Path(path), "config") as cp:
+        return _config_from_parser(cp)
 
 
 def write_config(cfg: ExperimentConfig, path: str | Path) -> None:
     """Serialise ``cfg`` to its file form (lossless round trip)."""
-    lines = ["[params]"]
-    p = cfg.params
-    lines += [
-        f"chi = {p.chi!r}",
-        f"a = {p.a!r}",
-        f"b = {p.b!r}",
-        f"lambda = {p.lam!r}",
-        f"mu = {p.mu!r}",
-        f"dim = {p.dim}",
-        "",
-        "[grid]",
-        f"extent = {cfg.grid.extent!r}",
-        f"points = {cfg.grid.points}",
-        "",
-        "[initial]",
-        f"seed = {cfg.initial.seed}",
-        f"u_kind = {cfg.initial.u_kind}",
-    ]
-    for name, value in cfg.initial.u_args.items():
-        lines.append(f"u_{name} = {value!r}")
-    lines.append(f"v_kind = {cfg.initial.v_kind}")
-    for name, value in cfg.initial.v_args.items():
-        lines.append(f"v_{name} = {value!r}")
     first = cfg.steps[0]
     if any(replace(c, t_end=first.t_end, dt_max=first.dt_max) != first for c in cfg.steps):
         raise ConfigError("phases in a file share record_every, cfl_safety and neg_tol")
-    lines += [
-        "",
-        "[step]",
-        "phases = " + ", ".join(f"{c.t_end!r}:{c.dt_max!r}" for c in cfg.steps),
-        f"record_every = {first.record_every!r}",
-        f"cfl_safety = {first.cfl_safety!r}",
-        f"neg_tol = {first.neg_tol!r}",
-        "",
-        "[checks]",
-        f"eventual_bound = {str(cfg.checks.eventual_bound).lower()}",
-        f"eventual_bound_field = {cfg.checks.eventual_bound_field}",
-        f"eventual_bound_target = {cfg.checks.eventual_bound_target}",
-        f"slack = {cfg.checks.slack!r}",
-        f"transient_fraction = {cfg.checks.transient_fraction!r}",
-        f"lyapunov = {str(cfg.checks.lyapunov).lower()}",
-        f"lyapunov_slack = {cfg.checks.lyapunov_slack!r}",
-        f"persistence = {str(cfg.checks.persistence).lower()}",
-    ]
-    if cfg.checks.persistence_floor is not None:
-        lines.append(f"persistence_floor = {cfg.checks.persistence_floor!r}")
-    lines += [
-        f"convergence = {str(cfg.checks.convergence).lower()}",
-        f"convergence_tol = {cfg.checks.convergence_tol!r}",
-        f"convergence_min_r2 = {cfg.checks.convergence_min_r2!r}",
-        "",
-        "[output]",
-        f"dir = {cfg.output_dir}",
-        "",
-    ]
-    Path(path).write_text("\n".join(lines))
+    initial = [f"seed = {cfg.initial.seed}"]
+    for f in ("u", "v"):
+        initial.append(f"{f}_kind = {getattr(cfg.initial, f'{f}_kind')}")
+        initial += [f"{f}_{k} = {v!r}" for k, v in getattr(cfg.initial, f"{f}_args").items()]
+    phases = ", ".join(f"{c.t_end!r}:{c.dt_max!r}" for c in cfg.steps)
+    sections = {
+        "params": _write_fields(cfg.params),
+        "grid": _write_fields(cfg.grid, skip=("dim",)),
+        "initial": initial,
+        "step": [f"phases = {phases}", *_write_fields(first, skip=("dt_max", "t_end"))],
+        "checks": _write_fields(cfg.checks),
+        "output": [f"dir = {cfg.output_dir}"],
+    }
+    text = "\n\n".join("\n".join([f"[{name}]", *lines]) for name, lines in sections.items())
+    Path(path).write_text(text + "\n")
 
 
 def load_sweep_config(path: str | Path) -> SweepConfig:
     """A sweep file is an experiment file plus a [sweep] section naming one
-    parameter (currently 'params.<coefficient>') and its values."""
-    path = Path(path)
-    cp = _read_ini(path, "sweep config")
-    if "sweep" not in cp:
-        raise ConfigError(f"{path}: missing section [sweep]")
-    sec = cp["sweep"]
-    parameter = _get(sec, "parameter", str)
-    known = {"params.chi", "params.a", "params.b", "params.lambda", "params.mu"}
-    if parameter not in known:
-        raise ConfigError(f"sweep parameter must be one of {sorted(known)}, got {parameter!r}")
-    raw_values = _get(sec, "values", str)
-    try:
-        values = tuple(float(v) for v in raw_values.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"sweep values: {exc}") from exc
-    if not values:
-        raise ConfigError("sweep grid is empty")
-    base = _config_from_parser(cp, path)
-    return SweepConfig(parameter=parameter, values=values, base=base)
+    parameter ('params.<coefficient>') and its values."""
+    with _reading(Path(path), "sweep config") as cp:
+        if "sweep" not in cp:
+            raise ConfigError("missing section [sweep]")
+        sec = cp["sweep"]
+        _reject_unknown(sec, ("parameter", "values"))
+        parameter = _get(sec, "parameter", str)
+        if parameter not in _SWEEPABLE:
+            raise ConfigError(
+                f"sweep parameter must be one of {sorted(_SWEEPABLE)}, got {parameter!r}"
+            )
+        raw_values = _get(sec, "values", str)
+        try:
+            values = tuple(float(v) for v in raw_values.split(",") if v.strip())
+        except ValueError as exc:
+            raise ConfigError(f"sweep values: {exc}") from exc
+        if not values:
+            raise ConfigError("sweep grid is empty")
+        return SweepConfig(parameter=parameter, values=values, base=_config_from_parser(cp))
 
 
 def _generate(kind: str, args: dict, grid: Grid, rng: np.random.Generator) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import constants as consts
@@ -114,15 +114,7 @@ def _write_constants(
     reports: dict,
 ) -> None:
     payload = {
-        "theta": pc.theta,
-        "bound_general": pc.bound_general,
-        "bound_refined": pc.bound_refined,
-        "steady_u": pc.steady_u,
-        "steady_v": pc.steady_v,
-        "theta0": pc.theta0,
-        "K": pc.K,
-        "lambda0": pc.lambda0,
-        "L0_min": pc.L0_min,
+        **asdict(pc),
         "persistence_trend_floor": persistence_trend_floor(cfg.params, cal),
         "calibration": {
             "c_div": {"value": cal.c_div, "provenance": "closed form N/sqrt(pi)"},
@@ -142,6 +134,7 @@ def _write_constants(
 
 def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
     """Integrate one experiment and write its three artifacts into out_dir."""
+    state = build_initial_state(cfg)  # a bad initial datum fails before any output
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -159,7 +152,6 @@ def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
     _write_constants(out / "constants.json", cfg, pc, cal, reports)
 
     records: list[DiagnosticsRecord] = []
-    state = build_initial_state(cfg)
     status, divergence_t = "ok", None
     with open(out / "diagnostics.csv", "w") as fh:
         fh.write(CSV_HEADER + "\n")
@@ -259,13 +251,6 @@ def _point_dir_name(index: int, parameter: str, value: float) -> str:
     return f"point_{index:03d}_{coeff}={value!r}"
 
 
-def _apply_sweep_value(cfg: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
-    coeff = parameter.split(".", 1)[1]
-    attr = {"lambda": "lam"}.get(coeff, coeff)
-    params = replace(cfg.params, **{attr: value})
-    return replace(cfg, params=params)
-
-
 _SWEEP_COLUMNS = (
     "index",
     "parameter",
@@ -317,7 +302,7 @@ def execute_sweep(sweep: SweepConfig, out_dir: str | Path, workers: int | None =
     out.mkdir(parents=True, exist_ok=True)
     tasks = []
     for index, value in enumerate(sweep.values):
-        cfg = _apply_sweep_value(sweep.base, sweep.parameter, value)
+        cfg = sweep.point(value)
         point_dir = out / _point_dir_name(index, sweep.parameter, value)
         tasks.append((index, sweep.parameter, value, cfg, str(point_dir)))
 

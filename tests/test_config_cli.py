@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from chemotaxis_lab.config import (
 )
 from chemotaxis_lab.runner import CSV_HEADER, execute_run
 
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE_CONFIG = """\
 [params]
@@ -129,6 +131,83 @@ def test_cosine_wavenumber_must_fit_the_box(tmp_path):
         from chemotaxis_lab.config import build_initial_state
 
         build_initial_state(cfg)
+
+
+# (edits to BASE_CONFIG, text the error must contain); the load-time errors
+# name the file, experiment.ini
+REJECTED = {
+    "misspelt-section": ({"[checks]": "[check]"}, "experiment.ini: unknown section [check]"),
+    "misspelt-key": (
+        {"cfl_safety = 1.0": "cfl_saftey = 0.2"},
+        "experiment.ini: unknown key 'cfl_saftey' in section [step]",
+    ),
+    "key-of-another-generator": (
+        {"u_wavenumber = 1.0": "u_wavenumber = 1.0\nu_low = 0.1"},
+        "experiment.ini: unknown key 'u_low' in section [initial] (u_kind = cosine takes",
+    ),
+    "phases-with-t_end": (
+        {"dt_max = 0.002\nt_end = 8.0": "t_end = 8.0\nphases = 4.0:0.002, 8.0:0.0005"},
+        "experiment.ini: key 't_end' in section [step]: phases replaces dt_max and t_end",
+    ),
+    "unknown-bound-field": (
+        {"persistence = true": "persistence = true\neventual_bound_field = sup_w"},
+        "experiment.ini: [checks] eventual_bound_field must be one of",
+    ),
+    "transient-fraction-above-1": (
+        {"persistence = true": "persistence = true\ntransient_fraction = 1.5"},
+        "experiment.ini: [checks] transient_fraction must be in [0, 1]",
+    ),
+    "wavenumber-off-the-box": (
+        {"u_wavenumber = 1.0": "u_wavenumber = 1.3"},
+        "does not fit the periodic box",
+    ),
+    "empty-random-range": (
+        {
+            "u_kind = cosine\nu_base = 0.8\nu_amplitude = 0.2\nu_wavenumber = 1.0": (
+                "u_kind = random_uniform\nu_low = 1.6\nu_high = 0.4"
+            )
+        },
+        "random_uniform needs high > low",
+    ),
+}
+
+
+@pytest.mark.parametrize("edits, message", list(REJECTED.values()), ids=list(REJECTED))
+def test_bad_input_exits_4_before_any_output(tmp_path, capsys, edits, message):
+    path = write_base_config(tmp_path, **edits)
+    assert main(["run", str(path)]) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+def test_transient_fraction_of_one_is_accepted(tmp_path):
+    path = write_base_config(
+        tmp_path, **{"persistence = true": "persistence = true\ntransient_fraction = 1.0"}
+    )
+    assert load_config(path).checks.transient_fraction == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "configs").glob("*.ini")))
+def test_shipped_config_loads_and_round_trips(tmp_path, name):
+    path = ROOT / "configs" / name
+    if "[sweep]" in path.read_text():
+        cfg = load_sweep_config(path).base
+    else:
+        cfg = load_config(path)
+    write_config(cfg, tmp_path / name)
+    assert load_config(tmp_path / name) == cfg
+
+
+def test_readme_example_loads(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    experiment = next(b for b in blocks if b.startswith("[params]"))
+    sweep = next(b for b in blocks if b.startswith("[sweep]"))
+    path = tmp_path / "readme.ini"
+    path.write_text(experiment)
+    cfg = load_config(path)
+    assert cfg.checks.any_requested()
+    path.write_text(experiment + "\n" + sweep)
+    assert load_sweep_config(path).base == cfg
 
 
 def test_cli_run_passes_and_writes_artifacts(tmp_path):
@@ -313,6 +392,19 @@ def test_sweep_records_a_failed_point_as_an_error_row(tmp_path):
 def test_empty_sweep_grid_exits_4(tmp_path):
     path = write_sweep_config(tmp_path, "")
     assert main(["sweep", str(path)]) == 4
+
+
+@pytest.mark.parametrize(
+    "key, field", [("chi", "chi"), ("a", "a"), ("b", "b"), ("lambda", "lam"), ("mu", "mu")]
+)
+def test_sweep_point_sets_the_named_coefficient(tmp_path, key, field):
+    path = write_sweep_config(
+        tmp_path, "3.0", **{"parameter = params.b": f"parameter = params.{key}"}
+    )
+    sweep = load_sweep_config(path)
+    point = sweep.point(3.0)
+    assert getattr(point.params, field) == 3.0
+    assert replace(point, params=sweep.base.params) == sweep.base
 
 
 def test_report_on_run_directory(tmp_path):
