@@ -6,10 +6,10 @@ Solves
     v_t = lap(v) - lam v + mu u
 
 on periodic boxes by two independent routes (a Duhamel fixed-point solver
-and an exponential-Euler stepper), evaluates the closed-form thresholds and
-bounds of the underlying theory, and turns the asymptotic statements
-(eventual boundedness, persistence, exponential convergence) into
-quantitative verdicts.
+and an ETD1 (exponential time differencing) stepper), evaluates the
+closed-form thresholds and bounds of the underlying theory, and turns the
+asymptotic statements (eventual boundedness, persistence, exponential
+convergence) into quantitative verdicts.
 """
 
 from .core import (
@@ -28,7 +28,6 @@ from .spectral import (
     apply_semigroup,
     apply_semigroup_div,
     apply_semigroup_grad,
-    dealias_mask,
     gradient,
     laplacian,
     measure_gradient_constant,

@@ -8,20 +8,16 @@ its annotation is the key's type, and its default makes the key optional.
     [params]   Params: chi, a, b, lambda, mu, dim
     [grid]     Grid without dim (taken from [params]): extent, points
     [initial]  seed, u_kind, v_kind plus the generator keys below
-    [step]     StepControl; ``phases = t:dt, t:dt, ...``, a schedule of
-               (end time, dt_max) stages, may replace dt_max and t_end
+    [step]     StepControl
     [checks]   ChecksSpec; optional, like each of its keys
     [output]   dir
     [sweep]    parameter, values (read by :func:`load_sweep_config` only)
 
 The schema is closed.  An unknown section or key, a generator key that the
-chosen kind does not take, ``phases`` together with ``dt_max`` or
-``t_end``, an unparsable value and a value its dataclass rejects are all a
-:class:`ConfigError` naming the file and the section or key, raised at
-load, before any compute or output.  Files round-trip losslessly through
-:func:`write_config` / :func:`load_config`.  In memory the [step] section
-is ``ExperimentConfig.steps``: one :class:`StepControl` per phase, sharing
-record_every, cfl_safety and neg_tol (a single phase without ``phases``).
+chosen kind does not take, an unparsable value and a value its dataclass
+rejects are all a :class:`ConfigError` naming the file and the section or
+key, raised at load, before any compute or output.  Files round-trip
+losslessly through :func:`write_config` / :func:`load_config`.
 
 Initial-condition generators (for ``u_kind`` / ``v_kind``):
 
@@ -132,7 +128,7 @@ class ExperimentConfig:
     params: Params
     grid: Grid
     initial: InitialSpec
-    steps: tuple[StepControl, ...]  # one per phase, in time order
+    step: StepControl
     checks: ChecksSpec
     output_dir: str
 
@@ -190,14 +186,14 @@ def _bool(raw: str) -> bool:
 _PARSERS = {bool: _bool, int: int, float: float, str: str}
 
 
-def _read_fields(section, cls, extra=(), **given):
+def _read_fields(section, cls, **given):
     """``cls`` built from ``section``: each field not in ``given`` is read from
     its key and parsed to its annotated type (``T | None`` as ``T``); a field
-    with a default may be left out.  Keys other than these and ``extra`` are
-    rejected, and so is a value ``cls`` refuses."""
+    with a default may be left out.  Other keys are rejected, and so is a
+    value ``cls`` refuses."""
     hints = typing.get_type_hints(cls)
     owned = {_key(f.name): f for f in fields(cls) if f.name not in given}
-    _reject_unknown(section, owned.keys() | set(extra))
+    _reject_unknown(section, owned)
     kwargs = dict(given)
     for key, f in owned.items():
         if key in section or f.default is MISSING:
@@ -223,24 +219,6 @@ def _write_fields(obj, skip=()) -> list[str]:
     return lines
 
 
-def _phases(raw: str) -> tuple[tuple[float, float], ...]:
-    stages = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        t_str, _, dt_str = chunk.partition(":")
-        if not dt_str:
-            raise ValueError(f"phase {chunk!r} is not 't_end:dt_max'")
-        stages.append((float(t_str), float(dt_str)))
-    if not stages:
-        raise ValueError("empty phase list")
-    ends = [s[0] for s in stages]
-    if any(b <= a for a, b in zip(ends, ends[1:])) or ends[0] <= 0.0:
-        raise ValueError("phase end times must be positive and increasing")
-    return tuple(stages)
-
-
 def _initial_from_section(sec) -> InitialSpec:
     seed = _get(sec, "seed", int)
     kinds = {f: _get(sec, f"{f}_kind", str) for f in ("u", "v")}
@@ -253,18 +231,6 @@ def _initial_from_section(sec) -> InitialSpec:
     _reject_unknown(sec, allowed, f" ({takes})")
     args = {f: {name: _get(sec, key, float) for name, key in keys[f].items()} for f in keys}
     return InitialSpec(seed, kinds["u"], kinds["v"], args["u"], args["v"])
-
-
-def _steps_from_section(sec) -> tuple[StepControl, ...]:
-    if "phases" not in sec:
-        return (_read_fields(sec, StepControl),)
-    for key in ("dt_max", "t_end"):
-        if key in sec:
-            raise ConfigError(f"key {key!r} in section [step]: phases replaces dt_max and t_end")
-    return tuple(
-        _read_fields(sec, StepControl, extra=("phases",), t_end=t, dt_max=dt)
-        for t, dt in _get(sec, "phases", _phases)
-    )
 
 
 def _config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
@@ -280,7 +246,7 @@ def _config_from_parser(cp: configparser.ConfigParser) -> ExperimentConfig:
         params=params,
         grid=_read_fields(cp["grid"], Grid, dim=params.dim),
         initial=_initial_from_section(cp["initial"]),
-        steps=_steps_from_section(cp["step"]),
+        step=_read_fields(cp["step"], StepControl),
         checks=_read_fields(cp["checks"], ChecksSpec) if "checks" in cp else ChecksSpec(),
         output_dir=_get(cp["output"], "dir", str),
     )
@@ -293,19 +259,15 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def write_config(cfg: ExperimentConfig, path: str | Path) -> None:
     """Serialise ``cfg`` to its file form (lossless round trip)."""
-    first = cfg.steps[0]
-    if any(replace(c, t_end=first.t_end, dt_max=first.dt_max) != first for c in cfg.steps):
-        raise ConfigError("phases in a file share record_every, cfl_safety and neg_tol")
     initial = [f"seed = {cfg.initial.seed}"]
     for f in ("u", "v"):
         initial.append(f"{f}_kind = {getattr(cfg.initial, f'{f}_kind')}")
         initial += [f"{f}_{k} = {v!r}" for k, v in getattr(cfg.initial, f"{f}_args").items()]
-    phases = ", ".join(f"{c.t_end!r}:{c.dt_max!r}" for c in cfg.steps)
     sections = {
         "params": _write_fields(cfg.params),
         "grid": _write_fields(cfg.grid, skip=("dim",)),
         "initial": initial,
-        "step": [f"phases = {phases}", *_write_fields(first, skip=("dt_max", "t_end"))],
+        "step": _write_fields(cfg.step),
         "checks": _write_fields(cfg.checks),
         "output": [f"dir = {cfg.output_dir}"],
     }

@@ -1,14 +1,20 @@
 """Long-time integrator: exact linear propagator, explicit nonlinearity.
 
-One step advances both fields with the exponential-Euler update
+One step advances both fields by first-order exponential time differencing
+(ETD1):
 
-    u_new = E(dt) [u + dt (-chi div(u grad v) + u (a + lam - b u))]
-    v_new = E(dt) [v + dt mu u]
+    u_new = E(dt) u + phi1(dt) (-chi div(u grad v) + u (a + lam - b u))
+    v_new = E(dt) v + phi1(dt) mu u
 
-where E(dt) = exp(dt(lap - lam I)) is applied exactly as a Fourier
-multiplier.  This mirrors the variation-of-constants form of the system step
-by step and is unconditionally stable in the stiff linear part; the explicit
-terms make the scheme first order in time, certified by step halving.
+where E(dt) = exp(dt(lap - lam I)) and phi1(dt) = Int_0^dt E(s) ds are
+applied exactly as Fourier multipliers.  This is the variation-of-constants
+form of the system with the nonlinearity frozen over the step: it is
+unconditionally stable in the stiff linear part and first order in time,
+certified by step halving.  Because phi1 integrates E exactly, a state where
+the frozen nonlinearity balances the linear part is a fixed point of every
+step: on the homogeneous equilibrium (a/b, mu a/(lam b)) the k = 0 mode
+reads e^{-lam dt} u* + (1 - e^{-lam dt})/lam * lam u* = u*, for any dt, up
+to roundoff.
 
 The chemotaxis divergence is formed spectrally from pointwise products;
 products are dealiased by the 2/3 rule (the updated spectra are truncated,
@@ -85,23 +91,29 @@ class StepControl:
 
 
 class _Workspace:
-    """Per-run spectral scratch: plan and a one-slot cache of the masked
-    propagator, so the plan's dealias mask is applied once per step size."""
+    """Per-run spectral scratch: plan and a one-slot cache of the step's
+    masked weights, so the plan's dealias mask is applied once per step size."""
 
-    __slots__ = ("plan", "lam", "_dt", "_prop")
+    __slots__ = ("plan", "params", "_dt", "_weights")
 
-    def __init__(self, plan: SemigroupPlan, lam: float):
+    def __init__(self, plan: SemigroupPlan, params: Params):
         self.plan = plan
-        self.lam = lam
+        self.params = params
         self._dt = -1.0
-        self._prop = None
+        self._weights = None
 
-    def propagator(self, dt: float) -> np.ndarray:
-        """E(dt) with the modes outside the 2/3 band zeroed."""
+    def weights(self, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """E(dt), phi1(dt) and mu phi1(dt), with the modes outside the 2/3
+        band zeroed."""
         if dt != self._dt:
-            self._prop = self.plan.multiplier(dt, self.lam) * self.plan.dealias
+            plan, lam = self.plan, self.params.lam
+            prop = plan.multiplier(dt, lam)
+            prop *= plan.dealias
+            phi = plan.phi1(dt, lam)
+            phi *= plan.dealias
+            self._weights = (prop, phi, self.params.mu * phi)
             self._dt = dt
-        return self._prop
+        return self._weights
 
 
 def _advance(
@@ -113,13 +125,26 @@ def _advance(
     vx: Sequence[np.ndarray],
     dt: float,
 ):
-    """One exponential-Euler update in spectral space."""
+    """One ETD1 update in spectral space:
+
+        u_hat_new = E u_hat + phi1 (reac_hat - chi flux_hat)
+        v_hat_new = E v_hat + mu phi1 u_hat
+
+    phi1 integrates E over the step exactly, so the homogeneous equilibrium
+    is a fixed point for every dt (k = 0: E u* + phi1 lam u* = u*).  The
+    nonlinearity is accumulated in place in the reaction's spectrum, and mu
+    is folded into a cached real weight."""
     plan = ws.plan
+    prop, phi, mu_phi = ws.weights(dt)
+    n_hat = plan.to_spectral(u * (p.a + p.lam - p.b * u))
     flux_hat = plan.div_hat(u * comp for comp in vx)
-    reac_hat = plan.to_spectral(u * (p.a + p.lam - p.b * u))
-    prop = ws.propagator(dt)
-    u_hat_new = (u_hat + dt * (reac_hat - p.chi * flux_hat)) * prop
-    v_hat_new = (v_hat + dt * p.mu * u_hat) * prop
+    flux_hat *= p.chi
+    n_hat -= flux_hat
+    n_hat *= phi
+    u_hat_new = u_hat * prop
+    u_hat_new += n_hat
+    v_hat_new = v_hat * prop
+    v_hat_new += mu_phi * u_hat
     return u_hat_new, v_hat_new, plan.to_physical(u_hat_new)
 
 
@@ -159,7 +184,7 @@ def step(
         raise InvalidParameterError("dt must be > 0")
     if plan is None:
         plan = SemigroupPlan(s.grid)
-    ws = _Workspace(plan, s.params.lam)
+    ws = _Workspace(plan, s.params)
     u = s.u.values
     u_hat = plan.to_spectral(u)
     v_hat = plan.to_spectral(s.v.values)
@@ -202,13 +227,10 @@ def integrate(
     ctl: StepControl,
     sink: Callable[[DiagnosticsRecord], None] | None = None,
     plan: SemigroupPlan | None = None,
-    *,
-    emit_initial: bool = True,
 ) -> SimState:
     """Advance to ctl.t_end, emitting a diagnostics record at the start time
     and then at every multiple of record_every (timestamps strictly
-    increasing).  ``emit_initial=False`` suppresses the start record when a
-    run is continued in phases.
+    increasing).
 
     Deterministic given (s0, ctl).  Raises :class:`PositivityViolationError`
     or :class:`DivergenceError` with the offending time when the run leaves
@@ -219,13 +241,13 @@ def integrate(
     if ctl.t_end <= s0.t:
         raise InvalidParameterError(f"t_end {ctl.t_end!r} must exceed start time {s0.t!r}")
     p = s0.params
-    ws = _Workspace(plan, p.lam)
+    ws = _Workspace(plan, p)
 
     u = s0.u.values.copy()
     u_hat = plan.to_spectral(u)
     v_hat = plan.to_spectral(s0.v.values)
 
-    if sink is not None and emit_initial:
+    if sink is not None:
         sink(diagnostics(s0, plan))
 
     t = s0.t

@@ -16,6 +16,12 @@ subinterval while the kernel exp(-(|k|^2+lam)(t-s)) is integrated exactly
 per Fourier mode (product integration).  The mode-wise exact kernel is what
 preserves the sqrt(t) behaviour near s = t that a naive rule would lose;
 accuracy is first order in the node spacing.
+
+The fixed point of that left-node rule is the ETD1 recurrence of
+:mod:`chemotaxis_lab.imex` at step T/q, without its dealias mask.  So the
+cross-solver comparison checks the stepper's assembly, dealiasing and step
+control, not its time discretisation; a higher-order quadrature here would
+make the oracle independent in time as well.
 """
 
 from __future__ import annotations

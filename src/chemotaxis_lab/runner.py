@@ -161,8 +161,7 @@ def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
             fh.write(_record_row(record) + "\n")
 
         try:
-            for index, ctl in enumerate(cfg.steps):
-                state = integrate(state, ctl, sink, plan, emit_initial=index == 0)
+            integrate(state, cfg.step, sink, plan)
         except (DivergenceError, PositivityViolationError) as exc:
             status = "diverged"
             divergence_t = exc.t

@@ -41,7 +41,6 @@ __all__ = [
     "apply_semigroup_div",
     "gradient",
     "laplacian",
-    "dealias_mask",
     "measure_gradient_constant",
 ]
 
@@ -57,8 +56,8 @@ class SemigroupPlan:
     k2 : |k|^2 over the half-complex spectral shape.
     ik : per-axis i*k derivative multipliers, broadcastable to the spectral
          shape, with the Nyquist mode zeroed (odd derivatives of real data).
-    dealias : read-only 2/3-rule mask over the spectral shape, see
-              :func:`dealias_mask`.
+    dealias : read-only 2/3-rule mask over the spectral shape: keep
+              |k index| <= floor(points/3) on every axis.
     """
 
     __slots__ = ("grid", "k2", "ik", "spectral_shape", "dealias")
@@ -193,12 +192,6 @@ def laplacian(plan: SemigroupPlan, f: Field) -> Field:
         raise GridMismatchError("field grid does not match plan grid")
     spec = plan.to_spectral(f.values)
     return Field(f.grid, plan.to_physical(-plan.k2 * spec, overwrite=True))
-
-
-def dealias_mask(plan: SemigroupPlan) -> np.ndarray:
-    """2/3-rule mask in rfftn layout: keep |k index| <= floor(points/3).
-    The plan's own read-only array, built once per plan."""
-    return plan.dealias
 
 
 def measure_gradient_constant(

@@ -74,38 +74,6 @@ def test_config_round_trip(tmp_path):
     assert load_config(copy_path) == cfg
 
 
-def test_config_phases_round_trip(tmp_path):
-    path = write_base_config(
-        tmp_path, **{"dt_max = 0.002\nt_end = 8.0": "phases = 4.0:0.002, 8.0:0.0005"}
-    )
-    cfg = load_config(path)
-    assert tuple((c.t_end, c.dt_max) for c in cfg.steps) == ((4.0, 0.002), (8.0, 0.0005))
-    copy_path = tmp_path / "copy.ini"
-    write_config(cfg, copy_path)
-    assert load_config(copy_path) == cfg
-
-
-def test_write_config_refuses_phases_it_cannot_write(tmp_path):
-    path = write_base_config(
-        tmp_path, **{"dt_max = 0.002\nt_end = 8.0": "phases = 4.0:0.002, 8.0:0.0005"}
-    )
-    cfg = load_config(path)
-    first, second = cfg.steps
-    cfg = replace(cfg, steps=(first, replace(second, record_every=1.0)))
-    with pytest.raises(ConfigError, match="share record_every"):
-        write_config(cfg, tmp_path / "copy.ini")
-
-
-def test_bad_later_phase_is_rejected_before_any_compute(tmp_path):
-    path = write_base_config(
-        tmp_path, **{"dt_max = 0.002\nt_end = 8.0": "phases = 0.5:0.001, 1.0:0"}
-    )
-    with pytest.raises(ConfigError, match="dt_max must be > 0"):
-        load_config(path)
-    assert main(["run", str(path)]) == 4
-    assert not (tmp_path / "results").exists()
-
-
 def test_missing_key_is_a_config_error(tmp_path):
     path = write_base_config(tmp_path, **{"a = 1.0\n": ""})
     with pytest.raises(ConfigError):
@@ -146,8 +114,12 @@ REJECTED = {
         "experiment.ini: unknown key 'u_low' in section [initial] (u_kind = cosine takes",
     ),
     "phases-with-t_end": (
-        {"dt_max = 0.002\nt_end = 8.0": "t_end = 8.0\nphases = 4.0:0.002, 8.0:0.0005"},
-        "experiment.ini: key 't_end' in section [step]: phases replaces dt_max and t_end",
+        {"t_end = 8.0": "t_end = 8.0\nphases = 4.0:0.002"},
+        "experiment.ini: unknown key 'phases' in section [step]",
+    ),
+    "zero-dt_max": (
+        {"dt_max = 0.002": "dt_max = 0"},
+        "experiment.ini: [step] dt_max must be > 0",
     ),
     "unknown-bound-field": (
         {"persistence = true": "persistence = true\neventual_bound_field = sup_w"},

@@ -15,7 +15,6 @@ from chemotaxis_lab import (
     apply_semigroup,
     apply_semigroup_div,
     apply_semigroup_grad,
-    dealias_mask,
     gradient,
     laplacian,
     measure_gradient_constant,
@@ -297,7 +296,7 @@ def test_phi1_keeps_full_precision_for_small_rate_times_t(plan_1d, sigma):
 
 def test_dealias_mask_is_the_plans_read_only_mask():
     plan = SemigroupPlan(Grid(dim=3, extent=2 * np.pi, points=64))
-    mask = dealias_mask(plan)
-    assert mask is plan.dealias and not mask.flags.writeable
+    mask = plan.dealias
+    assert not mask.flags.writeable
     # |index| <= 21 keeps 43 modes on each full axis and 22 on the half axis.
     assert mask.shape == plan.spectral_shape and mask.sum() == 43 * 43 * 22
