@@ -62,8 +62,8 @@ BESSEL_FIRST_ZERO = {
 class CalibrationConstants:
     """Explicit stand-ins for the generic constants of the smoothing estimates.
 
-    c_div is the one constant with a closed form (N/sqrt(pi)); c_grad is an
-    empirical envelope (see spectral.measure_gradient_constant); c2 and
+    c_div is the closed form N/sqrt(pi); c_grad is the exact constant of
+    the run's grid (see spectral.measure_gradient_constant); c2 and
     c_generic parameterise the convergence threshold.  beta and gamma are the
     auxiliary exponents entering the c2 formula; any admissible pair is
     valid, these defaults are recorded for reproducibility.
@@ -85,8 +85,8 @@ class CalibrationConstants:
     def for_params(cls, p: Params, *, c_grad: float | None = None) -> "CalibrationConstants":
         """Defaults: c_div = N/sqrt(pi), c2 = a, c_generic = 1.
 
-        c_grad falls back to the certified divergence constant when no
-        measured envelope is supplied.
+        c_grad falls back to the closed-form divergence constant when no
+        grid constant is supplied.
         """
         c_div = p.dim / math.sqrt(math.pi)
         return cls(

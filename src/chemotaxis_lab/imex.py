@@ -41,6 +41,7 @@ __all__ = [
     "DivergenceError",
     "StepControl",
     "cfl_dt",
+    "nonlinear_hat",
     "step",
     "integrate",
 ]
@@ -116,6 +117,19 @@ class _Workspace:
         return self._weights
 
 
+def nonlinear_hat(
+    plan: SemigroupPlan, p: Params, u: np.ndarray, vx: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Spectrum of u (a + lam - b u) - chi div(u grad v), given the physical
+    components ``vx`` of grad v.  The stepper and the Duhamel oracle both
+    integrate this term; the returned array is the caller's to modify."""
+    n_hat = plan.to_spectral(u * (p.a + p.lam - p.b * u))
+    flux_hat = plan.div_hat(u * comp for comp in vx)
+    flux_hat *= p.chi
+    n_hat -= flux_hat
+    return n_hat
+
+
 def _advance(
     ws: _Workspace,
     p: Params,
@@ -132,14 +146,11 @@ def _advance(
 
     phi1 integrates E over the step exactly, so the homogeneous equilibrium
     is a fixed point for every dt (k = 0: E u* + phi1 lam u* = u*).  The
-    nonlinearity is accumulated in place in the reaction's spectrum, and mu
+    update is accumulated in place in the nonlinearity's spectrum, and mu
     is folded into a cached real weight."""
     plan = ws.plan
     prop, phi, mu_phi = ws.weights(dt)
-    n_hat = plan.to_spectral(u * (p.a + p.lam - p.b * u))
-    flux_hat = plan.div_hat(u * comp for comp in vx)
-    flux_hat *= p.chi
-    n_hat -= flux_hat
+    n_hat = nonlinear_hat(plan, p, u, vx)
     n_hat *= phi
     u_hat_new = u_hat * prop
     u_hat_new += n_hat

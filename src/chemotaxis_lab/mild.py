@@ -17,11 +17,11 @@ per Fourier mode (product integration).  The mode-wise exact kernel is what
 preserves the sqrt(t) behaviour near s = t that a naive rule would lose;
 accuracy is first order in the node spacing.
 
-The fixed point of that left-node rule is the ETD1 recurrence of
-:mod:`chemotaxis_lab.imex` at step T/q, without its dealias mask.  So the
-cross-solver comparison checks the stepper's assembly, dealiasing and step
-control, not its time discretisation; a higher-order quadrature here would
-make the oracle independent in time as well.
+The nonlinearity is the stepper's own :func:`chemotaxis_lab.imex.nonlinear_hat`,
+and the left-node rule's fixed point is the ETD1 recurrence of the stepper
+at step T/q, without its dealias mask.  So the cross-solver comparison
+checks dealiasing and step control, not the time discretisation; a
+higher-order quadrature here would make the oracle independent in time.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Field, GridMismatchError, InvalidParameterError, Params, SimState
+from .imex import nonlinear_hat
 from .spectral import SemigroupPlan
 
 __all__ = [
@@ -172,11 +173,9 @@ def picard_solve(
         acc_v = v0_hat.copy()
         for i in range(q):
             u_i = U[i]
-            v_hat = plan.to_spectral(V[i])
-            flux_hat = plan.div_hat(u_i * vx for vx in plan.grad(v_hat))
-            reac_hat = plan.to_spectral(u_i * (p.a + p.lam - p.b * u_i))
+            n_hat = nonlinear_hat(plan, p, u_i, plan.grad(plan.to_spectral(V[i])))
             u_hat = plan.to_spectral(u_i)
-            acc_u = decay * acc_u + kernel * (reac_hat - p.chi * flux_hat)
+            acc_u = decay * acc_u + kernel * n_hat
             acc_v = decay * acc_v + kernel * (p.mu * u_hat)
             new_U[i + 1] = plan.to_physical(acc_u)
             new_V[i + 1] = plan.to_physical(acc_v)
