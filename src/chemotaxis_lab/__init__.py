@@ -19,9 +19,7 @@ from .core import (
     InvalidParameterError,
     Params,
     SimState,
-    ValidationReport,
     VectorField,
-    validate_params,
 )
 from .spectral import (
     SemigroupPlan,

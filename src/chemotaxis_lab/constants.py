@@ -19,6 +19,10 @@ Naming used throughout:
                  with Dirichlet data, a/2 - (j/L0)^2 with j the first
                  positive zero of the relevant Bessel function.
 
+:func:`compute_constants` is the one place these are evaluated for a run,
+together with the hypotheses each statement needs and the persistence
+trend value; nothing else in the package repeats the algebra.
+
 All functions are pure and safe for concurrent use.
 """
 
@@ -64,17 +68,13 @@ class CalibrationConstants:
 
     c_div is the closed form N/sqrt(pi); c_grad is the exact constant of
     the run's grid (see spectral.measure_gradient_constant); c2 and
-    c_generic parameterise the convergence threshold.  beta and gamma are the
-    auxiliary exponents entering the c2 formula; any admissible pair is
-    valid, these defaults are recorded for reproducibility.
+    c_generic parameterise the convergence threshold.
     """
 
     c_grad: float
     c_div: float
     c2: float
     c_generic: float = 1.0
-    beta: float = 0.4
-    gamma: float = 1.3
 
     def __post_init__(self) -> None:
         for name in ("c_grad", "c_div", "c2", "c_generic"):
@@ -82,67 +82,82 @@ class CalibrationConstants:
                 raise InvalidParameterError(f"calibration constant {name!r} must be > 0")
 
     @classmethod
-    def for_params(cls, p: Params, *, c_grad: float | None = None) -> "CalibrationConstants":
-        """Defaults: c_div = N/sqrt(pi), c2 = a, c_generic = 1.
-
-        c_grad falls back to the closed-form divergence constant when no
-        grid constant is supplied.
-        """
-        c_div = p.dim / math.sqrt(math.pi)
-        return cls(
-            c_grad=c_grad if c_grad is not None else c_div,
-            c_div=c_div,
-            c2=p.a,
-        )
+    def for_params(cls, p: Params, *, c_grad: float) -> "CalibrationConstants":
+        """Defaults: c_div = N/sqrt(pi), c2 = a, c_generic = 1."""
+        return cls(c_grad=c_grad, c_div=p.dim / math.sqrt(math.pi), c2=p.a)
 
 
 @dataclass(frozen=True)
 class PaperConstants:
-    """Evaluated thresholds and bounds for one parameter set.
+    """Evaluated thresholds, bounds and hypotheses for one parameter set.
 
-    bound_general and bound_refined are None when b <= N*mu*chi/4 (the
-    eventual bounds are undefined there; nothing is raised).
+    bound_general, bound_refined and persistence_trend_floor are None when
+    b <= N*mu*chi/4 (they are undefined there; nothing is raised).
+    persistence_trend_floor is a/b - c2 theta/(b (1-theta)^2); its
+    constants are generic, so it is context for reports, never a pass/fail
+    target.  hypotheses maps "existence" and "convergence" to each
+    standing hypothesis of that statement, as {"holds", "detail"}.
     """
 
     theta: float
     bound_general: float | None
     bound_refined: float | None
+    persistence_trend_floor: float | None
     steady_u: float
     steady_v: float
     theta0: float
     K: float
     lambda0: float
     L0_min: float
-
-    @property
-    def bounds_defined(self) -> bool:
-        return self.bound_general is not None
+    hypotheses: dict[str, dict[str, dict]]
 
 
 def compute_constants(p: Params, cal: CalibrationConstants) -> PaperConstants:
-    """Evaluate every closed-form constant for coefficients ``p``."""
+    """Evaluate every closed-form constant and hypothesis for coefficients ``p``."""
     n_mu_chi = p.dim * p.mu * p.chi
     theta = n_mu_chi / (4.0 * p.b)
     denom = 4.0 * p.b - n_mu_chi
     if denom > 0.0:
         bound_general = (2.0 * p.lam + p.a) ** 2 / (2.0 * p.lam * denom)
         bound_refined = 4.0 * p.a / denom
+        trend_floor = p.a / p.b - cal.c2 * theta / (p.b * (1.0 - theta) ** 2)
     else:
-        bound_general = None
-        bound_refined = None
+        bound_general = bound_refined = trend_floor = None
     theta0, K = convergence_K(p.a, p.lam, p.dim, cal)
     L0_min = minimal_ball_radius(p.a, p.dim)
     lambda0 = principal_eigenvalue(p.a, L0_min, p.dim)
+    threshold = n_mu_chi / 4.0
+    k_chi_mu = K * p.chi * p.mu
+    hypotheses = {
+        "existence": {
+            "b > N*mu*chi/4": {
+                "holds": p.b > threshold,
+                "detail": f"b={p.b!r}, threshold={threshold!r}",
+            },
+        },
+        "convergence": {
+            "lam >= a/2": {
+                "holds": p.lam >= p.a / 2.0,
+                "detail": f"lam={p.lam!r}, a/2={p.a / 2.0!r}",
+            },
+            "b > K*chi*mu": {
+                "holds": p.b > k_chi_mu,
+                "detail": f"b={p.b!r}, K*chi*mu={k_chi_mu!r}",
+            },
+        },
+    }
     return PaperConstants(
         theta=theta,
         bound_general=bound_general,
         bound_refined=bound_refined,
+        persistence_trend_floor=trend_floor,
         steady_u=p.steady_u,
         steady_v=p.steady_v,
         theta0=theta0,
         K=K,
         lambda0=lambda0,
         L0_min=L0_min,
+        hypotheses=hypotheses,
     )
 
 

@@ -29,8 +29,6 @@ __all__ = [
     "Field",
     "VectorField",
     "SimState",
-    "ValidationReport",
-    "validate_params",
 ]
 
 
@@ -177,13 +175,6 @@ class VectorField:
         """Max over components of the pointwise sup norm."""
         return max(float(np.abs(c).max()) for c in self.components)
 
-    def magnitude(self) -> np.ndarray:
-        """Pointwise Euclidean magnitude."""
-        out = np.zeros(self.grid.shape)
-        for c in self.components:
-            out += c * c
-        return np.sqrt(out)
-
 
 @dataclass(frozen=True)
 class SimState:
@@ -208,49 +199,3 @@ class SimState:
     def grid(self) -> Grid:
         return self.u.grid
 
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Classification of the standing hypotheses for a parameter set.
-
-    Never used to reject a run; threshold violations are data.
-    """
-
-    mode: str
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-
-def validate_params(
-    p: Params, mode: str, *, k_threshold: float | None = None
-) -> ValidationReport:
-    """Classify ``p`` against the existence or convergence hypotheses.
-
-    ``existence`` checks b > N*mu*chi/4.  ``convergence`` checks
-    lam >= a/2 and b > K*chi*mu, where the threshold multiplier K must be
-    supplied by the constants module.
-    """
-    if mode not in ("existence", "convergence"):
-        raise InvalidParameterError(f"unknown validation mode {mode!r}")
-    if mode == "existence":
-        threshold = p.dim * p.mu * p.chi / 4.0
-        ok = p.b > threshold
-        checks = (
-            ("b > N*mu*chi/4", ok, f"b={p.b!r}, threshold={threshold!r}"),
-        )
-    else:
-        if k_threshold is None:
-            raise InvalidParameterError(
-                "convergence mode needs k_threshold (see constants.convergence_K)"
-            )
-        ok1 = p.lam >= p.a / 2.0
-        bound = k_threshold * p.chi * p.mu
-        ok2 = p.b > bound
-        checks = (
-            ("lam >= a/2", ok1, f"lam={p.lam!r}, a/2={p.a / 2.0!r}"),
-            ("b > K*chi*mu", ok2, f"b={p.b!r}, K*chi*mu={bound!r}"),
-        )
-    return ValidationReport(mode=mode, checks=checks)

@@ -9,10 +9,13 @@ is carried in every verdict:
 
 * "limsup <= B" becomes "max over the tail of the run <= B*(1+slack)", with
   the transient fraction discarded up front;
+* the comparison bound on u/chi + |grad v|^2/(2 mu) becomes "max over the
+  whole run <= max(initial value, plateau)*(1+slack)";
 * the persistence floor is strict positivity of inf u over the tail (plus an
   optional empirical floor);
 * exponential convergence is a log-linear least-squares fit with its
-  r-squared as the diagnostic of pure exponential decay.
+  r-squared as the diagnostic of pure exponential decay; the caller fits
+  once and :func:`check_convergence` judges that fit.
 
 All functions are pure over immutable series and safe for concurrent use.
 """
@@ -25,9 +28,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .core import InvalidParameterError, Params, SimState, VectorField
-from .constants import CalibrationConstants
-from .spectral import SemigroupPlan
+from .core import InvalidParameterError, SimState
+from .spectral import SemigroupPlan, sum_of_squares
 
 __all__ = [
     "SeriesTooShortError",
@@ -36,8 +38,8 @@ __all__ = [
     "Verdict",
     "diagnostics",
     "check_eventual_bound",
+    "check_lyapunov",
     "check_persistence",
-    "persistence_trend_floor",
     "fit_decay_rate",
     "fit_decay_rate_sum",
     "auto_fit_window",
@@ -104,7 +106,7 @@ def diagnostics(state: SimState, plan: SemigroupPlan | None = None) -> Diagnosti
     u = state.u.values
     v = state.v.values
     v_hat = plan.to_spectral(v)
-    grad_mag = VectorField(state.grid, plan.grad(v_hat)).magnitude()
+    grad_mag = np.sqrt(sum_of_squares(plan.grad(v_hat)))
     lap_v = plan.to_physical(-plan.k2 * v_hat)
     lyap = u / p.chi + grad_mag**2 / (2.0 * p.mu)
     return DiagnosticsRecord(
@@ -159,13 +161,35 @@ def check_eventual_bound(
     )
 
 
+def check_lyapunov(
+    series: Sequence[DiagnosticsRecord], plateau: float, *, slack: float
+) -> Verdict:
+    """Max of lyapunov_sup over the whole run against the comparison bound.
+
+    The ceiling is max(initial lyapunov_sup, plateau): the comparison
+    argument bounds the quantity by its initial value or its plateau,
+    whichever is larger.  Passes iff the max is <= ceiling*(1+slack).
+    """
+    ceiling = max(series[0].lyapunov_sup, plateau)
+    measured = max(r.lyapunov_sup for r in series)
+    return Verdict(
+        name="lyapunov_bound",
+        passed=measured <= ceiling * (1.0 + slack),
+        measured=measured,
+        target=ceiling,
+        slack=slack,
+        transient_time=0.0,
+    )
+
+
 def check_persistence(
     series: Sequence[DiagnosticsRecord],
     floor_guess: float | None = None,
     *,
     transient_fraction: float = 0.5,
-) -> tuple[Verdict, float]:
-    """Inferred persistence floor m = min of inf_u over the tail.
+) -> Verdict:
+    """Inferred persistence floor m = min of inf_u over the tail, reported
+    as the verdict's ``measured``.
 
     Passes iff m > 0 strictly, and m >= floor_guess when one is supplied.
     """
@@ -175,28 +199,14 @@ def check_persistence(
         raise InvalidParameterError("initial inf_u must be strictly positive")
     tail, cut = _tail(series, transient_fraction)
     m = min(r.inf_u for r in tail)
-    passed = m > 0.0 and (floor_guess is None or m >= floor_guess)
-    return (
-        Verdict(
-            name="persistence_floor",
-            passed=passed,
-            measured=m,
-            target=floor_guess if floor_guess is not None else 0.0,
-            slack=0.0,
-            transient_time=cut,
-        ),
-        m,
+    return Verdict(
+        name="persistence_floor",
+        passed=m > 0.0 and (floor_guess is None or m >= floor_guess),
+        measured=m,
+        target=floor_guess if floor_guess is not None else 0.0,
+        slack=0.0,
+        transient_time=cut,
     )
-
-
-def persistence_trend_floor(p: Params, cal: CalibrationConstants) -> float:
-    """Informational trend value a/b - c2*theta/(b(1-theta)^2).
-
-    Its constants are generic, so this is context for reports, never a
-    pass/fail target.
-    """
-    theta = p.dim * p.mu * p.chi / (4.0 * p.b)
-    return p.a / p.b - cal.c2 * theta / (p.b * (1.0 - theta) ** 2)
 
 
 def fit_decay_rate(
@@ -273,23 +283,23 @@ def auto_fit_window(
 
 def check_convergence(
     series: Sequence[DiagnosticsRecord],
-    p: Params,
+    window: tuple[float, float],
+    alpha: float,
+    r_squared: float,
     *,
     tol_final: float = 1e-6,
     min_r2: float = 0.99,
-    window: tuple[float, float] | None = None,
 ) -> Verdict:
     """Final err_u + err_v against tol_final plus a positive fitted rate.
 
-    Passes iff the final error sum is <= tol_final and the log-linear fit on
-    err_u + err_v gives alpha > 0 with r_squared >= min_r2.
+    ``alpha`` and ``r_squared`` are the log-linear fit of err_u + err_v over
+    ``window`` (see :func:`auto_fit_window` and :func:`fit_decay_rate_sum`).
+    Passes iff the final error sum is <= tol_final, alpha > 0 and
+    r_squared >= min_r2.
     """
     if len(series) < 2:
         raise SeriesTooShortError("need at least two records")
     final = series[-1].err_sum
-    if window is None:
-        window = auto_fit_window(series)
-    alpha, r_squared = fit_decay_rate_sum(series, window)
     passed = final <= tol_final and alpha > 0.0 and r_squared >= min_r2
     return Verdict(
         name="convergence",

@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import Field, InvalidParameterError, Params, SimState
 from .harness import DiagnosticsRecord, diagnostics
-from .spectral import SemigroupPlan
+from .spectral import SemigroupPlan, sum_of_squares
 
 __all__ = [
     "PositivityViolationError",
@@ -160,10 +160,7 @@ def _advance(
 
 
 def _grad_sup(vx: Sequence[np.ndarray]) -> float:
-    mag2 = np.zeros(vx[0].shape)
-    for comp in vx:
-        mag2 += comp * comp
-    return float(np.sqrt(mag2.max()))
+    return float(np.sqrt(sum_of_squares(vx).max()))
 
 
 def _cfl_from_norms(

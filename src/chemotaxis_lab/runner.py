@@ -5,7 +5,8 @@ File inventory for a run directory:
     diagnostics.csv   header: the DiagnosticsRecord.FIELDS, comma-separated;
                       one row per record, floats with 17 significant digits
                       (bit-stable round trips for regression tests)
-    constants.json    evaluated thresholds/bounds plus calibration provenance
+    constants.json    constants.compute_constants (thresholds, bounds,
+                      hypotheses) plus calibration provenance
     verdicts.json     status, one entry per requested check, fitted rate data
 
 A sweep directory adds one subdirectory per point plus ``sweep_summary.csv``
@@ -27,7 +28,6 @@ from pathlib import Path
 
 from . import constants as consts
 from .config import ConfigError, ExperimentConfig, SweepConfig, build_initial_state
-from .core import validate_params
 from .harness import (
     DiagnosticsRecord,
     Verdict,
@@ -35,9 +35,9 @@ from .harness import (
     auto_fit_window,
     check_convergence,
     check_eventual_bound,
+    check_lyapunov,
     check_persistence,
     fit_decay_rate_sum,
-    persistence_trend_floor,
 )
 from .imex import DivergenceError, PositivityViolationError, integrate
 from .spectral import SemigroupPlan, measure_gradient_constant
@@ -91,27 +91,19 @@ class RunOutcome:
 
 def _resolve_bound_target(cfg: ExperimentConfig, pc: consts.PaperConstants) -> float:
     raw = cfg.checks.eventual_bound_target
-    if raw == "refined":
-        if pc.bound_refined is None:
-            raise ConfigError("refined bound undefined for b <= N*mu*chi/4; give a number")
-        return pc.bound_refined
-    if raw == "general":
-        if pc.bound_general is None:
-            raise ConfigError("general bound undefined for b <= N*mu*chi/4; give a number")
-        return pc.bound_general
-    return float(raw)
+    if raw not in ("refined", "general"):
+        return float(raw)
+    target = getattr(pc, f"bound_{raw}")
+    if target is None:
+        raise ConfigError(f"{raw} bound undefined for b <= N*mu*chi/4; give a number")
+    return target
 
 
 def _write_constants(
-    path: Path,
-    cfg: ExperimentConfig,
-    pc: consts.PaperConstants,
-    cal: consts.CalibrationConstants,
-    reports: dict,
+    path: Path, pc: consts.PaperConstants, cal: consts.CalibrationConstants
 ) -> None:
     payload = {
         **asdict(pc),
-        "persistence_trend_floor": persistence_trend_floor(cfg.params, cal),
         "calibration": {
             "c_div": {"value": cal.c_div, "provenance": "closed form N/sqrt(pi)"},
             "c_grad": {
@@ -121,10 +113,7 @@ def _write_constants(
             },
             "c2": {"value": cal.c2, "provenance": "default: the coefficient a"},
             "c_generic": {"value": cal.c_generic, "provenance": "default 1"},
-            "beta": cal.beta,
-            "gamma": cal.gamma,
         },
-        "hypotheses": reports,
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -139,14 +128,7 @@ def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
     c_grad = measure_gradient_constant(plan)
     cal = consts.CalibrationConstants.for_params(cfg.params, c_grad=c_grad)
     pc = consts.compute_constants(cfg.params, cal)
-
-    existence = validate_params(cfg.params, "existence")
-    convergence_hyp = validate_params(cfg.params, "convergence", k_threshold=pc.K)
-    reports = {
-        rep.mode: {name: {"holds": ok, "detail": detail} for name, ok, detail in rep.checks}
-        for rep in (existence, convergence_hyp)
-    }
-    _write_constants(out / "constants.json", cfg, pc, cal, reports)
+    _write_constants(out / "constants.json", pc, cal)
 
     records: list[DiagnosticsRecord] = []
     status, divergence_t = "ok", None
@@ -192,7 +174,6 @@ def _evaluate_checks(
     p = cfg.params
     checks = cfg.checks
     verdicts: list[Verdict] = []
-    alpha = r_squared = None
     min_span = 2.0 / min(p.a, p.lam)
     if checks.eventual_bound:
         verdicts.append(
@@ -208,37 +189,33 @@ def _evaluate_checks(
     if checks.lyapunov:
         if pc.bound_general is None:
             raise ConfigError("lyapunov check needs b > N*mu*chi/4")
-        plateau = pc.bound_general / p.chi
-        ceiling = max(records[0].lyapunov_sup, plateau)
-        measured = max(r.lyapunov_sup for r in records)
         verdicts.append(
-            Verdict(
-                name="lyapunov_bound",
-                passed=measured <= ceiling * (1.0 + checks.lyapunov_slack),
-                measured=measured,
-                target=ceiling,
-                slack=checks.lyapunov_slack,
-                transient_time=0.0,
-            )
+            check_lyapunov(records, pc.bound_general / p.chi, slack=checks.lyapunov_slack)
         )
     if checks.persistence:
-        verdict, _ = check_persistence(
-            records, checks.persistence_floor, transient_fraction=checks.transient_fraction
+        verdicts.append(
+            check_persistence(
+                records, checks.persistence_floor, transient_fraction=checks.transient_fraction
+            )
         )
-        verdicts.append(verdict)
+    try:
+        window = auto_fit_window(records)
+        alpha, r_squared = fit_decay_rate_sum(records, window)
+    except WindowAdjustmentError:
+        if checks.convergence:
+            raise
+        alpha = r_squared = None
     if checks.convergence:
         verdicts.append(
             check_convergence(
                 records,
-                p,
+                window,
+                alpha,
+                r_squared,
                 tol_final=checks.convergence_tol,
                 min_r2=checks.convergence_min_r2,
             )
         )
-    try:
-        alpha, r_squared = fit_decay_rate_sum(records, auto_fit_window(records))
-    except WindowAdjustmentError:
-        alpha = r_squared = None
     return verdicts, alpha, r_squared
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "gradient",
     "laplacian",
     "measure_gradient_constant",
+    "sum_of_squares",
 ]
 
 # Multiplier values below this are flushed to zero to avoid denormal slowdowns.
@@ -186,6 +187,15 @@ def gradient(plan: SemigroupPlan, f: Field) -> VectorField:
     if f.grid != plan.grid:
         raise GridMismatchError("field grid does not match plan grid")
     return VectorField(f.grid, plan.grad(plan.to_spectral(f.values)))
+
+
+def sum_of_squares(components) -> np.ndarray:
+    """Pointwise sum of the squared components (|grad v|^2 for the output
+    of :meth:`SemigroupPlan.grad`), accumulated axis by axis."""
+    out = np.zeros(components[0].shape)
+    for c in components:
+        out += c * c
+    return out
 
 
 def laplacian(plan: SemigroupPlan, f: Field) -> Field:

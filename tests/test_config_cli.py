@@ -214,6 +214,25 @@ def test_cli_run_check_failure_exits_2(tmp_path):
     assert [v["name"] for v in failed] == ["persistence_floor"]
 
 
+def test_cli_run_at_the_existence_threshold_is_judged(tmp_path):
+    # b = N*mu*chi/4 exactly: the paper's bounds and trend floor are
+    # undefined there, so constants.json records null and the run is still
+    # judged against an explicit target (steady_u = 4 exceeds it: exit 2)
+    path = write_base_config(
+        tmp_path,
+        **{"b = 1.0": "b = 0.25", "eventual_bound_target = refined": "eventual_bound_target = 2.0"},
+    )
+    assert main(["run", str(path)]) == 2
+    out = tmp_path / "results"
+    constants = json.loads((out / "constants.json").read_text())
+    assert constants["theta"] == 1.0
+    assert constants["bound_refined"] is None and constants["persistence_trend_floor"] is None
+    assert constants["hypotheses"]["existence"]["b > N*mu*chi/4"]["holds"] is False
+    verdicts = json.loads((out / "verdicts.json").read_text())
+    failed = [v["name"] for v in verdicts["verdicts"] if not v["passed"]]
+    assert failed == ["eventual_bound[sup_u]"]
+
+
 def test_cli_run_divergence_exits_3(tmp_path):
     # supercritical chemotaxis (b well below N*mu*chi/4): the spike
     # collapses below the admissible undershoot and the run aborts

@@ -27,7 +27,7 @@ coeff = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
 
 
 def cal_for(p: Params) -> CalibrationConstants:
-    return CalibrationConstants.for_params(p)
+    return CalibrationConstants.for_params(p, c_grad=1.0 / math.sqrt(math.pi))
 
 
 def test_compute_constants_unit_coefficients():
@@ -50,8 +50,50 @@ def test_bounds_undefined_below_threshold():
     p = Params(chi=1, a=1, b=0.2, lam=1, mu=1, dim=1)  # b < N*mu*chi/4
     pc = compute_constants(p, cal_for(p))
     assert pc.bound_general is None and pc.bound_refined is None
-    assert not pc.bounds_defined
+    assert pc.persistence_trend_floor is None
     assert pc.theta == pytest.approx(1.25)
+
+
+def test_constants_at_the_existence_threshold():
+    # b = N*mu*chi/4 exactly: theta = 1, and every quantity with the factor
+    # 1/(4b - N mu chi) or 1/(1 - theta) is undefined rather than an error
+    p = Params(chi=1, a=1, b=0.25, lam=1, mu=1, dim=1)
+    pc = compute_constants(p, cal_for(p))
+    assert pc.theta == 1.0
+    assert pc.bound_general is None and pc.bound_refined is None
+    assert pc.persistence_trend_floor is None
+    assert pc.hypotheses["existence"]["b > N*mu*chi/4"]["holds"] is False
+
+
+def test_existence_hypothesis_unit_coefficients_holds():
+    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
+    existence = compute_constants(p, cal_for(p)).hypotheses["existence"]
+    assert existence == {
+        "b > N*mu*chi/4": {"holds": True, "detail": "b=1, threshold=0.25"}
+    }  # 1 > 1/4
+
+
+def test_existence_hypothesis_boundary_is_strict():
+    p = Params(chi=1, a=1, b=0.25, lam=1, mu=1, dim=1)
+    hyp = compute_constants(p, cal_for(p)).hypotheses["existence"]["b > N*mu*chi/4"]
+    assert hyp["holds"] is False  # b = N*mu*chi/4 exactly
+
+
+def test_convergence_hypotheses_decay_rate_too_small():
+    p = Params(chi=1, a=2, b=200, lam=0.5, mu=1, dim=1)
+    pc = compute_constants(p, cal_for(p))
+    convergence = pc.hypotheses["convergence"]
+    assert convergence["lam >= a/2"]["holds"] is False  # 0.5 < 1
+    assert convergence["b > K*chi*mu"]["holds"] is True  # K is about 151 here
+    assert convergence["b > K*chi*mu"]["detail"] == f"b=200, K*chi*mu={pc.K!r}"
+
+
+def test_persistence_trend_floor_value():
+    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
+    pc = compute_constants(p, cal_for(p))
+    # a/b - c2*theta/(b(1-theta)^2) with theta = 1/4, c2 = a
+    expected = 1.0 - 0.25 / (0.75**2)
+    assert pc.persistence_trend_floor == pytest.approx(expected, rel=1e-12)
 
 
 def test_limits_as_damping_grows():

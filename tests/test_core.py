@@ -11,7 +11,6 @@ from chemotaxis_lab import (
     Params,
     SimState,
     VectorField,
-    validate_params,
 )
 
 
@@ -27,39 +26,6 @@ def test_params_reject_nonpositive_coefficients():
 def test_params_reject_bad_dim():
     with pytest.raises(InvalidParameterError):
         Params(chi=1, a=1, b=1, lam=1, mu=1, dim=4)
-
-
-def test_validate_existence_unit_coefficients_passes():
-    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
-    report = validate_params(p, "existence")
-    assert report.passed  # 1 > 1/4
-
-
-def test_validate_existence_boundary_is_strict():
-    p = Params(chi=1, a=1, b=0.25, lam=1, mu=1, dim=1)
-    report = validate_params(p, "existence")
-    assert not report.passed  # b = N*mu*chi/4 exactly
-
-
-def test_validate_convergence_decay_rate_too_small():
-    p = Params(chi=1, a=2, b=10, lam=0.5, mu=1, dim=1)
-    report = validate_params(p, "convergence", k_threshold=0.3)
-    names = {name: ok for name, ok, _ in report.checks}
-    assert not names["lam >= a/2"]  # 0.5 < 1
-    assert names["b > K*chi*mu"]
-    assert not report.passed
-
-
-def test_validate_convergence_requires_threshold():
-    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
-    with pytest.raises(InvalidParameterError):
-        validate_params(p, "convergence")
-
-
-def test_validate_unknown_mode():
-    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
-    with pytest.raises(InvalidParameterError):
-        validate_params(p, "blow-up")
 
 
 def test_grid_requires_power_of_two():

@@ -5,7 +5,6 @@ import pytest
 
 from chemotaxis_lab import (
     DiagnosticsRecord,
-    Params,
     SeriesTooShortError,
     WindowAdjustmentError,
     check_convergence,
@@ -14,8 +13,8 @@ from chemotaxis_lab import (
     diagnostics,
     fit_decay_rate,
 )
-from chemotaxis_lab.harness import persistence_trend_floor
-from chemotaxis_lab import CalibrationConstants, Field, Grid, SimState
+from chemotaxis_lab.harness import auto_fit_window, check_lyapunov, fit_decay_rate_sum
+from chemotaxis_lab import Field, Grid, SimState
 
 
 def make_record(t, **overrides):
@@ -128,9 +127,9 @@ def test_eventual_bound_short_series_is_an_error():
 
 def test_persistence_constant_tail():
     series = series_from(np.linspace(0, 60, 61))
-    verdict, floor = check_persistence(series)
+    verdict = check_persistence(series)
     assert verdict.passed
-    assert floor == pytest.approx(1.0)
+    assert verdict.measured == pytest.approx(1.0)
 
 
 def test_persistence_fails_when_touching_zero():
@@ -138,25 +137,29 @@ def test_persistence_fails_when_touching_zero():
     infs = np.full(21, 0.5)
     infs[-1] = 0.0
     series = series_from(ts, inf_u=infs)
-    verdict, floor = check_persistence(series)
+    verdict = check_persistence(series)
     assert not verdict.passed
-    assert floor == 0.0
+    assert verdict.measured == 0.0
 
 
 def test_persistence_floor_guess():
     series = series_from(np.linspace(0, 10, 21))
-    verdict, _ = check_persistence(series, floor_guess=0.9)
-    assert verdict.passed
-    verdict, _ = check_persistence(series, floor_guess=1.1)
-    assert not verdict.passed
+    assert check_persistence(series, floor_guess=0.9).passed
+    assert not check_persistence(series, floor_guess=1.1).passed
 
 
-def test_persistence_trend_floor_value():
-    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
-    cal = CalibrationConstants.for_params(p)
-    # a/b - c2*theta/(b(1-theta)^2) with theta = 1/4, c2 = a
-    expected = 1.0 - 0.25 / (0.75**2)
-    assert persistence_trend_floor(p, cal) == pytest.approx(expected, rel=1e-12)
+def test_lyapunov_ceiling_is_the_larger_of_start_and_plateau():
+    ts = np.linspace(0, 10, 21)
+    lyap = np.full(21, 1.0)
+    lyap[5] = 2.1  # transient overshoot above the initial value
+    series = series_from(ts, lyapunov_sup=lyap)
+    verdict = check_lyapunov(series, 2.0, slack=0.05)
+    assert (verdict.target, verdict.measured, verdict.passed) == (2.0, 2.1, True)
+    assert not check_lyapunov(series, 2.0, slack=0.04).passed  # 2.1 > 2.08
+    # a plateau below the initial value leaves the initial value as ceiling
+    lyap[0] = 3.0
+    verdict = check_lyapunov(series_from(ts, lyapunov_sup=lyap), 0.5, slack=0.0)
+    assert (verdict.target, verdict.passed) == (3.0, True)
 
 
 def test_fit_recovers_synthetic_exponential():
@@ -192,15 +195,20 @@ def test_fit_rejects_nonpositive_values():
         fit_decay_rate(series, "err_u", (0.0, 10.0))
 
 
-def test_convergence_verdict_on_synthetic_series(unit_params):
+def fitted_convergence(series, **kwargs):
+    window = auto_fit_window(series)
+    return check_convergence(series, window, *fit_decay_rate_sum(series, window), **kwargs)
+
+
+def test_convergence_verdict_on_synthetic_series():
     ts = np.linspace(0.0, 30.0, 121)
     decaying = 0.05 * np.exp(-ts)
     series = series_from(ts, err_u=decaying, err_v=decaying)
-    verdict = check_convergence(series, unit_params, tol_final=1e-6)
+    verdict = fitted_convergence(series, tol_final=1e-6)
     assert verdict.passed
     plateaued = np.maximum(0.05 * np.exp(-ts), 1e-2)
     series = series_from(ts, err_u=plateaued, err_v=plateaued)
-    verdict = check_convergence(series, unit_params, tol_final=1e-6)
+    verdict = fitted_convergence(series, tol_final=1e-6)
     assert not verdict.passed  # stuck at 2e-2
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chemotaxis_lab import (
     DivergenceError,
@@ -263,3 +264,21 @@ def test_integrate_in_two_phases_matches_single_phase_records():
     for a, b in zip(single, phased):
         for name in DiagnosticsRecord.FIELDS:
             assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-10, abs=1e-12)
+
+
+def test_single_mode_follows_the_linearised_system():
+    # a small cos x perturbation of u about (a/b, mu a/(lam b)) evolves with
+    # the linearisation: for the k = 1 amplitudes (U, V) of u and v,
+    #   U' = (-1 - a) U + chi (a/b) V,   V' = mu U + (-1 - lam) V,
+    # where chi (a/b) V is the chemotactic flux -chi div(u* grad v)
+    p = Params(chi=1.0, a=1.0, b=1.0, lam=1.0, mu=1.0, dim=1)
+    eps, T = 1e-6, 1.0
+    grid = Grid(dim=1, extent=2 * np.pi, points=32)
+    x = grid.axis_coordinates()
+    s0 = make_state(p, p.steady_u + eps * np.cos(x), p.steady_v, points=32)
+    ctl = StepControl(dt_max=1e-3, t_end=T, record_every=T, cfl_safety=1.0)
+    u_T = integrate(s0, ctl).u.values
+    amplitude = 2.0 * np.mean((u_T - p.steady_u) * np.cos(x))
+    M = np.array([[-1.0 - p.a, p.chi * p.steady_u], [p.mu, -1.0 - p.lam]])
+    expected = (scipy.linalg.expm(M * T) @ np.array([eps, 0.0]))[0]
+    assert abs(amplitude - expected) < 1e-3 * eps
