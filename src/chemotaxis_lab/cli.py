@@ -7,12 +7,15 @@
 Exit codes: 0 all requested checks pass, 2 a check failed, 3 solver
 divergence (the divergence time is recorded in verdicts.json and on
 stderr), 4 configuration or I/O error.  No other codes are emitted.
+A configuration or I/O error prints one line; any other exception also
+prints its traceback to stderr, then exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from dataclasses import replace
 
 from .config import ConfigError, load_config, load_sweep_config
@@ -80,6 +83,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except Exception as exc:  # anything unexpected maps to the config/I-O code
+        if not isinstance(exc, OSError):
+            # A bug, not a bad input: keep the traceback for the report.
+            traceback.print_exc()
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 

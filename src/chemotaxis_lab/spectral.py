@@ -17,6 +17,13 @@ continuum constants 1/sqrt(pi) (gradient) and N/sqrt(pi) (divergence) bound
 the discrete ones only when sqrt(t) resolves the grid spacing: on 64 points
 over 2*pi at t = 1e-3, C is 1.05, which is 1.86/sqrt(pi).
 
+Every transform, gradient and divergence accepts a leading batch axis:
+``to_spectral``, ``to_physical``, ``grad`` and ``div_hat`` act on the
+trailing ``dim`` axes, and pocketfft transforms each row of a stack exactly
+as it transforms that row alone, so a batched call equals the per-row calls
+bit for bit.  The Duhamel oracle transforms whole blocks of quadrature nodes
+this way.
+
 Every transform goes through :meth:`SemigroupPlan.to_spectral` and
 :meth:`SemigroupPlan.to_physical`.  They run pocketfft (``scipy.fft``) one
 axis at a time in numpy's own ``rfftn`` order, so the spectra and fields
@@ -120,14 +127,21 @@ class SemigroupPlan:
         return scipy.fft.irfft(spec, n=self.grid.points, axis=-1, overwrite_x=overwrite)
 
     def grad(self, spec: np.ndarray) -> list[np.ndarray]:
-        """Physical-space gradient components of the spectrum ``spec``."""
+        """Physical-space gradient components of the spectrum ``spec`` (a
+        leading batch axis is allowed)."""
         return [self.to_physical(ik * spec, overwrite=True) for ik in self.ik]
 
     def div_hat(self, components) -> np.ndarray:
-        """Spectrum of the divergence of physical-space ``components``,
-        accumulated axis by axis."""
-        acc = np.zeros(self.spectral_shape, dtype=np.complex128)
+        """Spectrum of the divergence of physical-space ``components`` (each
+        may carry a leading batch axis), accumulated axis by axis.  The
+        components may be a generator, so that only one product is alive
+        at a time; the accumulator is sized from the first component before
+        its transform runs."""
+        acc = None
         for ik, comp in zip(self.ik, components):
+            if acc is None:
+                batch = comp.shape[: comp.ndim - self.grid.dim]
+                acc = np.zeros(batch + self.spectral_shape, dtype=np.complex128)
             acc += ik * self.to_spectral(comp)
         return acc
 

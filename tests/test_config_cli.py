@@ -272,6 +272,34 @@ def test_cli_missing_config_exits_4(tmp_path):
     assert main(["run", str(tmp_path / "nope.ini")]) == 4
 
 
+def test_cli_unexpected_exception_keeps_its_traceback(tmp_path, capsys, monkeypatch):
+    def broken(cfg, out_dir):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("chemotaxis_lab.cli.execute_run", broken)
+    assert main(["run", str(write_base_config(tmp_path))]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last)") and "in broken" in err
+    assert err.splitlines()[-1] == "error: KeyError: 'lost'"
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (ConfigError("bad value"), "error: bad value"),
+        (OSError("disk full"), "error: OSError: disk full"),
+    ],
+    ids=["config", "os"],
+)
+def test_cli_config_and_io_errors_are_one_line(tmp_path, capsys, monkeypatch, exc, line):
+    def broken(cfg, out_dir):
+        raise exc
+
+    monkeypatch.setattr("chemotaxis_lab.cli.execute_run", broken)
+    assert main(["run", str(write_base_config(tmp_path))]) == 4
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_cli_out_and_seed_overrides(tmp_path):
     path = write_base_config(
         tmp_path,

@@ -164,6 +164,26 @@ def test_records_start_at_zero_and_increase():
     assert all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))
 
 
+def test_step_weights_are_rebuilt_at_most_once_per_record_interval(monkeypatch):
+    # Each record interval ends on a short step a few ulps off dt_max; the
+    # steady step's weights must survive it, or every interval builds twice.
+    built = []
+    phi1 = SemigroupPlan.phi1
+
+    def counted(self, t, sigma):
+        built.append(t)
+        return phi1(self, t, sigma)
+
+    monkeypatch.setattr(SemigroupPlan, "phi1", counted)
+    p = Params(chi=1, a=1, b=10, lam=1, mu=1, dim=1)
+    s = make_state(p, np.random.default_rng(98).uniform(0.03, 0.07, 64), 0.05)
+    ctl = StepControl(dt_max=1e-3, t_end=2.0, record_every=0.25, cfl_safety=1.0)
+    records: list[DiagnosticsRecord] = []
+    integrate(s, ctl, records.append)
+    intervals = len(records) - 1
+    assert len(built) <= intervals + 1
+
+
 def test_integration_is_deterministic():
     p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
     grid = Grid(dim=1, extent=2 * np.pi, points=128)

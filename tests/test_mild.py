@@ -18,6 +18,7 @@ from chemotaxis_lab import (
     local_horizon,
     picard_solve,
 )
+from chemotaxis_lab.imex import nonlinear_hat
 from chemotaxis_lab.mild import c1_norm
 
 SQRT_PI = math.sqrt(math.pi)
@@ -158,3 +159,56 @@ def test_trajectory_timestamps():
     assert ts[0] == 0.0
     assert ts[-1] == pytest.approx(0.02)
     assert all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))
+
+
+def _etd1_nodes(state: SimState, T: float, q: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Unmasked ETD1 recurrence at step T/q: the fixed point of the left-node
+    Duhamel quadrature, node by node."""
+    plan = SemigroupPlan(state.grid)
+    p = state.params
+    prop = plan.multiplier(T / q, p.lam)
+    phi = plan.phi1(T / q, p.lam)
+    u_hat = plan.to_spectral(state.u.values)
+    v_hat = plan.to_spectral(state.v.values)
+    nodes = [(state.u.values, state.v.values)]
+    for _ in range(q):
+        u = plan.to_physical(u_hat)
+        n_hat = nonlinear_hat(plan, p, u, plan.grad(v_hat))
+        u_hat, v_hat = prop * u_hat + phi * n_hat, prop * v_hat + phi * (p.mu * u_hat)
+        nodes.append((plan.to_physical(u_hat), plan.to_physical(v_hat)))
+    return nodes
+
+
+def make_wave_state_2d(points: int = 16) -> SimState:
+    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=2)
+    grid = Grid(dim=2, extent=2 * np.pi, points=points)
+    x, y = np.meshgrid(grid.axis_coordinates(), grid.axis_coordinates(), indexing="ij")
+    return SimState(
+        t=0.0,
+        u=Field(grid, 0.5 + 0.1 * np.cos(x) * np.cos(2 * y)),
+        v=Field(grid, 0.5 + 0.1 * np.sin(x + y)),
+        params=p,
+    )
+
+
+@pytest.mark.parametrize(
+    "state, q",
+    [
+        (make_wave_state(points=64), 40),
+        (make_wave_state_2d(), 32),
+        (make_wave_state(points=512), 100),
+    ],
+    ids=["1d-64", "2d-16", "1d-512-partial-block"],
+)
+def test_every_node_matches_the_etd1_recurrence(state, q):
+    # At 512 points the nodes are transformed in blocks of 64, so q = 100
+    # leaves a partial last block and the recurrence crosses a block boundary.
+    T = 0.02
+    result = picard_solve(state, T, PicardConfig(quad_nodes=q, tol=1e-12))
+    reference = _etd1_nodes(state, T, q)
+    assert len(result.states) == len(reference) == q + 1
+    worst = max(
+        max(np.abs(s.u.values - u).max(), np.abs(s.v.values - v).max())
+        for s, (u, v) in zip(result.states, reference)
+    )
+    assert worst <= 1e-11
