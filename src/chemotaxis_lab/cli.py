@@ -7,8 +7,9 @@
 Exit codes: 0 all requested checks pass, 2 a check failed, 3 solver
 divergence (the divergence time is recorded in verdicts.json and on
 stderr), 4 configuration or I/O error.  No other codes are emitted.
-A configuration or I/O error prints one line; any other exception also
-prints its traceback to stderr, then exits 4.
+A bad input (core.InvalidParameterError: a config error, or a run whose
+checks cannot judge it) or an I/O error prints one line; any other
+exception also prints its traceback to stderr, then exits 4.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import sys
 import traceback
 from dataclasses import replace
 
-from .config import ConfigError, load_config, load_sweep_config
+from .config import load_config, load_sweep_config
+from .core import InvalidParameterError
 from .runner import (
     EXIT_CONFIG_ERROR,
     EXIT_DIVERGED,
@@ -36,17 +38,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for the chemotaxis-logistic system",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run one experiment config")
-    run_p.add_argument("config", help="path to the experiment .ini file")
-    run_p.add_argument("--out", help="override the [output] dir")
-    run_p.add_argument("--seed", type=int, help="override the [initial] seed")
-
-    sweep_p = sub.add_parser("sweep", help="run a parameter sweep")
-    sweep_p.add_argument("config", help="path to the sweep .ini file")
-    sweep_p.add_argument("--out", help="override the [output] dir")
-    sweep_p.add_argument("--seed", type=int, help="override the [initial] seed")
-    sweep_p.add_argument("--workers", type=int, help="worker pool size (default: cpu count)")
+    for command, help_text, kind in (
+        ("run", "run one experiment config", "experiment"),
+        ("sweep", "run a parameter sweep", "sweep"),
+    ):
+        cmd_p = sub.add_parser(command, help=help_text)
+        cmd_p.add_argument("config", help=f"path to the {kind} .ini file")
+        cmd_p.add_argument("--out", help="override the [output] dir")
+        cmd_p.add_argument("--seed", type=int, help="override the [initial] seed")
+        if command == "sweep":
+            cmd_p.add_argument("--workers", type=int, help="worker pool size (default: cpu count)")
 
     report_p = sub.add_parser("report", help="summarise a results directory")
     report_p.add_argument("directory", help="directory with run/sweep outputs")
@@ -56,30 +57,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = load_config(args.config)
-            if args.seed is not None:
-                cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
-            out_dir = args.out if args.out is not None else cfg.output_dir
-            outcome = execute_run(cfg, out_dir)
-            if outcome.status == "diverged":
-                print(f"solver diverged at t={outcome.divergence_t!r}", file=sys.stderr)
-                return EXIT_DIVERGED
-            failed = [v.name for v in outcome.verdicts if not v.passed]
-            if failed:
-                print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
-            return outcome.exit_code
-        if args.command == "sweep":
-            sweep = load_sweep_config(args.config)
-            if args.seed is not None:
-                base = replace(sweep.base, initial=replace(sweep.base.initial, seed=args.seed))
-                sweep = replace(sweep, base=base)
-            out_dir = args.out if args.out is not None else sweep.base.output_dir
-            return execute_sweep(sweep, out_dir, workers=args.workers)
         if args.command == "report":
             return execute_report(args.directory)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
+        sweep = load_sweep_config(args.config) if args.command == "sweep" else None
+        cfg = sweep.base if sweep is not None else load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, initial=replace(cfg.initial, seed=args.seed))
+        out_dir = args.out if args.out is not None else cfg.output_dir
+        if sweep is not None:
+            return execute_sweep(replace(sweep, base=cfg), out_dir, workers=args.workers)
+        outcome = execute_run(cfg, out_dir)
+        if outcome.status == "diverged":
+            print(f"solver diverged at t={outcome.divergence_t!r}", file=sys.stderr)
+            return EXIT_DIVERGED
+        failed = [v.name for v in outcome.verdicts if not v.passed]
+        if failed:
+            print(f"checks failed: {', '.join(failed)}", file=sys.stderr)
+        return outcome.exit_code
+    except InvalidParameterError as exc:  # a bad input, including a config file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except Exception as exc:  # anything unexpected maps to the config/I-O code

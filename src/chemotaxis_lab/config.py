@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
+class ConfigError(InvalidParameterError):
     """Malformed, missing, or inconsistent configuration."""
 
 
@@ -155,7 +155,7 @@ def _reading(path: Path, what: str):
     try:
         cp.read_string(path.read_text())
         yield cp
-    except (configparser.Error, UnicodeDecodeError, ConfigError, InvalidParameterError) as exc:
+    except (configparser.Error, UnicodeDecodeError, InvalidParameterError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

@@ -4,6 +4,8 @@ Every quantity here is a pure function of the model coefficients (plus a few
 explicit calibration constants standing in for generic constants of the
 underlying estimates), so the hypotheses and conclusions of the boundedness,
 persistence, and convergence statements become machine-checkable numbers.
+:class:`CalibrationConstants` owns those constants and where each comes
+from; the smoothing ones are exact on the run's grid, c_div = N c_grad.
 
 Naming used throughout:
 
@@ -30,12 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
 import scipy.special
 
 from .core import InvalidParameterError, Params
+from .spectral import CALIBRATION_TIMES
 
 __all__ = [
     "BESSEL_FIRST_ZERO",
@@ -66,10 +70,20 @@ BESSEL_FIRST_ZERO = {
 class CalibrationConstants:
     """Explicit stand-ins for the generic constants of the smoothing estimates.
 
-    c_div is the closed form N/sqrt(pi); c_grad is the exact constant of
-    the run's grid (see spectral.measure_gradient_constant); c2 and
-    c_generic parameterise the convergence threshold.
+    c_grad is the exact gradient constant of the run's grid (see
+    spectral.measure_gradient_constant) and c_div = N c_grad the exact
+    divergence one, whose kernel's l1 norm sums N equal axis norms.  c2 and
+    c_generic parameterise the convergence threshold.  PROVENANCE states
+    where :meth:`for_params` takes each value.
     """
+
+    PROVENANCE: ClassVar[dict[str, str]] = {
+        "c_grad": "exact l1 norm of the discrete kernel, max over axes and times "
+        f"({', '.join(f'{t:g}' for t in CALIBRATION_TIMES)})",
+        "c_div": "N * c_grad: exact l1 norm of the discrete divergence kernel",
+        "c2": "default: the coefficient a",
+        "c_generic": "default 1",
+    }
 
     c_grad: float
     c_div: float
@@ -77,14 +91,14 @@ class CalibrationConstants:
     c_generic: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("c_grad", "c_div", "c2", "c_generic"):
+        for name in self.PROVENANCE:
             if getattr(self, name) <= 0.0:
                 raise InvalidParameterError(f"calibration constant {name!r} must be > 0")
 
     @classmethod
     def for_params(cls, p: Params, *, c_grad: float) -> "CalibrationConstants":
-        """Defaults: c_div = N/sqrt(pi), c2 = a, c_generic = 1."""
-        return cls(c_grad=c_grad, c_div=p.dim / math.sqrt(math.pi), c2=p.a)
+        """The constants of a run on a grid whose gradient constant is c_grad."""
+        return cls(c_grad=c_grad, c_div=p.dim * c_grad, c2=p.a)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ __all__ = [
 
 
 class InvalidParameterError(ValueError):
-    """A model coefficient or option violates its domain constraint."""
+    """An input outside its domain: a coefficient, option, config file or series."""
 
 
 class GridMismatchError(ValueError):

@@ -47,11 +47,11 @@ __all__ = [
 ]
 
 
-class SeriesTooShortError(ValueError):
+class SeriesTooShortError(InvalidParameterError):
     """The diagnostics series does not span enough time for the check."""
 
 
-class WindowAdjustmentError(ValueError):
+class WindowAdjustmentError(InvalidParameterError):
     """The fitting window contains nonpositive values or too few points."""
 
 
@@ -244,9 +244,10 @@ def fit_decay_rate_sum(
     return fit_decay_rate(series, "err_sum", window)
 
 
-def auto_fit_window(
-    series: Sequence[DiagnosticsRecord], *, min_points: int = 5
-) -> tuple[float, float]:
+_MIN_FIT_POINTS = 5  # fewest records in a series and in a fitting window
+
+
+def auto_fit_window(series: Sequence[DiagnosticsRecord]) -> tuple[float, float]:
     """Window for fitting the decay of err_u + err_v.
 
     Skips the initial transient (first 2% of the span) and ends where the
@@ -254,8 +255,8 @@ def auto_fit_window(
     values, so the log-linear fit sees the genuinely decaying stretch and
     never a discretisation plateau or the roundoff floor.
     """
-    if len(series) < min_points:
-        raise WindowAdjustmentError(f"need at least {min_points} records")
+    if len(series) < _MIN_FIT_POINTS:
+        raise WindowAdjustmentError(f"need at least {_MIN_FIT_POINTS} records")
     vals = np.array([r.err_sum for r in series])
     ts = np.array([r.t for r in series])
     vmax = vals.max()
@@ -274,7 +275,7 @@ def auto_fit_window(
         if start is None:
             start = i
         end = i
-        if vals[i] < cut_value and i - start + 1 >= min_points:
+        if vals[i] < cut_value and i - start + 1 >= _MIN_FIT_POINTS:
             break
     if start is None or end is None or end - start + 1 < 2:
         raise WindowAdjustmentError("too few positive decaying records to fit")

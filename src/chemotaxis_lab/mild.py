@@ -88,34 +88,27 @@ class PicardResult:
     residual: float
 
 
-# Safety margin held back from the contraction condition; the returned
-# horizon satisfies the condition with value <= 1 - margin.
+# Safety margin held back from the contraction condition; the horizon
+# satisfies the condition with value <= 1 - CONTRACTION_MARGIN.
 CONTRACTION_MARGIN = 0.1
 
 
-def local_horizon(
-    R: float,
-    p: Params,
-    c_div: float,
-    c_grad: float,
-    *,
-    margin: float = CONTRACTION_MARGIN,
-) -> float:
+def local_horizon(R: float, p: Params, c_div: float, c_grad: float) -> float:
     """Largest T with
 
         4 R c_div chi sqrt(T) + (lam + a + 2 R b) T + mu T
-            + 2 mu c_grad sqrt(T) <= 1 - margin.
+            + 2 mu c_grad sqrt(T) <= 1 - CONTRACTION_MARGIN.
 
-    Solved as a quadratic in sqrt(T); strictly decreasing in R, and always
-    positive since the left side vanishes at T = 0.
+    c_div and c_grad are the grid's exact smoothing constants, c_div =
+    N c_grad since the divergence kernel's norm sums N equal gradient-kernel
+    norms (see constants.CalibrationConstants).  Solved as a quadratic in
+    sqrt(T); strictly decreasing in R, and positive as the left side is 0 at 0.
     """
     if R <= 0.0:
         raise InvalidParameterError("R must be > 0")
-    if not 0.0 < margin < 1.0:
-        raise InvalidParameterError("margin must be in (0, 1)")
     lin = p.lam + p.a + 2.0 * R * p.b + p.mu
     root = 4.0 * R * c_div * p.chi + 2.0 * p.mu * c_grad
-    target = 1.0 - margin
+    target = 1.0 - CONTRACTION_MARGIN
     x = (-root + math.sqrt(root * root + 4.0 * lin * target)) / (2.0 * lin)
     return x * x
 
@@ -168,7 +161,7 @@ def picard_solve(
     delta = T / q
     shape = s0.grid.shape
 
-    decay = np.exp(-(plan.k2 + p.lam) * delta)
+    decay = plan.multiplier(delta, p.lam)
     # Exact integral of exp(-(|k|^2+lam)(t-s)) over one subinterval against
     # a frozen integrand.
     kernel = plan.phi1(delta, p.lam)

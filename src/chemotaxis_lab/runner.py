@@ -6,7 +6,8 @@ File inventory for a run directory:
                       one row per record, floats with 17 significant digits
                       (bit-stable round trips for regression tests)
     constants.json    constants.compute_constants (thresholds, bounds,
-                      hypotheses) plus calibration provenance
+                      hypotheses) plus each calibration constant with its
+                      CalibrationConstants.PROVENANCE
     verdicts.json     status, one entry per requested check, fitted rate data
 
 A sweep directory adds one subdirectory per point plus ``sweep_summary.csv``
@@ -102,19 +103,11 @@ def _resolve_bound_target(cfg: ExperimentConfig, pc: consts.PaperConstants) -> f
 def _write_constants(
     path: Path, pc: consts.PaperConstants, cal: consts.CalibrationConstants
 ) -> None:
-    payload = {
-        **asdict(pc),
-        "calibration": {
-            "c_div": {"value": cal.c_div, "provenance": "closed form N/sqrt(pi)"},
-            "c_grad": {
-                "value": cal.c_grad,
-                "provenance": "exact l1 norm of the discrete kernel, max over axes and "
-                "times (0.001, 0.01, 0.1, 1)",
-            },
-            "c2": {"value": cal.c2, "provenance": "default: the coefficient a"},
-            "c_generic": {"value": cal.c_generic, "provenance": "default 1"},
-        },
+    calibration = {
+        name: {"value": value, "provenance": cal.PROVENANCE[name]}
+        for name, value in asdict(cal).items()
     }
+    payload = {**asdict(pc), "calibration": calibration}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -10,12 +10,14 @@ Sup-norm facts used by tests and by the contraction horizon:
 
 * plain semigroup:      |E(t, sigma) f|_inf <= exp(-sigma t) |f|_inf
 * gradient composition: |grad E(t, sigma) f|_inf <= C t^(-1/2) exp(-sigma t) |f|_inf
-* divergence extension: |E(t, sigma) div w|_inf <= (N/sqrt(pi)) t^(-1/2) exp(-sigma t) |w|_inf
+* divergence extension: |E(t, sigma) div w|_inf <= C_div t^(-1/2) exp(-sigma t) |w|_inf
 
-:func:`measure_gradient_constant` computes C exactly on the grid.  The
-continuum constants 1/sqrt(pi) (gradient) and N/sqrt(pi) (divergence) bound
-the discrete ones only when sqrt(t) resolves the grid spacing: on 64 points
-over 2*pi at t = 1e-3, C is 1.05, which is 1.86/sqrt(pi).
+:func:`measure_gradient_constant` computes C exactly on the grid, and
+C_div = N C exactly: its kernel's norm sums the N gradient kernels' norms,
+equal on a grid with the same points and extent on every axis.  The
+continuum constants 1/sqrt(pi) and N/sqrt(pi) bound the discrete ones only
+when sqrt(t) resolves the grid spacing: on 64 points over 2*pi at
+t = 1e-3, C is 1.05, which is 1.86/sqrt(pi).
 
 Every transform, gradient and divergence accepts a leading batch axis:
 ``to_spectral``, ``to_physical``, ``grad`` and ``div_hat`` act on the
@@ -56,6 +58,8 @@ __all__ = [
 
 # Multiplier values below this are flushed to zero to avoid denormal slowdowns.
 _UNDERFLOW_FLUSH = 1e-300
+# Times at which measure_gradient_constant evaluates the kernels by default.
+CALIBRATION_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
 
 
 class SemigroupPlan:
@@ -221,7 +225,7 @@ def laplacian(plan: SemigroupPlan, f: Field) -> Field:
 
 
 def measure_gradient_constant(
-    plan: SemigroupPlan, *, times=(1e-3, 1e-2, 1e-1, 1.0), sigma: float = 0.0
+    plan: SemigroupPlan, *, times=CALIBRATION_TIMES, sigma: float = 0.0
 ) -> float:
     """Exact gradient smoothing constant on the plan's grid: the max over
     ``times`` and axes of sqrt(t) exp(sigma t) times the l1 norm of the

@@ -300,6 +300,34 @@ def test_cli_config_and_io_errors_are_one_line(tmp_path, capsys, monkeypatch, ex
     assert capsys.readouterr().err == line + "\n"
 
 
+@pytest.mark.parametrize(
+    "edits, line",
+    [
+        # shorter than the eventual bound's minimum span 2/min(a, lam) = 2
+        ({"t_end = 8.0": "t_end = 1.0"}, "error: series spans 1.0, need >= 2.0"),
+        # u = 0.8 + 0.8 cos x touches 0 at x = pi, a grid point
+        (
+            {"u_amplitude = 0.2": "u_amplitude = 0.8"},
+            "error: initial inf_u must be strictly positive",
+        ),
+        # three records, too few to fit the convergence rate
+        (
+            {
+                "record_every = 0.5": "record_every = 4.0",
+                "persistence = true": "persistence = true\nconvergence = true",
+            },
+            "error: need at least 5 records",
+        ),
+    ],
+    ids=["series-too-short", "persistence-touches-zero", "too-few-records"],
+)
+def test_cli_run_its_checks_cannot_judge_is_one_line(tmp_path, capsys, edits, line):
+    assert main(["run", str(write_base_config(tmp_path, **edits))]) == 4
+    err = capsys.readouterr().err
+    assert err == line + "\n"
+    assert "Traceback" not in err
+
+
 def test_cli_out_and_seed_overrides(tmp_path):
     path = write_base_config(
         tmp_path,

@@ -11,10 +11,13 @@ from scipy.special import gamma as gamma_fn
 
 from chemotaxis_lab import (
     CalibrationConstants,
+    Grid,
     Params,
+    SemigroupPlan,
     compute_constants,
     convergence_K,
     gaussian_tail,
+    measure_gradient_constant,
     minimal_ball_radius,
     persistence_L,
     persistence_T,
@@ -28,6 +31,29 @@ coeff = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
 
 def cal_for(p: Params) -> CalibrationConstants:
     return CalibrationConstants.for_params(p, c_grad=1.0 / math.sqrt(math.pi))
+
+
+@pytest.mark.parametrize(
+    "dim, points, extent",
+    [(1, 64, 2 * math.pi), (2, 32, 2 * math.pi), (3, 16, 2 * math.pi), (1, 256, 2 * math.pi)],
+    ids=["1d-64", "2d-32", "3d-16", "1d-256"],
+)
+def test_divergence_constant_is_the_exact_kernel_norm(dim, points, extent):
+    # The sup-to-sup norm of E(t) div is the l1 norm of its kernel, the sum
+    # over axes of |d_i E(t) delta|_1; for_params must report its max over
+    # the calibration times, never less.
+    plan = SemigroupPlan(Grid(dim=dim, extent=extent, points=points))
+    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=dim)
+    cal = CalibrationConstants.for_params(p, c_grad=measure_gradient_constant(plan))
+    exact = max(
+        math.sqrt(t) * sum(float(np.abs(k).sum()) for k in plan.grad(plan.multiplier(t, 0.0)))
+        for t in (1e-3, 1e-2, 1e-1, 1.0)
+    )
+    assert cal.c_div >= exact
+    assert cal.c_div == pytest.approx(exact, rel=1e-12)
+    if (dim, points) == (1, 64):
+        # sqrt(1e-3) is below the spacing: far above the continuum 1/sqrt(pi)
+        assert cal.c_div > 1.8 / math.sqrt(math.pi)
 
 
 def test_compute_constants_unit_coefficients():

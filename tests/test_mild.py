@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from chemotaxis_lab import (
+    CalibrationConstants,
     ContractionFailureError,
     Field,
     Grid,
@@ -16,6 +17,7 @@ from chemotaxis_lab import (
     SemigroupPlan,
     SimState,
     local_horizon,
+    measure_gradient_constant,
     picard_solve,
 )
 from chemotaxis_lab.imex import nonlinear_hat
@@ -143,6 +145,20 @@ def test_horizon_certifies_the_solve():
     R = max(state.u.sup_abs(), c1_norm(plan, state.v))
     T = local_horizon(R, p, p.dim / SQRT_PI, 1 / SQRT_PI)
     result = picard_solve(state, T, PicardConfig(quad_nodes=128, tol=1e-10))
+    assert result.residual <= 1e-10
+
+
+def test_horizon_from_the_grid_constants_certifies_the_solve():
+    # On 64 points the exact c_div = N c_grad is 1.86 times the continuum
+    # N/sqrt(pi), so the horizon is shorter; the solve must contract there.
+    state = make_wave_state(points=64)
+    plan = SemigroupPlan(state.grid)
+    p = state.params
+    cal = CalibrationConstants.for_params(p, c_grad=measure_gradient_constant(plan))
+    R = max(state.u.sup_abs(), c1_norm(plan, state.v))
+    T = local_horizon(R, p, cal.c_div, cal.c_grad)
+    assert T < local_horizon(R, p, p.dim / SQRT_PI, 1 / SQRT_PI)
+    result = picard_solve(state, T, PicardConfig(quad_nodes=128, tol=1e-10), plan)
     assert result.residual <= 1e-10
 
 
