@@ -19,17 +19,8 @@ from .core import (
     InvalidParameterError,
     Params,
     SimState,
-    VectorField,
 )
-from .spectral import (
-    SemigroupPlan,
-    apply_semigroup,
-    apply_semigroup_div,
-    apply_semigroup_grad,
-    gradient,
-    laplacian,
-    measure_gradient_constant,
-)
+from .spectral import SemigroupPlan, measure_gradient_constant
 from .mild import (
     ContractionFailureError,
     PicardConfig,
@@ -41,9 +32,7 @@ from .imex import (
     DivergenceError,
     PositivityViolationError,
     StepControl,
-    cfl_dt,
     integrate,
-    step,
 )
 from .constants import (
     CalibrationConstants,
@@ -56,7 +45,6 @@ from .constants import (
     persistence_T,
     principal_eigenvalue,
     principal_eigenvalue_fd,
-    step1_Mtilde,
 )
 from .harness import (
     DiagnosticsRecord,

@@ -27,6 +27,7 @@ from .runner import (
     execute_report,
     execute_run,
     execute_sweep,
+    is_bug,
 )
 
 __all__ = ["main"]
@@ -78,8 +79,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except Exception as exc:  # anything unexpected maps to the config/I-O code
-        if not isinstance(exc, OSError):
-            # A bug, not a bad input: keep the traceback for the report.
+        if is_bug(exc):
             traceback.print_exc()
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

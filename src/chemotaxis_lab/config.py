@@ -320,10 +320,15 @@ def _generate(kind: str, args: dict, grid: Grid, rng: np.random.Generator) -> np
 
 def build_initial_state(cfg: ExperimentConfig) -> SimState:
     """Construct the t = 0 state from the named generators; the random
-    generator is seeded from [initial] seed, u drawn before v."""
+    generator is seeded from [initial] seed, u drawn before v.  A density
+    or concentration below 0 anywhere is a :class:`ConfigError`."""
     rng = np.random.default_rng(cfg.initial.seed)
     u_values = _generate(cfg.initial.u_kind, cfg.initial.u_args, cfg.grid, rng)
     v_values = _generate(cfg.initial.v_kind, cfg.initial.v_args, cfg.grid, rng)
-    u = Field(cfg.grid, u_values, nonnegative=True, tol_neg=0.0)
-    v = Field(cfg.grid, v_values, nonnegative=True, tol_neg=0.0)
+    u = Field(cfg.grid, u_values)
+    v = Field(cfg.grid, v_values)
+    for name, f in (("u", u), ("v", v)):
+        low = float(f.values.min())
+        if low < 0.0:
+            raise ConfigError(f"[initial] {name} must be >= 0 everywhere, got min {low!r}")
     return SimState(t=0.0, u=u, v=v, params=cfg.params)

@@ -53,7 +53,6 @@ __all__ = [
     "persistence_T",
     "gaussian_tail",
     "persistence_L",
-    "step1_Mtilde",
 ]
 
 # First positive zero of J_{N/2-1}, 12+ digits, N = 1, 2, 3.  The N=1 and
@@ -322,19 +321,3 @@ def persistence_L(epsilon: float, T: float, dim: int, L0_min: float) -> float:
             lo = mid
     return hi
 
-
-def step1_Mtilde(lam: float, mu: float, M: float, dim: int) -> float:
-    """Amplification factor bounding v and grad v by the local sup of u.
-
-    max of  1 + mu M/(lam pi^(N/2)) + mu/lam  and
-            1 + (mu/pi^(N/2)) lam^(-1/2) sqrt(pi) (M + 1).
-    """
-    if lam <= 0.0 or mu <= 0.0 or M <= 0.0:
-        raise InvalidParameterError("lam, mu, M must be > 0")
-    pi_half_n = math.pi ** (dim / 2.0)
-    gamma_half = math.sqrt(math.pi)
-    first = 1.0 + mu * M / (lam * pi_half_n) + mu / lam
-    second = 1.0 + (mu / pi_half_n) * lam**-0.5 * gamma_half * M + (
-        mu / pi_half_n
-    ) * lam**-0.5 * gamma_half
-    return max(first, second)

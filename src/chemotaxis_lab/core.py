@@ -10,9 +10,9 @@ for a population density u and a chemical concentration v, posed on a
 periodic box [0, L)^N standing in for free space.  Everything downstream
 (spectral operators, solvers, verdicts) shares the types defined here.
 
-All objects are immutable after construction except the value buffers of
-:class:`Field` / :class:`VectorField`; nothing in this module mutates
-shared state, so instances may be passed freely between workers.
+All objects are immutable after construction except the value buffer of
+:class:`Field`; nothing in this module mutates shared state, so instances
+may be passed freely between workers.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "Params",
     "Grid",
     "Field",
-    "VectorField",
     "SimState",
 ]
 
@@ -128,52 +127,17 @@ class Field:
 
     __slots__ = ("grid", "values")
 
-    def __init__(self, grid: Grid, values, *, nonnegative: bool = False, tol_neg: float = 0.0):
+    def __init__(self, grid: Grid, values):
         arr = np.array(values, dtype=np.float64, copy=True)
         if arr.shape != grid.shape:
             raise GridMismatchError(f"values shape {arr.shape} != grid shape {grid.shape}")
         if not np.all(np.isfinite(arr)):
             raise InvalidParameterError("field values must be finite")
-        if nonnegative and arr.min() < -tol_neg:
-            raise InvalidParameterError(
-                f"field flagged nonnegative has min {arr.min()!r} < -{tol_neg!r}"
-            )
         self.grid = grid
         self.values = arr
 
     def sup(self) -> float:
         return float(self.values.max())
-
-    def inf(self) -> float:
-        return float(self.values.min())
-
-    def sup_abs(self) -> float:
-        return float(np.abs(self.values).max())
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values)
-
-
-class VectorField:
-    """Tuple of per-axis real grid functions (e.g. a gradient)."""
-
-    __slots__ = ("grid", "components")
-
-    def __init__(self, grid: Grid, components):
-        comps = tuple(np.array(c, dtype=np.float64, copy=True) for c in components)
-        if len(comps) != grid.dim:
-            raise GridMismatchError(f"expected {grid.dim} components, got {len(comps)}")
-        for c in comps:
-            if c.shape != grid.shape:
-                raise GridMismatchError(f"component shape {c.shape} != grid shape {grid.shape}")
-            if not np.all(np.isfinite(c)):
-                raise InvalidParameterError("vector field components must be finite")
-        self.grid = grid
-        self.components = comps
-
-    def sup_abs(self) -> float:
-        """Max over components of the pointwise sup norm."""
-        return max(float(np.abs(c).max()) for c in self.components)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,7 @@ __all__ = [
     "fit_decay_rate_sum",
     "auto_fit_window",
     "check_convergence",
+    "require_judgeable",
 ]
 
 
@@ -130,6 +131,22 @@ def _tail(series: Sequence[DiagnosticsRecord], transient_fraction: float):
     return tail, cut
 
 
+_MIN_FIT_POINTS = 5  # fewest records in a series and in a fitting window
+
+
+def require_judgeable(*, span=None, min_span=None, inf_u0=None, n_records=None) -> None:
+    """Raise unless a series can be judged: it spans ``min_span``, so an
+    eventual bound is never a vacuous pass; it starts from inf u0 > 0, which
+    persistence is judged from; and ``n_records`` can be fitted.  A facet
+    left None is not checked.  The runner calls this before any output."""
+    if min_span is not None and span < min_span:
+        raise SeriesTooShortError(f"series spans {span}, need >= {min_span}")
+    if inf_u0 is not None and inf_u0 <= 0.0:
+        raise InvalidParameterError("initial inf_u must be strictly positive")
+    if n_records is not None and n_records < _MIN_FIT_POINTS:
+        raise WindowAdjustmentError(f"need at least {_MIN_FIT_POINTS} records")
+
+
 def check_eventual_bound(
     series: Sequence[DiagnosticsRecord],
     field: str,
@@ -137,18 +154,11 @@ def check_eventual_bound(
     *,
     transient_fraction: float = 0.5,
     slack: float = 0.05,
-    min_span: float | None = None,
 ) -> Verdict:
     """Max of ``field`` over the tail of the run against target*(1+slack).
-
-    ``min_span`` (e.g. twice the relaxation time 1/min(a, lam)) makes short
-    series an error rather than a vacuous pass.
-    """
+    A series too short to judge is refused by :func:`require_judgeable`."""
     if len(series) < 2:
         raise SeriesTooShortError("need at least two records")
-    span = series[-1].t - series[0].t
-    if min_span is not None and span < min_span:
-        raise SeriesTooShortError(f"series spans {span}, need >= {min_span}")
     tail, cut = _tail(series, transient_fraction)
     measured = max(getattr(r, field) for r in tail)
     return Verdict(
@@ -195,8 +205,7 @@ def check_persistence(
     """
     if len(series) < 2:
         raise SeriesTooShortError("need at least two records")
-    if series[0].inf_u <= 0.0:
-        raise InvalidParameterError("initial inf_u must be strictly positive")
+    require_judgeable(inf_u0=series[0].inf_u)
     tail, cut = _tail(series, transient_fraction)
     m = min(r.inf_u for r in tail)
     return Verdict(
@@ -244,9 +253,6 @@ def fit_decay_rate_sum(
     return fit_decay_rate(series, "err_sum", window)
 
 
-_MIN_FIT_POINTS = 5  # fewest records in a series and in a fitting window
-
-
 def auto_fit_window(series: Sequence[DiagnosticsRecord]) -> tuple[float, float]:
     """Window for fitting the decay of err_u + err_v.
 
@@ -255,8 +261,7 @@ def auto_fit_window(series: Sequence[DiagnosticsRecord]) -> tuple[float, float]:
     values, so the log-linear fit sees the genuinely decaying stretch and
     never a discretisation plateau or the roundoff floor.
     """
-    if len(series) < _MIN_FIT_POINTS:
-        raise WindowAdjustmentError(f"need at least {_MIN_FIT_POINTS} records")
+    require_judgeable(n_records=len(series))
     vals = np.array([r.err_sum for r in series])
     ts = np.array([r.t for r in series])
     vmax = vals.max()

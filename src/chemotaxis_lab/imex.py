@@ -40,9 +40,8 @@ __all__ = [
     "PositivityViolationError",
     "DivergenceError",
     "StepControl",
-    "cfl_dt",
     "nonlinear_hat",
-    "step",
+    "record_times",
     "integrate",
 ]
 
@@ -179,44 +178,11 @@ def _grad_sup(vx: Sequence[np.ndarray]) -> float:
 def _cfl_from_norms(
     p: Params, spacing: float, grad_sup: float, u_sup: float, ctl: StepControl
 ) -> float:
+    """cfl_safety * min(dt_max, spacing/max(chi |grad v|_inf, floor),
+    1/(a + 2 b |u|_inf)); always strictly positive."""
     advective = spacing / max(p.chi * grad_sup, ADVECTION_FLOOR)
     reactive = 1.0 / (p.a + 2.0 * p.b * u_sup)
     return ctl.cfl_safety * min(ctl.dt_max, advective, reactive)
-
-
-def cfl_dt(s: SimState, ctl: StepControl, plan: SemigroupPlan | None = None) -> float:
-    """cfl_safety * min(dt_max, spacing/max(chi |grad v|_inf, floor),
-    1/(a + 2 b |u|_inf)); always strictly positive."""
-    if plan is None:
-        plan = SemigroupPlan(s.grid)
-    grad_sup = _grad_sup(plan.grad(plan.to_spectral(s.v.values)))
-    return _cfl_from_norms(s.params, s.grid.spacing, grad_sup, s.u.sup(), ctl)
-
-
-def step(
-    s: SimState,
-    dt: float,
-    *,
-    neg_tol: float = 1e-8,
-    plan: SemigroupPlan | None = None,
-) -> SimState:
-    """Advance one step of size dt.  The caller keeps dt <= cfl_dt(s)."""
-    if dt <= 0.0:
-        raise InvalidParameterError("dt must be > 0")
-    if plan is None:
-        plan = SemigroupPlan(s.grid)
-    ws = _Workspace(plan, s.params)
-    u = s.u.values
-    u_hat = plan.to_spectral(u)
-    v_hat = plan.to_spectral(s.v.values)
-    vx = plan.grad(v_hat)
-    u_hat_new, v_hat_new, u_new = _advance(ws, s.params, u, u_hat, v_hat, vx, dt)
-    t_new = s.t + dt
-    _check_state(u_new, t_new, neg_tol)
-    v_new = plan.to_physical(v_hat_new)
-    if not np.all(np.isfinite(v_new)):
-        raise DivergenceError(t_new)
-    return SimState(t=t_new, u=Field(s.grid, u_new), v=Field(s.grid, v_new), params=s.params)
 
 
 def _check_state(u: np.ndarray, t: float, neg_tol: float) -> None:
@@ -227,8 +193,9 @@ def _check_state(u: np.ndarray, t: float, neg_tol: float) -> None:
         raise PositivityViolationError(t, float(u_min))
 
 
-def _record_times(start: float, ctl: StepControl) -> list[float]:
-    """Multiples of record_every after ``start`` up to t_end, then t_end."""
+def record_times(start: float, ctl: StepControl) -> list[float]:
+    """Multiples of record_every after ``start`` up to t_end, then t_end:
+    the times of the records :func:`integrate` emits after its first."""
     times = []
     k = int(np.floor(start / ctl.record_every + 1e-9)) + 1
     while True:
@@ -273,7 +240,7 @@ def integrate(
 
     t = s0.t
     final_state = None
-    for target in _record_times(s0.t, ctl):
+    for target in record_times(s0.t, ctl):
         while target - t > 1e-13 * max(1.0, target):
             vx = plan.grad(v_hat)
             dt_c = _cfl_from_norms(p, s0.grid.spacing, _grad_sup(vx), float(u.max()), ctl)

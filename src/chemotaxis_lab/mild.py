@@ -80,12 +80,12 @@ class PicardConfig:
 
 @dataclass
 class PicardResult:
-    """Fixed-point trajectory at the quadrature nodes plus convergence data."""
+    """Fixed-point trajectory at the quadrature nodes plus convergence data;
+    ``diffs`` holds each sweep's iterate difference, the last the residual."""
 
     states: list[SimState]
     iterations: int
     diffs: list[float]
-    residual: float
 
 
 # Safety margin held back from the contraction condition; the horizon
@@ -234,4 +234,4 @@ def picard_solve(
         SimState(t=s0.t + i * delta, u=Field(s0.grid, U[i]), v=Field(s0.grid, V[i]), params=p)
         for i in range(q + 1)
     ]
-    return PicardResult(states=states, iterations=iterations, diffs=diffs, residual=diffs[-1])
+    return PicardResult(states=states, iterations=iterations, diffs=diffs)

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import json
 import os
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import constants as consts
 from .config import ConfigError, ExperimentConfig, SweepConfig, build_initial_state
+from .core import InvalidParameterError
 from .harness import (
     DiagnosticsRecord,
     Verdict,
@@ -39,8 +41,9 @@ from .harness import (
     check_lyapunov,
     check_persistence,
     fit_decay_rate_sum,
+    require_judgeable,
 )
-from .imex import DivergenceError, PositivityViolationError, integrate
+from .imex import DivergenceError, PositivityViolationError, integrate, record_times
 from .spectral import SemigroupPlan, measure_gradient_constant
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
     "execute_run",
     "execute_sweep",
     "execute_report",
+    "is_bug",
 ]
 
 EXIT_OK = 0
@@ -90,6 +94,11 @@ class RunOutcome:
         return EXIT_OK
 
 
+def is_bug(exc: BaseException) -> bool:
+    """Anything but a bad input or an I/O error, which print one line."""
+    return not isinstance(exc, (InvalidParameterError, OSError))
+
+
 def _resolve_bound_target(cfg: ExperimentConfig, pc: consts.PaperConstants) -> float:
     raw = cfg.checks.eventual_bound_target
     if raw not in ("refined", "general"):
@@ -114,6 +123,15 @@ def _write_constants(
 def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
     """Integrate one experiment and write its three artifacts into out_dir."""
     state = build_initial_state(cfg)  # a bad initial datum fails before any output
+    # So do checks that cannot judge records at integrate's record times; the
+    # eventual bound needs twice the relaxation time 1/min(a, lam).
+    times = [state.t, *record_times(state.t, cfg.step)]
+    require_judgeable(
+        span=times[-1] - times[0],
+        min_span=2.0 / min(cfg.params.a, cfg.params.lam) if cfg.checks.eventual_bound else None,
+        inf_u0=float(state.u.values.min()) if cfg.checks.persistence else None,
+        n_records=len(times) if cfg.checks.convergence else None,
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -167,7 +185,6 @@ def _evaluate_checks(
     p = cfg.params
     checks = cfg.checks
     verdicts: list[Verdict] = []
-    min_span = 2.0 / min(p.a, p.lam)
     if checks.eventual_bound:
         verdicts.append(
             check_eventual_bound(
@@ -176,7 +193,6 @@ def _evaluate_checks(
                 _resolve_bound_target(cfg, pc),
                 transient_fraction=checks.transient_fraction,
                 slack=checks.slack,
-                min_span=min_span,
             )
         )
     if checks.lyapunov:
@@ -258,6 +274,8 @@ def _run_sweep_point(args) -> dict:
             f"{v.name}={'PASS' if v.passed else 'FAIL'}" for v in outcome.verdicts
         )
     except Exception as exc:  # point-level isolation: record, never abort the sweep
+        if is_bug(exc):
+            traceback.print_exc()
         row["status"] = f"ERROR({type(exc).__name__}: {exc})"
     return row
 

@@ -4,7 +4,10 @@ On a periodic grid the semigroup generated by lap - sigma*I acts diagonally
 on Fourier modes: mode k is scaled by exp(-(|k|^2 + sigma) t), which is exact
 for the trigonometric interpolant.  The gradient and divergence compositions
 are realised by the extra multiplier i*k, which is the constructive form of
-the bounded extension of exp(t(lap - sigma I)) div.
+the bounded extension of exp(t(lap - sigma I)) div.  With the
+:class:`SemigroupPlan` methods and m = multiplier(t, sigma), E(t, sigma) f
+is to_physical(to_spectral(f) * m), grad E(t, sigma) f is
+grad(to_spectral(f) * m) and E(t, sigma) div w is to_physical(div_hat(w) * m).
 
 Sup-norm facts used by tests and by the contraction horizon:
 
@@ -43,22 +46,18 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from .core import Field, Grid, GridMismatchError, InvalidParameterError, VectorField
+from .core import Grid
 
 __all__ = [
+    "CALIBRATION_TIMES",
     "SemigroupPlan",
-    "apply_semigroup",
-    "apply_semigroup_grad",
-    "apply_semigroup_div",
-    "gradient",
-    "laplacian",
     "measure_gradient_constant",
     "sum_of_squares",
 ]
 
 # Multiplier values below this are flushed to zero to avoid denormal slowdowns.
 _UNDERFLOW_FLUSH = 1e-300
-# Times at which measure_gradient_constant evaluates the kernels by default.
+# Times at which measure_gradient_constant evaluates the kernels.
 CALIBRATION_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
 
 
@@ -163,50 +162,6 @@ class SemigroupPlan:
         return -np.expm1(-rate * t) / rate
 
 
-def _check_args(plan: SemigroupPlan, grid: Grid, t: float, sigma: float, *, strict_t: bool) -> None:
-    if grid != plan.grid:
-        raise GridMismatchError("field grid does not match plan grid")
-    if not np.isfinite(t) or t < 0.0 or (strict_t and t == 0.0):
-        kind = "> 0" if strict_t else ">= 0"
-        raise InvalidParameterError(f"time must be {kind}, got {t!r}")
-    if not np.isfinite(sigma) or sigma < 0.0:
-        raise InvalidParameterError(f"sigma must be >= 0, got {sigma!r}")
-
-
-def apply_semigroup(plan: SemigroupPlan, f: Field, t: float, sigma: float = 0.0) -> Field:
-    """Apply exp(t(lap - sigma I)) to ``f``.  Exact identity at t = 0."""
-    _check_args(plan, f.grid, t, sigma, strict_t=False)
-    if t == 0.0:
-        return f.copy()
-    spec = plan.to_spectral(f.values) * plan.multiplier(t, sigma)
-    return Field(f.grid, plan.to_physical(spec, overwrite=True))
-
-
-def apply_semigroup_grad(
-    plan: SemigroupPlan, f: Field, t: float, sigma: float = 0.0
-) -> VectorField:
-    """Apply grad exp(t(lap - sigma I)) to ``f``; requires t > 0."""
-    _check_args(plan, f.grid, t, sigma, strict_t=True)
-    spec = plan.to_spectral(f.values) * plan.multiplier(t, sigma)
-    return VectorField(f.grid, plan.grad(spec))
-
-
-def apply_semigroup_div(
-    plan: SemigroupPlan, w: VectorField, t: float, sigma: float = 0.0
-) -> Field:
-    """Apply the bounded extension exp(t(lap - sigma I)) div to ``w``; t > 0."""
-    _check_args(plan, w.grid, t, sigma, strict_t=True)
-    acc = plan.div_hat(w.components)
-    return Field(w.grid, plan.to_physical(acc * plan.multiplier(t, sigma), overwrite=True))
-
-
-def gradient(plan: SemigroupPlan, f: Field) -> VectorField:
-    """Exact spectral gradient of the trigonometric interpolant."""
-    if f.grid != plan.grid:
-        raise GridMismatchError("field grid does not match plan grid")
-    return VectorField(f.grid, plan.grad(plan.to_spectral(f.values)))
-
-
 def sum_of_squares(components) -> np.ndarray:
     """Pointwise sum of the squared components (|grad v|^2 for the output
     of :meth:`SemigroupPlan.grad`), accumulated axis by axis."""
@@ -216,28 +171,16 @@ def sum_of_squares(components) -> np.ndarray:
     return out
 
 
-def laplacian(plan: SemigroupPlan, f: Field) -> Field:
-    """Exact spectral Laplacian of the trigonometric interpolant."""
-    if f.grid != plan.grid:
-        raise GridMismatchError("field grid does not match plan grid")
-    spec = plan.to_spectral(f.values)
-    return Field(f.grid, plan.to_physical(-plan.k2 * spec, overwrite=True))
-
-
-def measure_gradient_constant(
-    plan: SemigroupPlan, *, times=CALIBRATION_TIMES, sigma: float = 0.0
-) -> float:
+def measure_gradient_constant(plan: SemigroupPlan) -> float:
     """Exact gradient smoothing constant on the plan's grid: the max over
-    ``times`` and axes of sqrt(t) exp(sigma t) times the l1 norm of the
-    kernel d_i E(t, sigma) delta, which is the sup-to-sup norm of that
-    periodic convolution.  The unit delta's spectrum is 1 on every mode, so
-    the kernel's spectrum is the multiplier itself."""
-    times = tuple(times)
-    for t in times:
-        _check_args(plan, plan.grid, t, sigma, strict_t=True)
+    CALIBRATION_TIMES and axes of sqrt(t) times the l1 norm of the kernel
+    d_i E(t) delta, which is the sup-to-sup norm of that periodic
+    convolution.  E(t, sigma) = exp(-sigma t) E(t, 0), so the constant
+    holds for every sigma >= 0.  The unit delta's spectrum is 1 on every
+    mode, so the kernel's spectrum is the multiplier itself."""
     best = 0.0
-    for t in times:
-        weight = np.sqrt(t) * np.exp(sigma * t)
-        for kernel in plan.grad(plan.multiplier(t, sigma)):
+    for t in CALIBRATION_TIMES:
+        weight = np.sqrt(t)
+        for kernel in plan.grad(plan.multiplier(t, 0.0)):
             best = max(best, float(np.abs(kernel).sum()) * weight)
     return best

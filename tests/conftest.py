@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from chemotaxis_lab import Field, Grid, Params, SemigroupPlan, SimState
+from chemotaxis_lab import Grid, Params, SemigroupPlan
 
 
 @pytest.fixture
@@ -21,5 +21,26 @@ def unit_params() -> Params:
     return Params(chi=1.0, a=1.0, b=1.0, lam=1.0, mu=1.0, dim=1)
 
 
-def make_state(grid: Grid, params: Params, u_values, v_values, t: float = 0.0) -> SimState:
-    return SimState(t=t, u=Field(grid, u_values), v=Field(grid, v_values), params=params)
+# The semigroup compositions as the stepper and the oracle apply them: the
+# plan's multiplier on a spectrum (see chemotaxis_lab.spectral).
+
+
+def semigroup(plan: SemigroupPlan, values, t: float, sigma: float) -> np.ndarray:
+    """exp(t(lap - sigma I)) values."""
+    spec = plan.to_spectral(values) * plan.multiplier(t, sigma)
+    return plan.to_physical(spec, overwrite=True)
+
+
+def semigroup_grad(plan: SemigroupPlan, values, t: float, sigma: float) -> list[np.ndarray]:
+    """grad exp(t(lap - sigma I)) values, one array per axis."""
+    return plan.grad(plan.to_spectral(values) * plan.multiplier(t, sigma))
+
+
+def semigroup_div(plan: SemigroupPlan, components, t: float, sigma: float) -> np.ndarray:
+    """exp(t(lap - sigma I)) div w for the components of w."""
+    return plan.to_physical(plan.div_hat(components) * plan.multiplier(t, sigma), overwrite=True)
+
+
+def lap(plan: SemigroupPlan, values) -> np.ndarray:
+    """Spectral Laplacian, as the diagnostics record forms lap v."""
+    return plan.to_physical(-plan.k2 * plan.to_spectral(values), overwrite=True)

@@ -25,10 +25,6 @@ from chemotaxis_lab import (
     SemigroupPlan,
     SimState,
     StepControl,
-    VectorField,
-    apply_semigroup,
-    apply_semigroup_div,
-    apply_semigroup_grad,
     convergence_K,
     gaussian_tail,
     integrate,
@@ -38,6 +34,7 @@ from chemotaxis_lab import (
 )
 from chemotaxis_lab.config import ChecksSpec, ExperimentConfig, InitialSpec
 from chemotaxis_lab.runner import RunOutcome, execute_run
+from conftest import semigroup, semigroup_div, semigroup_grad
 
 SQRT_PI = math.sqrt(math.pi)
 TWO_PI = 2.0 * math.pi
@@ -63,10 +60,9 @@ def test_criterion_01_semigroup_exactness():
         k = int(rng.integers(0, 17))
         t = float(rng.uniform(0.0, 0.03))
         sigma = float(rng.uniform(0.0, 3.0))
-        f = Field(grid, np.cos(k * x))
-        out = apply_semigroup(plan, f, t, sigma)
+        out = semigroup(plan, np.cos(k * x), t, sigma)
         expected = math.exp(-(k * k + sigma) * t) * np.cos(k * x)
-        rel = np.abs(out.values - expected).max() / abs(math.exp(-(k * k + sigma) * t))
+        rel = np.abs(out - expected).max() / abs(math.exp(-(k * k + sigma) * t))
         worst = max(worst, rel)
     ok = report(1, "semigroup eigenmode exactness", worst <= 1e-12, f"worst rel err {worst:.3e}")
     assert ok
@@ -92,23 +88,23 @@ def test_criterion_02_divergence_envelope():
         for _ in range(100):
             comps = [rng.uniform(-1.0, 1.0, grid.shape) for _ in range(dim)]
             top = max(np.abs(c).max() for c in comps)
-            w = VectorField(grid, [c / top for c in comps])
+            w = [c / top for c in comps]
             for t in times:
                 for sigma in sigmas:
-                    out = apply_semigroup_div(plan, w, t, sigma)
-                    worst_ratio = max(worst_ratio, out.sup_abs() / envelope(t, sigma))
+                    out = semigroup_div(plan, w, t, sigma)
+                    worst_ratio = max(worst_ratio, np.abs(out).max() / envelope(t, sigma))
         # Extremal datum w_i = sign(K_i(-x)) with K_i = d_i E(t) delta: at the
         # origin E(t, sigma) div w sums to e^(-sigma t) sum_i |K_i|_1, the
         # exact sup-to-sup norm of the discrete operator.
         delta = np.zeros(grid.shape)
         delta.flat[0] = 1.0
         for t in times:
-            kernels = apply_semigroup_grad(plan, Field(grid, delta), t).components
+            kernels = semigroup_grad(plan, delta, t, 0.0)
             reflected = [np.roll(np.flip(k), 1, axis=tuple(range(dim))) for k in kernels]
-            w = VectorField(grid, [np.sign(k) for k in reflected])
+            w = [np.sign(k) for k in reflected]
             norm = sum(float(np.abs(k).sum()) for k in kernels)
             for sigma in sigmas:
-                sup_out = apply_semigroup_div(plan, w, t, sigma).sup_abs()
+                sup_out = float(np.abs(semigroup_div(plan, w, t, sigma)).max())
                 worst_ratio = max(worst_ratio, sup_out / envelope(t, sigma))
                 exact = math.exp(-sigma * t) * norm
                 worst_attained = max(worst_attained, abs(sup_out / exact - 1.0))

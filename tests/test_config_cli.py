@@ -133,6 +133,14 @@ REJECTED = {
         {"u_wavenumber = 1.0": "u_wavenumber = 1.3"},
         "does not fit the periodic box",
     ),
+    "negative-initial-density": (
+        {"u_base = 0.8": "u_base = -0.1"},
+        "error: [initial] u must be >= 0 everywhere, got min -0.3",
+    ),
+    "negative-initial-concentration": (
+        {"v_base = 0.8": "v_base = -0.5"},
+        "[initial] v must be >= 0 everywhere, got min -0.5",
+    ),
     "empty-random-range": (
         {
             "u_kind = cosine\nu_base = 0.8\nu_amplitude = 0.2\nu_wavenumber = 1.0": (
@@ -148,7 +156,8 @@ REJECTED = {
 def test_bad_input_exits_4_before_any_output(tmp_path, capsys, edits, message):
     path = write_base_config(tmp_path, **edits)
     assert main(["run", str(path)]) == 4
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
     assert not (tmp_path / "results").exists()
 
 
@@ -326,6 +335,7 @@ def test_cli_run_its_checks_cannot_judge_is_one_line(tmp_path, capsys, edits, li
     err = capsys.readouterr().err
     assert err == line + "\n"
     assert "Traceback" not in err
+    assert not (tmp_path / "results").exists()
 
 
 def test_cli_out_and_seed_overrides(tmp_path):
@@ -422,11 +432,12 @@ def test_sweep_isolates_poisoned_points(tmp_path):
     assert lines[2].split(",")[3] == "OK"
 
 
-def test_sweep_records_a_failed_point_as_an_error_row(tmp_path):
+def test_sweep_records_a_failed_point_as_an_error_row(tmp_path, capsys):
     # t_end = 1 is shorter than the eventual bound's minimum span
-    # 2/min(a, lam) = 2, so the check raises after the run
+    # 2/min(a, lam) = 2, so the point is rejected before it runs
     path = write_sweep_config(tmp_path, "1.0", **{"t_end = 8.0": "t_end = 1.0"})
     assert main(["sweep", str(path), "--workers", "1"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
     with open(tmp_path / "sweep_results" / "sweep_summary.csv", newline="") as fh:
         header, row = csv.reader(fh)
     assert len(header) == len(row) == 13
@@ -434,6 +445,20 @@ def test_sweep_records_a_failed_point_as_an_error_row(tmp_path):
     assert point["value"] == "1.0"
     assert point["status"].startswith("ERROR(SeriesTooShortError")
     assert point["final_sup_u"] == point["verdicts"] == ""
+
+
+def test_sweep_point_that_hits_a_bug_keeps_its_traceback(tmp_path, capsys, monkeypatch):
+    def broken(cfg, out_dir):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("chemotaxis_lab.runner.execute_run", broken)
+    path = write_sweep_config(tmp_path, "1.0")
+    assert main(["sweep", str(path), "--workers", "1"]) == 0
+    with open(tmp_path / "sweep_results" / "sweep_summary.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert dict(zip(header, row))["status"] == "ERROR(KeyError: 'lost')"
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last)") and "in broken" in err
 
 
 def test_empty_sweep_grid_exits_4(tmp_path):

@@ -23,7 +23,6 @@ from chemotaxis_lab import (
     persistence_T,
     principal_eigenvalue,
     principal_eigenvalue_fd,
-    step1_Mtilde,
 )
 
 coeff = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
@@ -292,13 +291,3 @@ def test_persistence_radius_monotonicity():
     assert persistence_L(1e-4, 1.0, 1, 0.5) >= base  # smaller tolerance, larger L
     assert persistence_L(1e-3, 2.0, 1, 0.5) >= base  # longer wait, larger L
 
-
-def test_amplification_factor():
-    assert step1_Mtilde(1.0, 1.0, 1.0, 1) == pytest.approx(3.0, rel=1e-14)
-    # second branch: 1 + mu lam^(-1/2) (M+1) at N = 1
-    assert step1_Mtilde(4.0, 1.0, 1.0, 1) == pytest.approx(
-        max(1 + 1 / (4 * math.sqrt(math.pi)) + 0.25, 1 + 0.5 * 2.0), rel=1e-14
-    )
-    small = step1_Mtilde(1.0, 1.0, 1e-12, 1)
-    assert small == pytest.approx(2.0, rel=1e-6)  # M -> 0 limit of both branches
-    assert step1_Mtilde(1.0, 1.0, 2.0, 1) > step1_Mtilde(1.0, 1.0, 1.0, 1)

@@ -10,7 +10,6 @@ from chemotaxis_lab import (
     InvalidParameterError,
     Params,
     SimState,
-    VectorField,
 )
 
 
@@ -58,21 +57,6 @@ def test_field_rejects_nonfinite_and_wrong_shape():
         Field(g, bad)
     with pytest.raises(GridMismatchError):
         Field(g, np.zeros(65))
-
-
-def test_field_nonnegative_flag():
-    g = Grid(dim=1, extent=2 * np.pi, points=64)
-    values = np.full(64, -1e-9)
-    Field(g, values, nonnegative=True, tol_neg=1e-8)
-    with pytest.raises(InvalidParameterError):
-        Field(g, values, nonnegative=True, tol_neg=1e-10)
-
-
-def test_vector_field_component_count():
-    g = Grid(dim=2, extent=1.0, points=16)
-    VectorField(g, [np.zeros((16, 16)), np.zeros((16, 16))])
-    with pytest.raises(GridMismatchError):
-        VectorField(g, [np.zeros((16, 16))])
 
 
 def test_simstate_rejects_mismatched_grids():

@@ -14,6 +14,7 @@ from chemotaxis_lab import (
     fit_decay_rate,
 )
 from chemotaxis_lab.harness import auto_fit_window, check_lyapunov, fit_decay_rate_sum
+from chemotaxis_lab.harness import require_judgeable
 from chemotaxis_lab import Field, Grid, SimState
 
 
@@ -122,7 +123,7 @@ def test_eventual_bound_slack_monotone():
 def test_eventual_bound_short_series_is_an_error():
     series = series_from([0.0, 0.5])
     with pytest.raises(SeriesTooShortError):
-        check_eventual_bound(series, "sup_u", 1.0, min_span=2.0)
+        require_judgeable(span=series[-1].t - series[0].t, min_span=2.0)
 
 
 def test_persistence_constant_tail():

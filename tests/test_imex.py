@@ -15,11 +15,10 @@ from chemotaxis_lab import (
     SemigroupPlan,
     SimState,
     StepControl,
-    cfl_dt,
     integrate,
-    step,
 )
 from chemotaxis_lab.harness import DiagnosticsRecord
+from chemotaxis_lab.imex import _advance, _cfl_from_norms, _check_state, _grad_sup, _Workspace
 
 
 def make_state(params, u_values, v_values, points=64, extent=2 * np.pi):
@@ -30,12 +29,35 @@ def make_state(params, u_values, v_values, points=64, extent=2 * np.pi):
     return SimState(t=0.0, u=Field(grid, u), v=Field(grid, v), params=params)
 
 
+def cfl(s, ctl):
+    """The step bound integrate computes at state s: the CFL formula on
+    sup|grad v| from v's spectrum and sup u."""
+    plan = SemigroupPlan(s.grid)
+    grad_sup = _grad_sup(plan.grad(plan.to_spectral(s.v.values)))
+    return _cfl_from_norms(s.params, s.grid.spacing, grad_sup, s.u.sup(), ctl)
+
+
+def fixed_steps(s, dt, steps, neg_tol):
+    """``steps`` steps of size dt from s, each the two calls integrate makes
+    per step (_advance, then _check_state), without its step control."""
+    plan = SemigroupPlan(s.grid)
+    ws = _Workspace(plan, s.params)
+    u = s.u.values
+    u_hat = plan.to_spectral(u)
+    v_hat = plan.to_spectral(s.v.values)
+    t = s.t
+    for _ in range(steps):
+        u_hat, v_hat, u = _advance(ws, s.params, u, u_hat, v_hat, plan.grad(v_hat), dt)
+        t += dt
+        _check_state(u, t, neg_tol)
+
+
 def test_cfl_formula_reaction_limited():
     # homogeneous state: grad v = 0, so dt = 0.5*min(0.1, huge, 1/3) = 0.05
     p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
     s = make_state(p, 1.0, 1.0)
     ctl = StepControl(dt_max=0.1, t_end=1.0, record_every=0.5, cfl_safety=0.5)
-    assert cfl_dt(s, ctl) == pytest.approx(0.05, rel=1e-12)
+    assert cfl(s, ctl) == pytest.approx(0.05, rel=1e-12)
 
 
 def test_cfl_advective_term_is_reciprocal():
@@ -51,7 +73,7 @@ def test_cfl_advective_term_is_reciprocal():
             v=Field(grid, amplitude * np.sin(x)),
             params=p,
         )
-        dts.append(cfl_dt(s, ctl))
+        dts.append(cfl(s, ctl))
     assert dts[0] == pytest.approx(2.0 * dts[1], rel=1e-9)
 
 
@@ -59,17 +81,19 @@ def test_cfl_ceiling_selected_when_smallest():
     p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
     s = make_state(p, 1e-9, 0.0)
     ctl = StepControl(dt_max=1e-4, t_end=1.0, record_every=0.5, cfl_safety=1.0)
-    assert cfl_dt(s, ctl) == pytest.approx(1e-4, rel=1e-12)
+    assert cfl(s, ctl) == pytest.approx(1e-4, rel=1e-12)
 
 
 def test_steady_state_is_fixed_up_to_step_bias():
     # ETD1 integrates the propagator exactly over the step, so the
     # homogeneous equilibrium is a fixed point of one step of any size:
-    # e^{-lam dt} u* + (1 - e^{-lam dt})/lam * lam u* = u*, up to roundoff
+    # e^{-lam dt} u* + (1 - e^{-lam dt})/lam * lam u* = u*, up to roundoff.
+    # grad v = 0 and the reactive limit is 1/3, so dt_max sets the one step.
     p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
     s = make_state(p, p.steady_u, p.steady_v)
     for dt in (5e-4, 1e-2, 0.1):
-        stepped = step(s, dt)
+        ctl = StepControl(dt_max=dt, t_end=dt, record_every=dt, cfl_safety=1.0)
+        stepped = integrate(s, ctl)
         for attr in ("u", "v"):
             drift = getattr(stepped, attr).values - getattr(s, attr).values
             assert np.abs(drift).max() <= 1e-14
@@ -93,7 +117,7 @@ def test_zero_density_invariant_subspace():
     s = make_state(p, 0.0, 0.8)
     ctl = StepControl(dt_max=1e-2, t_end=2.0, record_every=1.0, cfl_safety=1.0)
     final = integrate(s, ctl)
-    assert final.u.sup_abs() == 0.0
+    assert np.abs(final.u.values).max() == 0.0
     assert final.v.values == pytest.approx(0.8 * math.exp(-p.lam * 2.0), rel=1e-12)
 
 
@@ -109,7 +133,7 @@ def test_positivity_violation_raises_with_time():
         params=p,
     )
     with pytest.raises(PositivityViolationError) as info:
-        step(s, 0.2)
+        fixed_steps(s, 0.2, 1, neg_tol=1e-8)
     assert info.value.t == pytest.approx(0.2)
     assert info.value.min_value < 0
 
@@ -127,8 +151,7 @@ def test_divergence_error_reports_time():
         params=p,
     )
     with pytest.raises(DivergenceError) as info, np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(50):
-            s = step(s, 1.0, neg_tol=np.inf)
+        fixed_steps(s, 1.0, 50, neg_tol=np.inf)
     assert info.value.t > 0
 
 
