@@ -55,7 +55,7 @@ from .harness import (
     check_eventual_bound,
     check_persistence,
     diagnostics,
-    fit_decay_rate,
+    fit_decay_rate_sum,
 )
 from .config import ConfigError, ExperimentConfig, load_config, write_config
 

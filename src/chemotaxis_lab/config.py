@@ -16,8 +16,9 @@ its annotation is the key's type, and its default makes the key optional.
 The schema is closed.  An unknown section or key, a generator key that the
 chosen kind does not take, an unparsable value and a value its dataclass
 rejects are all a :class:`ConfigError` naming the file and the section or
-key, raised at load, before any compute or output.  Files round-trip
-losslessly through :func:`write_config` / :func:`load_config`.
+key, raised at load, before any compute or output (``nan`` and ``inf`` do
+not parse).  Files round-trip losslessly through :func:`write_config` /
+:func:`load_config`.
 
 Initial-condition generators (for ``u_kind`` / ``v_kind``):
 
@@ -77,6 +78,13 @@ def _key(name: str) -> str:
 _SWEEPABLE = {f"params.{_key(f.name)}": f.name for f in fields(Params) if f.name != "dim"}
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class InitialSpec:
     seed: int
@@ -104,10 +112,10 @@ class ChecksSpec:
     def __post_init__(self) -> None:
         if self.eventual_bound_target not in ("refined", "general"):
             try:
-                float(self.eventual_bound_target)
+                _finite(self.eventual_bound_target)
             except ValueError:
                 raise InvalidParameterError(
-                    "eventual_bound_target must be 'refined', 'general', or a number"
+                    "eventual_bound_target must be 'refined', 'general', or a finite number"
                 ) from None
         if self.eventual_bound_field not in DiagnosticsRecord.FIELDS:
             raise InvalidParameterError(
@@ -183,7 +191,7 @@ def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
-_PARSERS = {bool: _bool, int: int, float: float, str: str}
+_PARSERS = {bool: _bool, int: int, float: _finite, str: str}
 
 
 def _read_fields(section, cls, **given):
@@ -229,7 +237,7 @@ def _initial_from_section(sec) -> InitialSpec:
     takes = "; ".join(f"{f}_kind = {kinds[f]} takes {', '.join(keys[f].values())}" for f in keys)
     allowed = {"seed", "u_kind", "v_kind", *keys["u"].values(), *keys["v"].values()}
     _reject_unknown(sec, allowed, f" ({takes})")
-    args = {f: {name: _get(sec, key, float) for name, key in keys[f].items()} for f in keys}
+    args = {f: {name: _get(sec, key, _finite) for name, key in keys[f].items()} for f in keys}
     return InitialSpec(seed, kinds["u"], kinds["v"], args["u"], args["v"])
 
 
@@ -290,7 +298,7 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
             )
         raw_values = _get(sec, "values", str)
         try:
-            values = tuple(float(v) for v in raw_values.split(",") if v.strip())
+            values = tuple(_finite(v) for v in map(str.strip, raw_values.split(",")) if v)
         except ValueError as exc:
             raise ConfigError(f"sweep values: {exc}") from exc
         if not values:

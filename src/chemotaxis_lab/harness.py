@@ -2,7 +2,8 @@
 
 A run produces a time series of :class:`DiagnosticsRecord`; the check
 functions turn a series into a :class:`Verdict` on eventual boundedness, a
-persistence floor, or exponential convergence with a fitted rate.
+persistence floor, or exponential convergence with a fitted rate.  Nothing
+here transforms: :func:`diagnostics` reduces arrays the stepper holds.
 
 The asymptotic statements are operationalised as follows and the slack used
 is carried in every verdict:
@@ -28,8 +29,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .core import InvalidParameterError, SimState
-from .spectral import SemigroupPlan, sum_of_squares
+from .core import InvalidParameterError, Params
 
 __all__ = [
     "SeriesTooShortError",
@@ -40,7 +40,6 @@ __all__ = [
     "check_eventual_bound",
     "check_lyapunov",
     "check_persistence",
-    "fit_decay_rate",
     "fit_decay_rate_sum",
     "auto_fit_window",
     "check_convergence",
@@ -99,23 +98,18 @@ class Verdict:
     transient_time: float
 
 
-def diagnostics(state: SimState, plan: SemigroupPlan | None = None) -> DiagnosticsRecord:
-    """Norms of one state; gradients and Laplacians are spectral."""
-    if plan is None:
-        plan = SemigroupPlan(state.grid)
-    p = state.params
-    u = state.u.values
-    v = state.v.values
-    v_hat = plan.to_spectral(v)
-    grad_mag = np.sqrt(sum_of_squares(plan.grad(v_hat)))
-    lap_v = plan.to_physical(-plan.k2 * v_hat)
-    lyap = u / p.chi + grad_mag**2 / (2.0 * p.mu)
+def diagnostics(
+    t: float, p: Params, u: np.ndarray, v: np.ndarray, grad_sq: np.ndarray, lap_v: np.ndarray
+) -> DiagnosticsRecord:
+    """Norms of one state, reduced from the physical u and v, |grad v|^2 and
+    lap v that the stepper already holds (see :func:`imex.integrate`)."""
+    lyap = u / p.chi + grad_sq / (2.0 * p.mu)
     return DiagnosticsRecord(
-        t=state.t,
+        t=t,
         sup_u=float(u.max()),
         inf_u=float(u.min()),
         sup_v=float(v.max()),
-        sup_grad_v=float(grad_mag.max()),
+        sup_grad_v=float(np.sqrt(grad_sq.max())),
         sup_lap_v=float(np.abs(lap_v).max()),
         lyapunov_sup=float(lyap.max()),
         err_u=float(np.abs(u - p.steady_u).max()),
@@ -218,19 +212,17 @@ def check_persistence(
     )
 
 
-def fit_decay_rate(
-    series: Sequence[DiagnosticsRecord],
-    field: str,
-    window: tuple[float, float],
+def fit_decay_rate_sum(
+    series: Sequence[DiagnosticsRecord], window: tuple[float, float]
 ) -> tuple[float, float]:
-    """Least-squares slope of log(field) vs t over ``window``.
+    """Least-squares slope of log(err_u + err_v) vs t over ``window``.
 
     Returns (alpha, r_squared) with alpha = -slope.  Raises
     :class:`WindowAdjustmentError` on nonpositive values (no log) or fewer
     than two points in the window.
     """
     t_lo, t_hi = window
-    sel = [(r.t, getattr(r, field)) for r in series if t_lo <= r.t <= t_hi]
+    sel = [(r.t, r.err_sum) for r in series if t_lo <= r.t <= t_hi]
     ts = np.array([s[0] for s in sel])
     vals = np.array([s[1] for s in sel])
     if len(ts) < 2:
@@ -244,13 +236,6 @@ def fit_decay_rate(
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     return float(-slope), r_squared
-
-
-def fit_decay_rate_sum(
-    series: Sequence[DiagnosticsRecord], window: tuple[float, float]
-) -> tuple[float, float]:
-    """fit_decay_rate on the combined err_u + err_v series."""
-    return fit_decay_rate(series, "err_sum", window)
 
 
 def auto_fit_window(series: Sequence[DiagnosticsRecord]) -> tuple[float, float]:

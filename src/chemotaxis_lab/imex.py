@@ -171,8 +171,8 @@ def _advance(
     return u_hat_new, v_hat_new, plan.to_physical(u_hat_new)
 
 
-def _grad_sup(vx: Sequence[np.ndarray]) -> float:
-    return float(np.sqrt(sum_of_squares(vx).max()))
+def _lap(plan: SemigroupPlan, v_hat: np.ndarray) -> np.ndarray:
+    return plan.to_physical(-plan.k2 * v_hat, overwrite=True)
 
 
 def _cfl_from_norms(
@@ -214,47 +214,51 @@ def integrate(
     s0: SimState,
     ctl: StepControl,
     sink: Callable[[DiagnosticsRecord], None] | None = None,
-    plan: SemigroupPlan | None = None,
+    *,
+    plan: SemigroupPlan,
 ) -> SimState:
     """Advance to ctl.t_end, emitting a diagnostics record at the start time
     and then at every multiple of record_every (timestamps strictly
-    increasing).
+    increasing).  Each state's grad v is formed once from v_hat, and the
+    next step and the record both read it: a record adds only the inverse
+    transforms of v and lap v.
 
     Deterministic given (s0, ctl).  Raises :class:`PositivityViolationError`
     or :class:`DivergenceError` with the offending time when the run leaves
     the admissible state space; records emitted so far remain with the sink.
     """
-    if plan is None:
-        plan = SemigroupPlan(s0.grid)
     if ctl.t_end <= s0.t:
         raise InvalidParameterError(f"t_end {ctl.t_end!r} must exceed start time {s0.t!r}")
     p = s0.params
     ws = _Workspace(plan, p)
 
-    u = s0.u.values.copy()
-    u_hat = plan.to_spectral(u)
-    v_hat = plan.to_spectral(s0.v.values)
-
-    if sink is not None:
-        sink(diagnostics(s0, plan))
-
     t = s0.t
-    final_state = None
+    u = s0.u.values.copy()
+    v = s0.v.values
+    u_hat = plan.to_spectral(u)
+    v_hat = plan.to_spectral(v)
+    vx = plan.grad(v_hat)
+    grad_sq = sum_of_squares(vx)
+    if sink is not None:
+        sink(diagnostics(t, p, u, v, grad_sq, _lap(plan, v_hat)))
+
     for target in record_times(s0.t, ctl):
         while target - t > 1e-13 * max(1.0, target):
-            vx = plan.grad(v_hat)
-            dt_c = _cfl_from_norms(p, s0.grid.spacing, _grad_sup(vx), float(u.max()), ctl)
+            grad_sup = float(np.sqrt(grad_sq.max()))
+            del grad_sq  # not held through the step: one field less at peak
+            dt_c = _cfl_from_norms(p, s0.grid.spacing, grad_sup, float(u.max()), ctl)
             remaining = target - t
             short = remaining <= dt_c * (1.0 + 1e-9)
             dt = remaining if short else dt_c
             u_hat, v_hat, u = _advance(ws, p, u, u_hat, v_hat, vx, dt, cache=not short)
             t += dt
             _check_state(u, t, ctl.neg_tol)
+            vx = plan.grad(v_hat)
+            grad_sq = sum_of_squares(vx)
         t = target
         v = plan.to_physical(v_hat)
         if not np.all(np.isfinite(v)):
             raise DivergenceError(t)
-        final_state = SimState(t=t, u=Field(s0.grid, u), v=Field(s0.grid, v), params=p)
         if sink is not None:
-            sink(diagnostics(final_state, plan))
-    return final_state
+            sink(diagnostics(t, p, u, v, grad_sq, _lap(plan, v_hat)))
+    return SimState(t=t, u=Field(s0.grid, u), v=Field(s0.grid, v), params=p)

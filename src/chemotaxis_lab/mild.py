@@ -139,12 +139,7 @@ def c1_norm(plan: SemigroupPlan, f: Field) -> float:
     return float(_c1(plan, f.values, plan.to_spectral(f.values)))
 
 
-def picard_solve(
-    s0: SimState,
-    T: float,
-    cfg: PicardConfig,
-    plan: SemigroupPlan | None = None,
-) -> PicardResult:
+def picard_solve(s0: SimState, T: float, cfg: PicardConfig, plan: SemigroupPlan) -> PicardResult:
     """Fixed point of the Duhamel map on [0, T], sampled at quad_nodes+1
     uniformly spaced nodes (including both endpoints).
 
@@ -154,8 +149,6 @@ def picard_solve(
     """
     if T <= 0.0:
         raise InvalidParameterError("horizon must be > 0")
-    if plan is None:
-        plan = SemigroupPlan(s0.grid)
     p = s0.params
     q = cfg.quad_nodes
     delta = T / q

@@ -151,7 +151,7 @@ def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
             fh.write(_record_row(record) + "\n")
 
         try:
-            integrate(state, cfg.step, sink, plan)
+            integrate(state, cfg.step, sink, plan=plan)
         except (DivergenceError, PositivityViolationError) as exc:
             status = "diverged"
             divergence_t = exc.t

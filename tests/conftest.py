@@ -42,5 +42,5 @@ def semigroup_div(plan: SemigroupPlan, components, t: float, sigma: float) -> np
 
 
 def lap(plan: SemigroupPlan, values) -> np.ndarray:
-    """Spectral Laplacian, as the diagnostics record forms lap v."""
+    """Spectral Laplacian of physical values (a forward and an inverse transform)."""
     return plan.to_physical(-plan.k2 * plan.to_spectral(values), overwrite=True)

@@ -121,6 +121,15 @@ REJECTED = {
         {"dt_max = 0.002": "dt_max = 0"},
         "experiment.ini: [step] dt_max must be > 0",
     ),
+    "nan-dt_max": (
+        {"dt_max = 0.002": "dt_max = nan"},
+        "experiment.ini: key 'dt_max' in section [step]: cannot parse 'nan' "
+        "(not a finite number: 'nan')",
+    ),
+    "nan-slack": (
+        {"persistence = true": "persistence = true\nslack = nan"},
+        "experiment.ini: key 'slack' in section [checks]: cannot parse 'nan'",
+    ),
     "unknown-bound-field": (
         {"persistence = true": "persistence = true\neventual_bound_field = sup_w"},
         "experiment.ini: [checks] eventual_bound_field must be one of",
@@ -159,6 +168,23 @@ def test_bad_input_exits_4_before_any_output(tmp_path, capsys, edits, message):
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("t_end = 8.0", "t_end = nan"),
+        ("t_end = 8.0", "t_end = inf"),
+        ("u_base = 0.8", "u_base = -inf"),
+        ("eventual_bound_target = refined", "eventual_bound_target = nan"),
+    ],
+    ids=["t_end-nan", "t_end-inf", "u_base-inf", "bound-target-nan"],
+)
+def test_non_finite_number_is_a_config_error(tmp_path, old, new):
+    # A nan t_end would never end the record schedule, so it is refused at load.
+    path = write_base_config(tmp_path, **{old: new})
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(path)
 
 
 def test_transient_fraction_of_one_is_accepted(tmp_path):
@@ -459,6 +485,12 @@ def test_sweep_point_that_hits_a_bug_keeps_its_traceback(tmp_path, capsys, monke
     assert dict(zip(header, row))["status"] == "ERROR(KeyError: 'lost')"
     err = capsys.readouterr().err
     assert err.startswith("Traceback (most recent call last)") and "in broken" in err
+
+
+def test_non_finite_sweep_value_is_a_config_error(tmp_path):
+    path = write_sweep_config(tmp_path, "0.5, inf")
+    with pytest.raises(ConfigError, match="sweep values: not a finite number: 'inf'"):
+        load_sweep_config(path)
 
 
 def test_empty_sweep_grid_exits_4(tmp_path):

@@ -5,17 +5,20 @@ import pytest
 
 from chemotaxis_lab import (
     DiagnosticsRecord,
+    SemigroupPlan,
     SeriesTooShortError,
+    StepControl,
     WindowAdjustmentError,
     check_convergence,
     check_eventual_bound,
     check_persistence,
-    diagnostics,
-    fit_decay_rate,
+    integrate,
 )
 from chemotaxis_lab.harness import auto_fit_window, check_lyapunov, fit_decay_rate_sum
 from chemotaxis_lab.harness import require_judgeable
-from chemotaxis_lab import Field, Grid, SimState
+from chemotaxis_lab import Field, Grid, Params, SimState
+from chemotaxis_lab.spectral import sum_of_squares
+from conftest import lap
 
 
 def make_record(t, **overrides):
@@ -35,6 +38,14 @@ def series_from(ts, **column_overrides):
     return records
 
 
+def first_record(state: SimState) -> DiagnosticsRecord:
+    """The record integrate emits for its start state."""
+    records: list[DiagnosticsRecord] = []
+    ctl = StepControl(dt_max=1e-3, t_end=state.t + 1e-3, record_every=1e-3)
+    integrate(state, ctl, records.append, plan=SemigroupPlan(state.grid))
+    return records[0]
+
+
 def test_diagnostics_at_homogeneous_steady_state(unit_params):
     grid = Grid(dim=1, extent=2 * np.pi, points=64)
     p = unit_params
@@ -44,7 +55,7 @@ def test_diagnostics_at_homogeneous_steady_state(unit_params):
         v=Field(grid, np.full(64, p.steady_v)),
         params=p,
     )
-    rec = diagnostics(state)
+    rec = first_record(state)
     assert rec.sup_u == rec.inf_u == pytest.approx(p.steady_u)
     assert rec.sup_grad_v == pytest.approx(0.0, abs=1e-14)
     assert rec.err_u == pytest.approx(0.0, abs=1e-14)
@@ -59,7 +70,7 @@ def test_diagnostics_zero_density(unit_params):
         v=Field(grid, np.full(64, 0.7)),
         params=unit_params,
     )
-    rec = diagnostics(state)
+    rec = first_record(state)
     assert rec.lyapunov_sup == pytest.approx(0.0, abs=1e-13)
     assert rec.sup_v == pytest.approx(0.7)
 
@@ -73,8 +84,31 @@ def test_diagnostics_lyapunov_value(unit_params):
         v=Field(grid, np.zeros(64)),
         params=unit_params,
     )
-    rec = diagnostics(state)
+    rec = first_record(state)
     assert rec.lyapunov_sup == pytest.approx(1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)], ids=["1d-256", "2d-64"])
+def test_record_matches_the_round_trip_norms_of_the_state(dim, points):
+    # The record reads grad v and lap v from the stepper's spectrum; taking
+    # the returned v through a forward transform again moves them only by
+    # roundoff, which grows with the derivative order m as eps k_max^m sup v.
+    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=dim)
+    grid = Grid(dim=dim, extent=2 * np.pi, points=points)
+    u0 = np.random.default_rng(11).uniform(0.1, 2.0, grid.shape)
+    state = SimState(t=0.0, u=Field(grid, u0), v=Field(grid, np.ones(grid.shape)), params=p)
+    plan = SemigroupPlan(grid)
+    records: list[DiagnosticsRecord] = []
+    ctl = StepControl(dt_max=0.01, t_end=2.0, record_every=0.5, cfl_safety=0.5)
+    final = integrate(state, ctl, records.append, plan=plan)
+    u, v = final.u.values, final.v.values
+    grad_sq = sum_of_squares(plan.grad(plan.to_spectral(v)))
+    unit = np.finfo(float).eps * (np.pi / grid.spacing) * v.max()
+    record = records[-1]
+    assert abs(record.sup_grad_v - np.sqrt(grad_sq.max())) <= 16 * unit
+    assert abs(record.sup_lap_v - np.abs(lap(plan, v)).max()) <= 16 * unit * np.pi / grid.spacing
+    lyapunov = (u / p.chi + grad_sq / (2 * p.mu)).max()
+    assert record.lyapunov_sup == pytest.approx(lyapunov, rel=1e-14, abs=0)
 
 
 def test_record_columns_are_the_dataclass_fields():
@@ -167,7 +201,7 @@ def test_fit_recovers_synthetic_exponential():
     ts = np.arange(0.0, 20.0 + 1e-9, 0.1)
     vals = 3.0 * np.exp(-0.3 * ts)
     series = series_from(ts, err_u=vals)
-    alpha, r2 = fit_decay_rate(series, "err_u", (0.0, 20.0))
+    alpha, r2 = fit_decay_rate_sum(series, (0.0, 20.0))
     assert alpha == pytest.approx(0.3, abs=1e-6)
     assert r2 > 0.999999
 
@@ -175,7 +209,7 @@ def test_fit_recovers_synthetic_exponential():
 def test_fit_constant_series_has_zero_rate():
     ts = np.linspace(0, 10, 51)
     series = series_from(ts, err_u=np.full(51, 2.0))
-    alpha, _ = fit_decay_rate(series, "err_u", (0.0, 10.0))
+    alpha, _ = fit_decay_rate_sum(series, (0.0, 10.0))
     assert abs(alpha) < 1e-9
 
 
@@ -183,7 +217,7 @@ def test_fit_constant_series_has_zero_rate():
 def test_fit_exact_across_rate_range(rate):
     ts = np.linspace(0.0, 4.0 / rate, 200)
     series = series_from(ts, err_u=np.exp(-rate * ts))
-    alpha, r2 = fit_decay_rate(series, "err_u", (ts[0], ts[-1]))
+    alpha, r2 = fit_decay_rate_sum(series, (ts[0], ts[-1]))
     assert alpha == pytest.approx(rate, rel=1e-9)
     assert r2 > 0.999999
 
@@ -193,7 +227,7 @@ def test_fit_rejects_nonpositive_values():
     vals = np.linspace(1.0, -0.1, 21)
     series = series_from(ts, err_u=vals)
     with pytest.raises(WindowAdjustmentError):
-        fit_decay_rate(series, "err_u", (0.0, 10.0))
+        fit_decay_rate_sum(series, (0.0, 10.0))
 
 
 def fitted_convergence(series, **kwargs):

@@ -18,7 +18,8 @@ from chemotaxis_lab import (
     integrate,
 )
 from chemotaxis_lab.harness import DiagnosticsRecord
-from chemotaxis_lab.imex import _advance, _cfl_from_norms, _check_state, _grad_sup, _Workspace
+from chemotaxis_lab.imex import _advance, _cfl_from_norms, _check_state, _Workspace
+from chemotaxis_lab.spectral import sum_of_squares
 
 
 def make_state(params, u_values, v_values, points=64, extent=2 * np.pi):
@@ -33,7 +34,8 @@ def cfl(s, ctl):
     """The step bound integrate computes at state s: the CFL formula on
     sup|grad v| from v's spectrum and sup u."""
     plan = SemigroupPlan(s.grid)
-    grad_sup = _grad_sup(plan.grad(plan.to_spectral(s.v.values)))
+    grad_sq = sum_of_squares(plan.grad(plan.to_spectral(s.v.values)))
+    grad_sup = float(np.sqrt(grad_sq.max()))
     return _cfl_from_norms(s.params, s.grid.spacing, grad_sup, s.u.sup(), ctl)
 
 
@@ -93,7 +95,7 @@ def test_steady_state_is_fixed_up_to_step_bias():
     s = make_state(p, p.steady_u, p.steady_v)
     for dt in (5e-4, 1e-2, 0.1):
         ctl = StepControl(dt_max=dt, t_end=dt, record_every=dt, cfl_safety=1.0)
-        stepped = integrate(s, ctl)
+        stepped = integrate(s, ctl, plan=SemigroupPlan(s.grid))
         for attr in ("u", "v"):
             drift = getattr(stepped, attr).values - getattr(s, attr).values
             assert np.abs(drift).max() <= 1e-14
@@ -106,7 +108,7 @@ def test_chi_zero_reduces_to_logistic():
     c = 0.5
     s = make_state(p, c, 0.5)
     ctl = StepControl(dt_max=2e-4, t_end=1.0, record_every=0.5, cfl_safety=1.0)
-    final = integrate(s, ctl)
+    final = integrate(s, ctl, plan=SemigroupPlan(s.grid))
     expected = p.a * c / (p.b * c + (p.a - p.b * c) * math.exp(-p.a * 1.0))
     assert expected == pytest.approx(0.7310585786300049, rel=1e-12)
     assert np.abs(final.u.values - expected).max() <= 1e-4
@@ -116,7 +118,7 @@ def test_zero_density_invariant_subspace():
     p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
     s = make_state(p, 0.0, 0.8)
     ctl = StepControl(dt_max=1e-2, t_end=2.0, record_every=1.0, cfl_safety=1.0)
-    final = integrate(s, ctl)
+    final = integrate(s, ctl, plan=SemigroupPlan(s.grid))
     assert np.abs(final.u.values).max() == 0.0
     assert final.v.values == pytest.approx(0.8 * math.exp(-p.lam * 2.0), rel=1e-12)
 
@@ -168,7 +170,7 @@ def test_step_halving_is_first_order():
     finals = []
     for dt in (2e-3, 1e-3, 5e-4):
         ctl = StepControl(dt_max=dt, t_end=0.25, record_every=0.25, cfl_safety=1.0)
-        finals.append(integrate(s, ctl).u.values)
+        finals.append(integrate(s, ctl, plan=SemigroupPlan(grid)).u.values)
     e1 = np.abs(finals[0] - finals[1]).max()
     e2 = np.abs(finals[1] - finals[2]).max()
     slope = math.log2(e1 / e2)
@@ -180,7 +182,7 @@ def test_records_start_at_zero_and_increase():
     s = make_state(p, 0.5, 0.5)
     ctl = StepControl(dt_max=1e-2, t_end=1.0, record_every=0.3, cfl_safety=1.0)
     records: list[DiagnosticsRecord] = []
-    integrate(s, ctl, records.append)
+    integrate(s, ctl, records.append, plan=SemigroupPlan(s.grid))
     ts = [r.t for r in records]
     assert ts[0] == 0.0
     assert ts[-1] == pytest.approx(1.0)
@@ -202,7 +204,7 @@ def test_step_weights_are_rebuilt_at_most_once_per_record_interval(monkeypatch):
     s = make_state(p, np.random.default_rng(98).uniform(0.03, 0.07, 64), 0.05)
     ctl = StepControl(dt_max=1e-3, t_end=2.0, record_every=0.25, cfl_safety=1.0)
     records: list[DiagnosticsRecord] = []
-    integrate(s, ctl, records.append)
+    integrate(s, ctl, records.append, plan=SemigroupPlan(s.grid))
     intervals = len(records) - 1
     assert len(built) <= intervals + 1
 
@@ -218,7 +220,7 @@ def test_integration_is_deterministic():
         )
         ctl = StepControl(dt_max=5e-3, t_end=2.0, record_every=0.5)
         records: list[DiagnosticsRecord] = []
-        final = integrate(s, ctl, records.append)
+        final = integrate(s, ctl, records.append, plan=SemigroupPlan(grid))
         runs.append((final, records))
     assert np.array_equal(runs[0][0].u.values, runs[1][0].u.values)
     assert runs[0][1] == runs[1][1]
@@ -238,7 +240,7 @@ def test_long_run_converges_to_equilibrium():
     # the equilibrium is a fixed point of every ETD1 step, so after t = 50
     # (decay ~ t e^{-t}) only roundoff separates the state from it
     ctl = StepControl(dt_max=1e-3, t_end=50.0, record_every=5.0, cfl_safety=1.0)
-    final = integrate(s, ctl)
+    final = integrate(s, ctl, plan=SemigroupPlan(s.grid))
     assert np.abs(final.u.values - 1.0).max() <= 1e-12
 
 
@@ -257,7 +259,7 @@ def test_near_threshold_run_stays_bounded():
     )
     ctl = StepControl(dt_max=5e-3, t_end=40.0, record_every=0.5, cfl_safety=0.5)
     records: list[DiagnosticsRecord] = []
-    integrate(s, ctl, records.append)
+    integrate(s, ctl, records.append, plan=SemigroupPlan(s.grid))
     tail = [r.sup_u for r in records if r.t >= 20.0]
     assert max(tail) <= 20.0 * 1.05
 
@@ -271,7 +273,7 @@ def test_lyapunov_comparison_bound_along_run():
     s = SimState(t=0.0, u=Field(grid, values), v=Field(grid, np.ones(128)), params=p)
     ctl = StepControl(dt_max=5e-3, t_end=10.0, record_every=0.25, cfl_safety=0.5)
     records: list[DiagnosticsRecord] = []
-    integrate(s, ctl, records.append)
+    integrate(s, ctl, records.append, plan=SemigroupPlan(s.grid))
     plateau = (2 * p.lam + p.a) ** 2 / (2 * p.lam * p.chi * (4 * p.b - p.dim * p.mu * p.chi))
     ceiling = max(records[0].lyapunov_sup, plateau) * 1.05
     assert max(r.lyapunov_sup for r in records) <= ceiling
@@ -290,15 +292,16 @@ def test_integrate_in_two_phases_matches_single_phase_records():
             params=p,
         )
 
+    plan = SemigroupPlan(grid)
     single: list[DiagnosticsRecord] = []
-    integrate(fresh(), StepControl(dt_max=1e-3, t_end=1.0, record_every=0.25), single.append)
+    ctl = StepControl(dt_max=1e-3, t_end=1.0, record_every=0.25)
+    integrate(fresh(), ctl, single.append, plan=plan)
 
     phased: list[DiagnosticsRecord] = []
-    mid = integrate(
-        fresh(), StepControl(dt_max=1e-3, t_end=0.5, record_every=0.25), phased.append
-    )
+    half = StepControl(dt_max=1e-3, t_end=0.5, record_every=0.25)
+    mid = integrate(fresh(), half, phased.append, plan=plan)
     continued: list[DiagnosticsRecord] = []
-    integrate(mid, StepControl(dt_max=1e-3, t_end=1.0, record_every=0.25), continued.append)
+    integrate(mid, ctl, continued.append, plan=plan)
     assert continued[0].t == mid.t
     phased += continued[1:]  # the continued run's start record repeats mid
     assert [r.t for r in single] == [r.t for r in phased]
@@ -320,7 +323,7 @@ def test_single_mode_follows_the_linearised_system():
     x = grid.axis_coordinates()
     s0 = make_state(p, p.steady_u + eps * np.cos(x), p.steady_v, points=32)
     ctl = StepControl(dt_max=1e-3, t_end=T, record_every=T, cfl_safety=1.0)
-    u_T = integrate(s0, ctl).u.values
+    u_T = integrate(s0, ctl, plan=SemigroupPlan(grid)).u.values
     amplitude = 2.0 * np.mean((u_T - p.steady_u) * np.cos(x))
     M = np.array([[-1.0 - p.a, p.chi * p.steady_u], [p.mu, -1.0 - p.lam]])
     expected = (scipy.linalg.expm(M * T) @ np.array([eps, 0.0]))[0]

@@ -65,7 +65,8 @@ def make_homogeneous_state(c_u: float, c_v: float, points: int = 16) -> SimState
 
 def test_zero_data_is_a_fixed_point():
     state = make_homogeneous_state(0.0, 0.0)
-    result = picard_solve(state, 0.02, PicardConfig(quad_nodes=16))
+    plan = SemigroupPlan(state.grid)
+    result = picard_solve(state, 0.02, PicardConfig(quad_nodes=16), plan)
     for s in result.states:
         assert np.abs(s.u.values).max() == 0.0
         assert np.abs(s.v.values).max() == 0.0
@@ -77,7 +78,8 @@ def test_homogeneous_data_matches_scalar_ode_oracle():
     p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
     state = make_homogeneous_state(c, p.mu * c / p.lam)
     T = 0.05
-    result = picard_solve(state, T, PicardConfig(quad_nodes=1024, tol=1e-12))
+    plan = SemigroupPlan(state.grid)
+    result = picard_solve(state, T, PicardConfig(quad_nodes=1024, tol=1e-12), plan)
     u_exact = p.a * c / (p.b * c + (p.a - p.b * c) * math.exp(-p.a * T))
     sol = solve_ivp(
         lambda t, y: [y[0] * (p.a - p.b * y[0]), -p.lam * y[1] + p.mu * y[0]],
@@ -95,7 +97,8 @@ def test_homogeneous_data_matches_scalar_ode_oracle():
 def test_homogeneous_data_stays_homogeneous():
     # the chemotaxis integral vanishes for spatially constant trajectories
     state = make_homogeneous_state(0.7, 0.3, points=32)
-    result = picard_solve(state, 0.03, PicardConfig(quad_nodes=64))
+    plan = SemigroupPlan(state.grid)
+    result = picard_solve(state, 0.03, PicardConfig(quad_nodes=64), plan)
     for s in result.states:
         assert s.u.values.max() - s.u.values.min() <= 1e-12
         assert s.v.values.max() - s.v.values.min() <= 1e-12
@@ -115,7 +118,8 @@ def make_wave_state(points: int = 128) -> SimState:
 
 def test_contraction_is_geometric():
     state = make_wave_state()
-    result = picard_solve(state, 0.02, PicardConfig(quad_nodes=128, tol=1e-11))
+    plan = SemigroupPlan(state.grid)
+    result = picard_solve(state, 0.02, PicardConfig(quad_nodes=128, tol=1e-11), plan)
     diffs = result.diffs
     for d_prev, d_next in zip(diffs, diffs[1:]):
         if d_prev <= 1e-9:
@@ -129,8 +133,9 @@ def test_quadrature_refinement_is_first_order():
     state = make_wave_state()
     T = 0.02
     outputs = []
+    plan = SemigroupPlan(state.grid)
     for q in (64, 128, 256):
-        res = picard_solve(state, T, PicardConfig(quad_nodes=q, tol=1e-12))
+        res = picard_solve(state, T, PicardConfig(quad_nodes=q, tol=1e-12), plan)
         outputs.append(res.states[-1].u.values)
     e1 = np.abs(outputs[0] - outputs[1]).max()
     e2 = np.abs(outputs[1] - outputs[2]).max()
@@ -144,7 +149,7 @@ def test_horizon_certifies_the_solve():
     p = state.params
     R = max(np.abs(state.u.values).max(), c1_norm(plan, state.v))
     T = local_horizon(R, p, p.dim / SQRT_PI, 1 / SQRT_PI)
-    result = picard_solve(state, T, PicardConfig(quad_nodes=128, tol=1e-10))
+    result = picard_solve(state, T, PicardConfig(quad_nodes=128, tol=1e-10), plan)
     assert result.diffs[-1] <= 1e-10
 
 
@@ -164,13 +169,15 @@ def test_horizon_from_the_grid_constants_certifies_the_solve():
 
 def test_contraction_failure_past_the_horizon():
     state = make_wave_state(points=64)
+    plan = SemigroupPlan(state.grid)
     with pytest.raises(ContractionFailureError):
-        picard_solve(state, 3.0, PicardConfig(quad_nodes=64, max_iter=40))
+        picard_solve(state, 3.0, PicardConfig(quad_nodes=64, max_iter=40), plan)
 
 
 def test_trajectory_timestamps():
     state = make_wave_state(points=64)
-    result = picard_solve(state, 0.02, PicardConfig(quad_nodes=16))
+    plan = SemigroupPlan(state.grid)
+    result = picard_solve(state, 0.02, PicardConfig(quad_nodes=16), plan)
     ts = [s.t for s in result.states]
     assert ts[0] == 0.0
     assert ts[-1] == pytest.approx(0.02)
@@ -220,7 +227,8 @@ def test_every_node_matches_the_etd1_recurrence(state, q):
     # At 512 points the nodes are transformed in blocks of 64, so q = 100
     # leaves a partial last block and the recurrence crosses a block boundary.
     T = 0.02
-    result = picard_solve(state, T, PicardConfig(quad_nodes=q, tol=1e-12))
+    plan = SemigroupPlan(state.grid)
+    result = picard_solve(state, T, PicardConfig(quad_nodes=q, tol=1e-12), plan)
     reference = _etd1_nodes(state, T, q)
     assert len(result.states) == len(reference) == q + 1
     worst = max(
