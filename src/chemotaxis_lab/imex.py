@@ -20,6 +20,14 @@ The chemotaxis divergence is formed spectrally from pointwise products;
 products are dealiased by the 2/3 rule (the updated spectra are truncated,
 so products of retained modes never alias back into the retained band).
 
+The physical state is one (1+N)-row stack [u, d_1 v, ..., d_N v], and a step
+makes one batched forward and one batched inverse transform call over it:
+the products u d_i v and u (a + lam - b u) are written over the stack and
+transformed together, the divergence is assembled from those spectra, and
+the spent rows take u_hat and ik_i v_hat for the inverse.  A step owns the
+stack it consumes: a reference to it, or to one of its rows, held across a
+step keeps 1+N fields alive beside the step's spectra.
+
 Positivity is monitored, never enforced: an undershoot past ``neg_tol``
 aborts the run with a diagnosis, because clipping would mask exactly the
 near-threshold instabilities this laboratory exists to expose.
@@ -27,8 +35,9 @@ near-threshold instabilities this laboratory exists to expose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -78,21 +87,28 @@ class StepControl:
     neg_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.dt_max <= 0.0:
+        # Each check states what is valid, so a nan fails it.
+        if not self.dt_max > 0.0:
             raise InvalidParameterError("dt_max must be > 0")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise InvalidParameterError("cfl_safety must be in (0, 1]")
-        if self.neg_tol < 0.0:
+        if not self.neg_tol >= 0.0:
             raise InvalidParameterError("neg_tol must be >= 0")
-        if self.t_end <= 0.0:
-            raise InvalidParameterError("t_end must be > 0")
-        if self.record_every <= 0.0:
+        if not 0.0 < self.t_end < math.inf:
+            raise InvalidParameterError("t_end must be finite and > 0")
+        if not self.record_every > 0.0:
             raise InvalidParameterError("record_every must be > 0")
 
 
-class _Workspace:
-    """Per-run spectral scratch: plan and a one-slot cache of the step's
-    masked weights, so the plan's dealias mask is applied once per step size.
+class _Stepper:
+    """ETD1 state of one run: the physical stack [u, d_1 v, ..., d_N v], the
+    spectra u_hat and v_hat, and a one-slot cache of the step's masked
+    weights, so the plan's dealias mask is applied once per step size.
+
+    The first stack holds the input u itself, not a round trip of its
+    spectrum.  Each :meth:`advance` consumes the stack and leaves a new one,
+    so a reference to ``stack`` (or a row of it) must not be held across a
+    step: it would keep a spent stack alive beside the step's spectra.
 
     A record interval usually ends on a short step a few ulps off the steady
     one.  Its weights are built with ``cache=False``, so the steady step's
@@ -100,11 +116,14 @@ class _Workspace:
     cache slot would build none, but it holds one more set of spectral
     weights through every step and record (+3.1 MB of peak memory at 64^3)."""
 
-    __slots__ = ("plan", "params", "_dt", "_weights")
+    __slots__ = ("plan", "params", "stack", "u_hat", "v_hat", "_dt", "_weights")
 
-    def __init__(self, plan: SemigroupPlan, params: Params):
+    def __init__(self, plan: SemigroupPlan, params: Params, u: np.ndarray, v: np.ndarray):
         self.plan = plan
         self.params = params
+        self.u_hat = plan.to_spectral(u)
+        self.v_hat = plan.to_spectral(v)
+        self.stack = np.stack((u, *plan.grad(self.v_hat)))
         self._dt = -1.0
         self._weights = None
 
@@ -125,50 +144,54 @@ class _Workspace:
             self._dt, self._weights = dt, weights
         return weights
 
+    def advance(self, dt: float, *, cache: bool = True) -> None:
+        """One ETD1 update in spectral space:
 
-def nonlinear_hat(
-    plan: SemigroupPlan, p: Params, u: np.ndarray, vx: Sequence[np.ndarray]
-) -> np.ndarray:
+            u_hat_new = E u_hat + phi1 (reac_hat - chi flux_hat)
+            v_hat_new = E v_hat + mu phi1 u_hat
+
+        phi1 integrates E over the step exactly, so the homogeneous
+        equilibrium is a fixed point for every dt (k = 0: E u* + phi1 lam u*
+        = u*).  u_hat and v_hat are updated in place.  The consumed stack is
+        released before the weights are fetched, and the weights before the
+        inverse, so an uncached set overlaps neither stack."""
+        plan, u_hat, v_hat = self.plan, self.u_hat, self.v_hat
+        spec = nonlinear_hat(plan, self.params, self.stack)
+        self.stack = None
+        prop, phi, mu_phi = self.weights(dt, cache=cache)
+        n_hat, scratch = spec[0], spec[1]
+        n_hat *= phi
+        np.multiply(mu_phi, u_hat, out=scratch)
+        v_hat *= prop
+        v_hat += scratch
+        u_hat *= prop
+        u_hat += n_hat
+        n_hat[...] = u_hat
+        del prop, phi, mu_phi
+        for ik, row in zip(plan.ik, spec[1:]):
+            np.multiply(ik, v_hat, out=row)
+        self.stack = plan.to_physical(spec, overwrite=True)
+
+
+def nonlinear_hat(plan: SemigroupPlan, p: Params, stack: np.ndarray) -> np.ndarray:
     """Spectrum of u (a + lam - b u) - chi div(u grad v), given the physical
-    components ``vx`` of grad v.  The stepper and the Duhamel oracle both
-    integrate this term; the returned array is the caller's to modify."""
-    n_hat = plan.to_spectral(u * (p.a + p.lam - p.b * u))
-    flux_hat = plan.div_hat(u * comp for comp in vx)
+    stack [u, d_1 v, ..., d_N v] (every row may carry a leading batch axis).
+    The stepper and the Duhamel oracle both integrate this term.
+
+    The stack is overwritten with the products u d_i v and u (a + lam - b u)
+    and transformed in one call.  The returned spectral stack holds the
+    term in row 0; its other rows are spent and the caller's to reuse."""
+    u = stack[0]
+    stack[1:] *= u
+    reac = p.b * u
+    np.subtract(p.a + p.lam, reac, out=reac)
+    u *= reac
+    del reac  # not held through the transform
+    spec = plan.to_spectral(stack)
+    flux_hat = plan.div_hat(spec[1:])
     flux_hat *= p.chi
-    n_hat -= flux_hat
-    return n_hat
-
-
-def _advance(
-    ws: _Workspace,
-    p: Params,
-    u: np.ndarray,
-    u_hat: np.ndarray,
-    v_hat: np.ndarray,
-    vx: Sequence[np.ndarray],
-    dt: float,
-    *,
-    cache: bool = True,
-):
-    """One ETD1 update in spectral space:
-
-        u_hat_new = E u_hat + phi1 (reac_hat - chi flux_hat)
-        v_hat_new = E v_hat + mu phi1 u_hat
-
-    phi1 integrates E over the step exactly, so the homogeneous equilibrium
-    is a fixed point for every dt (k = 0: E u* + phi1 lam u* = u*).  The
-    update is accumulated in place in the nonlinearity's spectrum, and mu
-    is folded into a cached real weight.  The weights are fetched after the
-    nonlinearity, so an uncached set never overlaps its temporaries."""
-    plan = ws.plan
-    n_hat = nonlinear_hat(plan, p, u, vx)
-    prop, phi, mu_phi = ws.weights(dt, cache=cache)
-    n_hat *= phi
-    u_hat_new = u_hat * prop
-    u_hat_new += n_hat
-    v_hat_new = v_hat * prop
-    v_hat_new += mu_phi * u_hat
-    return u_hat_new, v_hat_new, plan.to_physical(u_hat_new)
+    spec[0] -= flux_hat
+    return spec
 
 
 def _lap(plan: SemigroupPlan, v_hat: np.ndarray) -> np.ndarray:
@@ -187,7 +210,7 @@ def _cfl_from_norms(
 
 def _check_state(u: np.ndarray, t: float, neg_tol: float) -> None:
     u_min = u.min()
-    if not np.isfinite(u_min):
+    if not math.isfinite(u_min):
         raise DivergenceError(t)
     if u_min < -neg_tol:
         raise PositivityViolationError(t, float(u_min))
@@ -220,8 +243,10 @@ def integrate(
     """Advance to ctl.t_end, emitting a diagnostics record at the start time
     and then at every multiple of record_every (timestamps strictly
     increasing).  Each state's grad v is formed once from v_hat, and the
-    next step and the record both read it: a record adds only the inverse
-    transforms of v and lap v.
+    next step and the record both read it.  Transform calls: two forward
+    (u, v) and N inverse (grad v) at the start, one forward and one inverse
+    per step, and at each record the inverses of v and lap v (of lap v alone
+    at the start time, where v is the input).
 
     Deterministic given (s0, ctl).  Raises :class:`PositivityViolationError`
     or :class:`DivergenceError` with the offending time when the run leaves
@@ -230,35 +255,30 @@ def integrate(
     if ctl.t_end <= s0.t:
         raise InvalidParameterError(f"t_end {ctl.t_end!r} must exceed start time {s0.t!r}")
     p = s0.params
-    ws = _Workspace(plan, p)
+    st = _Stepper(plan, p, s0.u.values, s0.v.values)
 
     t = s0.t
-    u = s0.u.values.copy()
     v = s0.v.values
-    u_hat = plan.to_spectral(u)
-    v_hat = plan.to_spectral(v)
-    vx = plan.grad(v_hat)
-    grad_sq = sum_of_squares(vx)
+    grad_sq = sum_of_squares(st.stack[1:])
     if sink is not None:
-        sink(diagnostics(t, p, u, v, grad_sq, _lap(plan, v_hat)))
+        sink(diagnostics(t, p, st.stack[0], v, grad_sq, _lap(plan, st.v_hat)))
 
     for target in record_times(s0.t, ctl):
         while target - t > 1e-13 * max(1.0, target):
-            grad_sup = float(np.sqrt(grad_sq.max()))
+            grad_sup = math.sqrt(grad_sq.max())
             del grad_sq  # not held through the step: one field less at peak
-            dt_c = _cfl_from_norms(p, s0.grid.spacing, grad_sup, float(u.max()), ctl)
+            dt_c = _cfl_from_norms(p, s0.grid.spacing, grad_sup, float(st.stack[0].max()), ctl)
             remaining = target - t
             short = remaining <= dt_c * (1.0 + 1e-9)
             dt = remaining if short else dt_c
-            u_hat, v_hat, u = _advance(ws, p, u, u_hat, v_hat, vx, dt, cache=not short)
+            st.advance(dt, cache=not short)
             t += dt
-            _check_state(u, t, ctl.neg_tol)
-            vx = plan.grad(v_hat)
-            grad_sq = sum_of_squares(vx)
+            _check_state(st.stack[0], t, ctl.neg_tol)
+            grad_sq = sum_of_squares(st.stack[1:])
         t = target
-        v = plan.to_physical(v_hat)
+        v = plan.to_physical(st.v_hat)
         if not np.all(np.isfinite(v)):
             raise DivergenceError(t)
         if sink is not None:
-            sink(diagnostics(t, p, u, v, grad_sq, _lap(plan, v_hat)))
-    return SimState(t=t, u=Field(s0.grid, u), v=Field(s0.grid, v), params=p)
+            sink(diagnostics(t, p, st.stack[0], v, grad_sq, _lap(plan, st.v_hat)))
+    return SimState(t=t, u=Field(s0.grid, st.stack[0]), v=Field(s0.grid, v), params=p)

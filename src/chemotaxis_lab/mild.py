@@ -181,7 +181,8 @@ def picard_solve(s0: SimState, T: float, cfg: PicardConfig, plan: SemigroupPlan)
         for start in range(0, q, block):
             stop = min(start + block, q)
             u_blk = U[start:stop]
-            n_hat = nonlinear_hat(plan, p, u_blk, plan.grad(plan.to_spectral(V[start:stop])))
+            vx = plan.grad(plan.to_spectral(V[start:stop]))
+            n_hat = nonlinear_hat(plan, p, np.stack((u_blk, *vx)))[0]
             src_v = plan.to_spectral(u_blk)
             src_v *= p.mu
             n_hat *= kernel

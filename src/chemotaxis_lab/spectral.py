@@ -26,8 +26,10 @@ Every transform, gradient and divergence accepts a leading batch axis:
 ``to_spectral``, ``to_physical``, ``grad`` and ``div_hat`` act on the
 trailing ``dim`` axes, and pocketfft transforms each row of a stack exactly
 as it transforms that row alone, so a batched call equals the per-row calls
-bit for bit.  The Duhamel oracle transforms whole blocks of quadrature nodes
-this way.
+bit for bit.  ``div_hat`` takes the N component spectra as rows.  The ETD1
+step makes one batched forward and one batched inverse call per step, over
+its (1+N)-row stack [u, d_1 v, ..., d_N v] (see :mod:`chemotaxis_lab.imex`),
+and the Duhamel oracle transforms whole blocks of quadrature nodes this way.
 
 Every transform goes through :meth:`SemigroupPlan.to_spectral` and
 :meth:`SemigroupPlan.to_physical`.  They run pocketfft (``scipy.fft``) one
@@ -36,9 +38,11 @@ equal ``np.fft.rfftn``/``irfftn`` bit for bit.  They run on one thread: on
 a shared 2-vCPU host, pocketfft's threads made 64^3 runs 1.6 to 2.3 times
 slower, because each transform waits for the slower core.  A
 :class:`SemigroupPlan` is read-only after construction and safe to share
-between threads.  The plan may transform in place only arrays it allocated
-itself (``ik * spec`` in :meth:`SemigroupPlan.grad`, for example); a
-caller's array is never modified.
+between threads.  The plan transforms in place the arrays it allocates
+itself (``ik * spec`` in :meth:`SemigroupPlan.grad`, for example) and the
+arrays a caller hands over: ``div_hat`` overwrites the spectra it is given,
+and ``to_physical(..., overwrite=True)`` may destroy its input.  No other
+call modifies a caller's array.
 """
 
 from __future__ import annotations
@@ -134,18 +138,17 @@ class SemigroupPlan:
         leading batch axis is allowed)."""
         return [self.to_physical(ik * spec, overwrite=True) for ik in self.ik]
 
-    def div_hat(self, components) -> np.ndarray:
-        """Spectrum of the divergence of physical-space ``components`` (each
-        may carry a leading batch axis), accumulated axis by axis.  The
-        components may be a generator, so that only one product is alive
-        at a time; the accumulator is sized from the first component before
-        its transform runs."""
-        acc = None
-        for ik, comp in zip(self.ik, components):
-            if acc is None:
-                batch = comp.shape[: comp.ndim - self.grid.dim]
-                acc = np.zeros(batch + self.spectral_shape, dtype=np.complex128)
-            acc += ik * self.to_spectral(comp)
+    def div_hat(self, specs: np.ndarray) -> np.ndarray:
+        """Spectrum of the divergence of a vector field, given the spectra of
+        its components as the rows of ``specs`` (each may carry a leading
+        batch axis): sum_i ik_i specs[i], accumulated axis by axis.  The
+        rows are overwritten with the products and the sum is returned in
+        the first row, so no spectrum-sized temporary is made."""
+        acc = specs[0]
+        np.multiply(self.ik[0], acc, out=acc)
+        for ik, row in zip(self.ik[1:], specs[1:]):
+            np.multiply(ik, row, out=row)
+            acc += row
         return acc
 
     def multiplier(self, t: float, sigma: float) -> np.ndarray:
@@ -165,8 +168,8 @@ class SemigroupPlan:
 def sum_of_squares(components) -> np.ndarray:
     """Pointwise sum of the squared components (|grad v|^2 for the output
     of :meth:`SemigroupPlan.grad`), accumulated axis by axis."""
-    out = np.zeros(components[0].shape)
-    for c in components:
+    out = components[0] * components[0]
+    for c in components[1:]:
         out += c * c
     return out
 

@@ -38,9 +38,16 @@ def semigroup_grad(plan: SemigroupPlan, values, t: float, sigma: float) -> list[
 
 def semigroup_div(plan: SemigroupPlan, components, t: float, sigma: float) -> np.ndarray:
     """exp(t(lap - sigma I)) div w for the components of w."""
-    return plan.to_physical(plan.div_hat(components) * plan.multiplier(t, sigma), overwrite=True)
+    div_hat = plan.div_hat(plan.to_spectral(np.stack(components)))
+    return plan.to_physical(div_hat * plan.multiplier(t, sigma), overwrite=True)
 
 
 def lap(plan: SemigroupPlan, values) -> np.ndarray:
     """Spectral Laplacian of physical values (a forward and an inverse transform)."""
     return plan.to_physical(-plan.k2 * plan.to_spectral(values), overwrite=True)
+
+
+def bits(a) -> np.ndarray:
+    """A float64 or complex128 array's values as raw 64-bit patterns, for
+    comparisons that tell -0.0 from 0.0 and one NaN payload from another."""
+    return np.ascontiguousarray(a).view(np.uint64)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from chemotaxis_lab import (
     DivergenceError,
     Field,
     Grid,
+    InvalidParameterError,
     Params,
     PositivityViolationError,
     SemigroupPlan,
@@ -18,8 +20,9 @@ from chemotaxis_lab import (
     integrate,
 )
 from chemotaxis_lab.harness import DiagnosticsRecord
-from chemotaxis_lab.imex import _advance, _cfl_from_norms, _check_state, _Workspace
+from chemotaxis_lab.imex import _cfl_from_norms, _check_state, _Stepper
 from chemotaxis_lab.spectral import sum_of_squares
+from conftest import bits
 
 
 def make_state(params, u_values, v_values, points=64, extent=2 * np.pi):
@@ -41,17 +44,74 @@ def cfl(s, ctl):
 
 def fixed_steps(s, dt, steps, neg_tol):
     """``steps`` steps of size dt from s, each the two calls integrate makes
-    per step (_advance, then _check_state), without its step control."""
-    plan = SemigroupPlan(s.grid)
-    ws = _Workspace(plan, s.params)
-    u = s.u.values
-    u_hat = plan.to_spectral(u)
-    v_hat = plan.to_spectral(s.v.values)
+    per step (advance, then _check_state), without its step control."""
+    st = _Stepper(SemigroupPlan(s.grid), s.params, s.u.values, s.v.values)
     t = s.t
     for _ in range(steps):
-        u_hat, v_hat, u = _advance(ws, s.params, u, u_hat, v_hat, plan.grad(v_hat), dt)
+        st.advance(dt)
         t += dt
-        _check_state(u, t, neg_tol)
+        _check_state(st.stack[0], t, neg_tol)
+
+
+def _per_field_steps(plan, p, u, v, dts):
+    """The ETD1 step written field by field, as the reference for the stacked
+    step: the reaction and each flux product transformed on their own,
+    the divergence summed from zero, and u and each component of grad v
+    transformed back on their own.  Yields (u, grad v, u_hat, v_hat) after
+    each step."""
+    u_hat = plan.to_spectral(u)
+    v_hat = plan.to_spectral(v)
+    vx = [plan.to_physical(ik * v_hat, overwrite=True) for ik in plan.ik]
+    for dt in dts:
+        n_hat = plan.to_spectral(u * (p.a + p.lam - p.b * u))
+        flux_hat = np.zeros(plan.spectral_shape, dtype=np.complex128)
+        for ik, comp in zip(plan.ik, vx):
+            flux_hat += ik * plan.to_spectral(u * comp)
+        flux_hat *= p.chi
+        n_hat -= flux_hat
+        prop = plan.multiplier(dt, p.lam) * plan.dealias
+        phi = plan.phi1(dt, p.lam) * plan.dealias
+        n_hat *= phi
+        u_hat_new = u_hat * prop
+        u_hat_new += n_hat
+        v_hat_new = v_hat * prop
+        v_hat_new += (p.mu * phi) * u_hat
+        u_hat, v_hat = u_hat_new, v_hat_new
+        u = plan.to_physical(u_hat)
+        vx = [plan.to_physical(ik * v_hat, overwrite=True) for ik in plan.ik]
+        yield u, vx, u_hat, v_hat
+
+
+STACK_GRIDS = [
+    Grid(dim=1, extent=2 * np.pi, points=64),
+    Grid(dim=2, extent=2 * np.pi, points=32),
+    Grid(dim=3, extent=2 * np.pi, points=16),
+]
+
+
+@pytest.mark.parametrize("v_kind", ["random", "constant"])
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"{g.dim}d-{g.points}")
+def test_stacked_step_equals_the_per_field_step_bit_for_bit(grid, v_kind):
+    # Three steady steps, one short record-boundary step (uncached weights)
+    # a few ulps off the steady one, and one more steady step.  A constant v
+    # starts from a gradient of signed zeros and roundoff.
+    p = Params(chi=1.3, a=1.1, b=0.7, lam=0.9, mu=1.2, dim=grid.dim)
+    plan = SemigroupPlan(grid)
+    rng = np.random.default_rng(31)
+    u = rng.uniform(0.1, 2.0, grid.shape)
+    v = rng.uniform(0.1, 2.0, grid.shape) if v_kind == "random" else np.full(grid.shape, 0.7)
+    dt = 1e-2
+    dts = [dt, dt, dt, dt * (1.0 - 4e-16), dt]
+    assert dts[3] != dt
+    st = _Stepper(plan, p, u, v)
+    reference = _per_field_steps(plan, p, u, v, dts)
+    for step, (dt_step, (ref_u, ref_vx, ref_u_hat, ref_v_hat)) in enumerate(zip(dts, reference)):
+        st.advance(dt_step, cache=dt_step == dt)
+        assert np.array_equal(bits(st.stack[0]), bits(ref_u)), step
+        for row, ref_row in zip(st.stack[1:], ref_vx):
+            assert np.array_equal(bits(row), bits(ref_row)), step
+        assert np.array_equal(bits(st.u_hat), bits(ref_u_hat)), step
+        assert np.array_equal(bits(st.v_hat), bits(ref_v_hat)), step
 
 
 def test_cfl_formula_reaction_limited():
@@ -207,6 +267,99 @@ def test_step_weights_are_rebuilt_at_most_once_per_record_interval(monkeypatch):
     integrate(s, ctl, records.append, plan=SemigroupPlan(s.grid))
     intervals = len(records) - 1
     assert len(built) <= intervals + 1
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"{g.dim}d-{g.points}")
+def test_integrate_makes_one_forward_and_one_inverse_transform_per_step(grid, monkeypatch):
+    # Start-up: u and v forward, each component of grad v inverse.  The first
+    # record adds lap v (v is the input); every later record adds v and lap v.
+    calls = {"to_spectral": 0, "to_physical": 0}
+    for name in calls:
+        transform = getattr(SemigroupPlan, name)
+
+        def counted(self, *args, _name=name, _transform=transform, **kwargs):
+            calls[_name] += 1
+            return _transform(self, *args, **kwargs)
+
+        monkeypatch.setattr(SemigroupPlan, name, counted)
+    steps = []
+    advance = _Stepper.advance
+
+    def counted_advance(self, dt, **kwargs):
+        steps.append(dt)
+        return advance(self, dt, **kwargs)
+
+    monkeypatch.setattr(_Stepper, "advance", counted_advance)
+    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=grid.dim)
+    rng = np.random.default_rng(32)
+    s = SimState(
+        t=0.0,
+        u=Field(grid, rng.uniform(0.1, 2.0, grid.shape)),
+        v=Field(grid, rng.uniform(0.9, 1.1, grid.shape)),
+        params=p,
+    )
+    ctl = StepControl(dt_max=1e-2, t_end=0.1, record_every=0.05, cfl_safety=1.0)
+    records: list[DiagnosticsRecord] = []
+    integrate(s, ctl, records.append, plan=SemigroupPlan(grid))
+    assert len(records) == 3 and len(steps) >= 10
+    assert calls["to_spectral"] == 2 + len(steps)
+    assert calls["to_physical"] == grid.dim + 1 + 2 * (len(records) - 1) + len(steps)
+
+
+def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
+    # On 32^3, F is one field (256 KiB) and S one half-complex spectrum
+    # (17/16 F).  Held through the run: u_hat and v_hat (2 S) and the cached
+    # weights E, phi1 and mu phi1 (3 real half spectra, 1.5 S).  The peak is
+    # a record: the stack [u, grad v] (4 F), |grad v|^2, v and lap v (3 F)
+    # and the record's three reduction temporaries (3 F), 10 F + 3.5 S.  A
+    # step holds the spectral stack and the new stack (4 S + 4 F), less.
+    # One field more is allowed for small objects.  A spent stack held
+    # through a step adds 4 F to it, 8 F + 7.5 S, which is over the bound.
+    grid = Grid(dim=3, extent=2 * np.pi, points=32)
+    plan = SemigroupPlan(grid)
+    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=3)
+    s = SimState(
+        t=0.0,
+        u=Field(grid, np.random.default_rng(33).uniform(0.1, 2.0, grid.shape)),
+        v=Field(grid, np.ones(grid.shape)),
+        params=p,
+    )
+    ctl = StepControl(dt_max=1e-2, t_end=0.05, record_every=0.05, cfl_safety=0.5)
+    field = 8 * grid.points**3
+    spectrum = 16 * int(np.prod(plan.spectral_shape))
+    bound = 11 * field + 3.5 * spectrum
+    records: list[DiagnosticsRecord] = []
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        integrate(s, ctl, records.append, plan=plan)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(records) == 2
+    assert peak <= bound
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"dt_max": math.nan},
+        {"t_end": math.nan},
+        {"t_end": math.inf},
+        {"record_every": math.nan},
+        {"cfl_safety": math.nan},
+        {"neg_tol": math.nan},
+    ],
+    ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+)
+def test_step_control_rejects_nan_and_an_infinite_t_end(bad):
+    kwargs = {"dt_max": 0.01, "t_end": 1.0, "record_every": 0.5, **bad}
+    with pytest.raises(InvalidParameterError):
+        StepControl(**kwargs)
 
 
 def test_integration_is_deterministic():

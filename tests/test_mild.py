@@ -196,7 +196,7 @@ def _etd1_nodes(state: SimState, T: float, q: int) -> list[tuple[np.ndarray, np.
     nodes = [(state.u.values, state.v.values)]
     for _ in range(q):
         u = plan.to_physical(u_hat)
-        n_hat = nonlinear_hat(plan, p, u, plan.grad(v_hat))
+        n_hat = nonlinear_hat(plan, p, np.stack((u, *plan.grad(v_hat))))[0]
         u_hat, v_hat = prop * u_hat + phi * n_hat, prop * v_hat + phi * (p.mu * u_hat)
         nodes.append((plan.to_physical(u_hat), plan.to_physical(v_hat)))
     return nodes
