@@ -102,18 +102,26 @@ def diagnostics(
     t: float, p: Params, u: np.ndarray, v: np.ndarray, grad_sq: np.ndarray, lap_v: np.ndarray
 ) -> DiagnosticsRecord:
     """Norms of one state, reduced from the physical u and v, |grad v|^2 and
-    lap v that the stepper already holds (see :func:`imex.integrate`)."""
-    lyap = u / p.chi + grad_sq / (2.0 * p.mu)
+    lap v that the stepper already holds (see :func:`imex.integrate`).
+
+    ``lap_v`` is consumed: it is made for the record alone, and its memory
+    holds the Lyapunov quantity once its sup is read.  Every other array is
+    left as it is, and at most one field-sized temporary is live at a time."""
+    sup_lap_v = float(np.abs(lap_v, out=lap_v).max())
+    lyap = np.divide(u, p.chi, out=lap_v)
+    work = grad_sq / (2.0 * p.mu)
+    lyap += work
+    lyapunov_sup = float(lyap.max())
     return DiagnosticsRecord(
         t=t,
         sup_u=float(u.max()),
         inf_u=float(u.min()),
         sup_v=float(v.max()),
         sup_grad_v=float(np.sqrt(grad_sq.max())),
-        sup_lap_v=float(np.abs(lap_v).max()),
-        lyapunov_sup=float(lyap.max()),
-        err_u=float(np.abs(u - p.steady_u).max()),
-        err_v=float(np.abs(v - p.steady_v).max()),
+        sup_lap_v=sup_lap_v,
+        lyapunov_sup=lyapunov_sup,
+        err_u=float(np.abs(np.subtract(u, p.steady_u, out=work), out=work).max()),
+        err_v=float(np.abs(np.subtract(v, p.steady_v, out=work), out=work).max()),
     )
 
 

@@ -32,12 +32,20 @@ its (1+N)-row stack [u, d_1 v, ..., d_N v] (see :mod:`chemotaxis_lab.imex`),
 and the Duhamel oracle transforms whole blocks of quadrature nodes this way.
 
 Every transform goes through :meth:`SemigroupPlan.to_spectral` and
-:meth:`SemigroupPlan.to_physical`.  They run pocketfft (``scipy.fft``) one
-axis at a time in numpy's own ``rfftn`` order, so the spectra and fields
-equal ``np.fft.rfftn``/``irfftn`` bit for bit.  They run on one thread: on
-a shared 2-vCPU host, pocketfft's threads made 64^3 runs 1.6 to 2.3 times
-slower, because each transform waits for the slower core.  A
-:class:`SemigroupPlan` is read-only after construction and safe to share
+:meth:`SemigroupPlan.to_physical`.  They call pocketfft's kernels (``r2c``,
+``c2c``, ``c2r``: the ones ``scipy.fft`` wraps) one axis at a time in
+numpy's own ``rfftn`` order, so the spectra and fields equal
+``np.fft.rfftn``/``irfftn`` bit for bit.  ``scipy.fft.rfft`` and its
+siblings make the same kernel calls after ~5 us of Python dispatch each,
+most of a transform on 64 points (a (2, 64) stack: ~7 us forward through
+``scipy.fft``, ~1.6 us through the kernel).  The kernel module is private
+to scipy; the bit-identity tests in ``tests/test_spectral.py`` guard it.
+Fields are float64 and spectra complex128, as
+:class:`~chemotaxis_lab.core.Field` holds them and the plan returns them;
+an integer array, which ``scipy.fft`` upcast, raises.  The transforms run
+on one thread: on a shared 2-vCPU host, pocketfft's threads made 64^3 runs
+1.6 to 2.3 times slower, because each transform waits for the slower core.
+A :class:`SemigroupPlan` is read-only after construction and safe to share
 between threads.  The plan transforms in place the arrays it allocates
 itself (``ik * spec`` in :meth:`SemigroupPlan.grad`, for example) and the
 arrays a caller hands over: ``div_hat`` overwrites the spectra it is given,
@@ -48,7 +56,11 @@ call modifies a caller's array.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
+
+# The kernels behind scipy.fft's rfft/fft/ifft/irfft, called without its
+# per-call dispatch (see above).  The module is private to scipy, so the
+# bit-identity tests against np.fft.rfftn/irfftn guard it.
+from scipy.fft._pocketfft import pypocketfft as _pocketfft
 
 from .core import Grid
 
@@ -118,20 +130,25 @@ class SemigroupPlan:
     def to_spectral(self, values: np.ndarray) -> np.ndarray:
         """rfftn over the trailing ``dim`` axes (a leading batch axis is
         allowed): the last axis real-to-complex, then the others from the
-        second-to-last down to the first, as numpy does."""
-        spec = scipy.fft.rfft(values, axis=-1)
+        second-to-last down to the first, in place, as numpy does.
+        ``values`` must be float64; the spectrum is complex128."""
+        # Kernel arguments: (array, axes, forward, inorm, out, nthreads).
+        spec = _pocketfft.r2c(values, (-1,), True, 0, None, 1)
         for axis in range(-2, -self.grid.dim - 1, -1):
-            spec = scipy.fft.fft(spec, axis=axis, overwrite_x=True)
+            _pocketfft.c2c(spec, (axis,), True, 0, spec, 1)
         return spec
 
     def to_physical(self, spec: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
-        """irfftn over the trailing ``dim`` axes, in numpy's order.
-        ``overwrite=True`` lets the transform destroy ``spec``; pass it only
-        for a temporary nothing else holds."""
+        """irfftn over the trailing ``dim`` axes, in numpy's order: the
+        leading axes complex-to-complex, then the last complex-to-real, each
+        normalised by its length.  ``spec`` must be complex128; the field is
+        float64.  ``overwrite=True`` lets the transform destroy ``spec``;
+        pass it only for a temporary nothing else holds."""
         for axis in range(-self.grid.dim, -1):
-            spec = scipy.fft.ifft(spec, axis=axis, overwrite_x=overwrite)
+            spec = _pocketfft.c2c(spec, (axis,), False, 2, spec if overwrite else None, 1)
             overwrite = True
-        return scipy.fft.irfft(spec, n=self.grid.points, axis=-1, overwrite_x=overwrite)
+        # c2r's third argument is the length of the real output axis.
+        return _pocketfft.c2r(spec, (-1,), self.grid.points, False, 2, None, 1)
 
     def grad(self, spec: np.ndarray) -> list[np.ndarray]:
         """Physical-space gradient components of the spectrum ``spec`` (a

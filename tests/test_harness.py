@@ -14,7 +14,7 @@ from chemotaxis_lab import (
     check_persistence,
     integrate,
 )
-from chemotaxis_lab.harness import auto_fit_window, check_lyapunov, fit_decay_rate_sum
+from chemotaxis_lab.harness import auto_fit_window, check_lyapunov, diagnostics, fit_decay_rate_sum
 from chemotaxis_lab.harness import require_judgeable
 from chemotaxis_lab import Field, Grid, Params, SimState
 from chemotaxis_lab.spectral import sum_of_squares
@@ -86,6 +86,30 @@ def test_diagnostics_lyapunov_value(unit_params):
     )
     rec = first_record(state)
     assert rec.lyapunov_sup == pytest.approx(1.5, rel=1e-12)
+
+
+def test_diagnostics_consumes_only_lap_v():
+    # The reductions run in lap_v's memory and one work array.  u, v and
+    # |grad v|^2 belong to the stepper and come back untouched, and every
+    # column is the value of the plain expression.
+    p = Params(chi=1.3, a=1.1, b=0.7, lam=0.9, mu=1.2, dim=1)
+    rng = np.random.default_rng(12)
+    u, v, lap_v = (rng.uniform(-2.0, 2.0, 64) for _ in range(3))
+    grad_sq = rng.uniform(0.0, 2.0, 64)
+    kept = [a.copy() for a in (u, v, grad_sq)]
+    expected = DiagnosticsRecord(
+        t=0.5,
+        sup_u=float(u.max()),
+        inf_u=float(u.min()),
+        sup_v=float(v.max()),
+        sup_grad_v=float(np.sqrt(grad_sq.max())),
+        sup_lap_v=float(np.abs(lap_v).max()),
+        lyapunov_sup=float((u / p.chi + grad_sq / (2.0 * p.mu)).max()),
+        err_u=float(np.abs(u - p.steady_u).max()),
+        err_v=float(np.abs(v - p.steady_v).max()),
+    )
+    assert diagnostics(0.5, p, u, v, grad_sq, lap_v) == expected
+    assert all(np.array_equal(a, b) for a, b in zip((u, v, grad_sq), kept))
 
 
 @pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)], ids=["1d-256", "2d-64"])

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 from chemotaxis_lab import (
@@ -13,11 +14,13 @@ from chemotaxis_lab import (
     Grid,
     InvalidParameterError,
     Params,
+    PicardConfig,
     PositivityViolationError,
     SemigroupPlan,
     SimState,
     StepControl,
     integrate,
+    picard_solve,
 )
 from chemotaxis_lab.harness import DiagnosticsRecord
 from chemotaxis_lab.imex import _cfl_from_norms, _check_state, _Stepper
@@ -309,12 +312,14 @@ def test_integrate_makes_one_forward_and_one_inverse_transform_per_step(grid, mo
 def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
     # On 32^3, F is one field (256 KiB) and S one half-complex spectrum
     # (17/16 F).  Held through the run: u_hat and v_hat (2 S) and the cached
-    # weights E, phi1 and mu phi1 (3 real half spectra, 1.5 S).  The peak is
-    # a record: the stack [u, grad v] (4 F), |grad v|^2, v and lap v (3 F)
-    # and the record's three reduction temporaries (3 F), 10 F + 3.5 S.  A
-    # step holds the spectral stack and the new stack (4 S + 4 F), less.
-    # One field more is allowed for small objects.  A spent stack held
-    # through a step adds 4 F to it, 8 F + 7.5 S, which is over the bound.
+    # weights E, phi1 and mu phi1 (3 real half spectra, 1.5 S).  A step holds
+    # the stack [u, grad v] beside its spectra, then the spectra beside the
+    # new stack: 4 F + 7.5 S.  A record holds the stack (4 F), |grad v|^2, v
+    # and lap v (3 F) and one reduction temporary (1 F): 8 F + 3.5 S.  The
+    # bound is the larger of the two plus one field for small objects (numpy's
+    # 128 KiB ufunc buffer among them).  A spent stack held through a step
+    # adds 4 F, and a record with three reduction temporaries holds
+    # 10 F + 3.5 S; either is over the bound.
     grid = Grid(dim=3, extent=2 * np.pi, points=32)
     plan = SemigroupPlan(grid)
     p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=3)
@@ -327,7 +332,9 @@ def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
     ctl = StepControl(dt_max=1e-2, t_end=0.05, record_every=0.05, cfl_safety=0.5)
     field = 8 * grid.points**3
     spectrum = 16 * int(np.prod(plan.spectral_shape))
-    bound = 11 * field + 3.5 * spectrum
+    step = 4 * field + 7.5 * spectrum
+    record = 8 * field + 3.5 * spectrum
+    bound = max(step, record) + field
     records: list[DiagnosticsRecord] = []
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -342,6 +349,32 @@ def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
             tracemalloc.stop()
     assert len(records) == 2
     assert peak <= bound
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"{g.dim}d-{g.points}")
+def test_every_transform_bypasses_scipy_fft_dispatch(grid, monkeypatch):
+    # The plan calls pocketfft's kernels itself: scipy.fft's public functions
+    # add ~5 us of dispatch per call, a third of a 64-point step's time.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transform went through scipy.fft's public API")
+
+    for name in ("rfft", "fft", "ifft", "irfft"):
+        monkeypatch.setattr(scipy.fft, name, refuse)
+    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=grid.dim)
+    rng = np.random.default_rng(34)
+    s = SimState(
+        t=0.0,
+        u=Field(grid, rng.uniform(0.5, 1.5, grid.shape)),
+        v=Field(grid, rng.uniform(0.9, 1.1, grid.shape)),
+        params=p,
+    )
+    plan = SemigroupPlan(grid)
+    ctl = StepControl(dt_max=1e-2, t_end=0.05, record_every=0.025)
+    records: list[DiagnosticsRecord] = []
+    integrate(s, ctl, records.append, plan=plan)
+    assert len(records) == 3
+    result = picard_solve(s, 1e-3, PicardConfig(quad_nodes=4), plan)
+    assert len(result.states) == 5
 
 
 @pytest.mark.parametrize(

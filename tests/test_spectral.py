@@ -176,19 +176,64 @@ TRANSFORM_GRIDS = [
 ]
 
 
+# The plan calls pocketfft's kernels through a module private to scipy, so
+# the tests below carry the transform contract: the spectra and fields of
+# np.fft.rfftn/irfftn, bit for bit, in complex128/float64, on ROADMAP's grid
+# ladder (1D 64/256/4096, 2D 128, 3D 32) and on any memory layout.
+CONTRACT_GRIDS = [pytest.param(g, id=f"{g.dim}d") for g in TRANSFORM_GRIDS] + [
+    pytest.param(Grid(dim=dim, extent=2 * np.pi, points=n), id=f"{dim}d-{n}")
+    for dim, n in [(1, 256), (1, 4096), (2, 128), (3, 32)]
+]
+
+
 def _numpy_pair(values, grid):
     axes = tuple(range(-grid.dim, 0))
     spec = np.fft.rfftn(values, axes=axes)
     return spec, np.fft.irfftn(spec, s=grid.shape, axes=axes)
 
 
-@pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.dim}d")
+def _assert_bits(got, expected, dtype):
+    assert got.dtype == dtype and got.shape == expected.shape
+    assert np.array_equal(bits(got), bits(expected))
+
+
+@pytest.mark.parametrize("grid", CONTRACT_GRIDS)
 def test_transforms_equal_numpy_bit_for_bit(grid):
     plan = SemigroupPlan(grid)
     values = np.random.default_rng(20).standard_normal(grid.shape)
     spec, back = _numpy_pair(values, grid)
-    assert np.array_equal(plan.to_spectral(values), spec)
-    assert np.array_equal(plan.to_physical(spec), back)
+    _assert_bits(plan.to_spectral(values), spec, np.complex128)
+    _assert_bits(plan.to_physical(spec), back, np.float64)
+    _assert_bits(plan.to_physical(spec.copy(), overwrite=True), back, np.float64)
+
+
+def _every_other(a):
+    """A view holding ``a``'s values at every other element of a wider
+    array: strided on the last axis."""
+    wide = np.zeros((*a.shape[:-1], 2 * a.shape[-1]), a.dtype)
+    wide[..., ::2] = a
+    return wide[..., ::2]
+
+
+@pytest.mark.parametrize("grid", CONTRACT_GRIDS)
+def test_transforms_equal_numpy_on_non_contiguous_inputs(grid):
+    plan = SemigroupPlan(grid)
+    rng = np.random.default_rng(26)
+    # A transposed field: Fortran order for dim >= 2.
+    values = rng.standard_normal(grid.shape).T
+    spec, back = _numpy_pair(np.ascontiguousarray(values), grid)
+    for field in (values, _every_other(values)):
+        _assert_bits(plan.to_spectral(field), spec, np.complex128)
+    for layout in (np.asfortranarray, _every_other):
+        _assert_bits(plan.to_physical(layout(spec)), back, np.float64)
+        _assert_bits(plan.to_physical(layout(spec), overwrite=True), back, np.float64)
+    # Rows 1: of a stack, as the step hands over its spent flux rows.
+    stack = rng.standard_normal((3, *grid.shape))
+    rows_spec, rows_back = _numpy_pair(stack[1:], grid)
+    _assert_bits(plan.to_spectral(stack[1:]), rows_spec, np.complex128)
+    spec_stack = np.stack([spec, *rows_spec])
+    _assert_bits(plan.to_physical(spec_stack[1:], overwrite=True), rows_back, np.float64)
+    _assert_bits(spec_stack[0], spec, np.complex128)
 
 
 @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.dim}d")
