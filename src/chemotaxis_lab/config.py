@@ -285,7 +285,8 @@ def write_config(cfg: ExperimentConfig, path: str | Path) -> None:
 
 def load_sweep_config(path: str | Path) -> SweepConfig:
     """A sweep file is an experiment file plus a [sweep] section naming one
-    parameter ('params.<coefficient>') and its values."""
+    parameter ('params.<coefficient>') and its values.  Every point is built
+    here, so a value the coefficient does not admit is an error at load."""
     with _reading(Path(path), "sweep config") as cp:
         if "sweep" not in cp:
             raise ConfigError("missing section [sweep]")
@@ -303,7 +304,13 @@ def load_sweep_config(path: str | Path) -> SweepConfig:
             raise ConfigError(f"sweep values: {exc}") from exc
         if not values:
             raise ConfigError("sweep grid is empty")
-        return SweepConfig(parameter=parameter, values=values, base=_config_from_parser(cp))
+        sweep = SweepConfig(parameter=parameter, values=values, base=_config_from_parser(cp))
+        try:
+            for value in values:
+                sweep.point(value)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"[sweep] values: {exc}") from exc
+        return sweep
 
 
 def _generate(kind: str, args: dict, grid: Grid, rng: np.random.Generator) -> np.ndarray:

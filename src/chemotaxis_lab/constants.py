@@ -16,7 +16,8 @@ Naming used throughout:
 * bound_refined= 4a / (4b - N mu chi), sharper eventual bound valid for
                  lam >= a/2.
 * theta0, K    = the convergence threshold exponent and multiplier
-                 K = N/(4 theta0); convergence is asserted for b > K chi mu.
+                 K = N/(4 theta0) > N/4, both in closed form; convergence is
+                 asserted for b > K chi mu.
 * lambda0      = principal eigenvalue of lap + a/2 on a ball of radius L0
                  with Dirichlet data, a/2 - (j/L0)^2 with j the first
                  positive zero of the relevant Bessel function.
@@ -182,27 +183,26 @@ def convergence_K(
     theta0 is the largest theta in (0, 1) with
 
         2 c2 theta / ((1-theta)^2 a) <= 1/6   and
-        8 c_generic lam^(-1/2) a^(1/2) pi theta / (N (1-theta)) <= 1/12,
+        8 c_generic lam^(-1/2) a^(1/2) pi theta / (N (1-theta)) <= 1/12.
 
-    found by bisection (both left sides increase in theta and vanish at 0,
-    so theta0 > 0 always exists and at least one constraint is active).
+    Both left sides increase in theta from 0, so each constraint holds up to
+    one root and theta0 is the smaller root.  With s = 1 + 6 c2/a the first
+    is theta^2 - 2 s theta + 1 >= 0, whose root in (0, 1) is
+    s - sqrt(s^2 - 1) = 1/(s + sqrt(s^2 - 1)) (the second form does not
+    cancel); the second is linear, theta <= N/(N + 96 pi c_generic sqrt(a/lam)).
+    Hence
+
+        K = max(N (s + sqrt(s^2 - 1))/4, N/4 + 24 pi c_generic sqrt(a/lam)) > N/4,
+
+    which at c2 = a, c_generic = 1 is max(N (7 + 4 sqrt 3)/4,
+    N/4 + 24 pi sqrt(a/lam)), 75.648 at a = lam = N = 1.
     """
     if a <= 0.0 or lam <= 0.0:
         raise InvalidParameterError("a and lam must be > 0")
-
-    def feasible(theta: float) -> bool:
-        g1 = 2.0 * cal.c2 * theta / ((1.0 - theta) ** 2 * a)
-        g2 = 8.0 * cal.c_generic * lam**-0.5 * a**0.5 * math.pi * theta / (dim * (1.0 - theta))
-        return g1 <= 1.0 / 6.0 and g2 <= 1.0 / 12.0
-
-    lo, hi = 0.0, 1.0 - 1e-15
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    theta0 = lo
+    s = 1.0 + 6.0 * cal.c2 / a
+    theta1 = 1.0 / (s + math.sqrt(s * s - 1.0))
+    theta2 = dim / (dim + 96.0 * math.pi * cal.c_generic * math.sqrt(a / lam))
+    theta0 = min(theta1, theta2)
     return theta0, dim / (4.0 * theta0)
 
 
@@ -296,28 +296,21 @@ def gaussian_tail(R: float, dim: int, moment: int) -> float:
 
 def persistence_L(epsilon: float, T: float, dim: int, L0_min: float) -> float:
     """Smallest L >= L0_min making both Gaussian tail moments at radius
-    L/(2 sqrt(2T)) fall below epsilon.  Bisection on the monotone tail."""
+    L/(2 sqrt(2T)) at most epsilon.
+
+    By :func:`gaussian_tail`, the moment-m tail at R is at most epsilon iff
+    Q(s_m, R^2) <= y_m, with Q the regularised upper incomplete gamma
+    function, s_m = (N+m)/2 and y_m = 2 epsilon/(omega_N Gamma(s_m)).  So
+
+        L = max(L0_min, 2 sqrt(2T) sqrt(gammainccinv(s_m, y_m)) over m = 0, 1),
+
+    where a moment with y_m >= 1 imposes nothing (gammainccinv(s_m, 1) = 0):
+    its tail is at most epsilon already at R = 0.
+    """
     if epsilon <= 0.0 or T <= 0.0 or L0_min <= 0.0:
         raise InvalidParameterError("epsilon, T, L0_min must be > 0")
-    scale = 2.0 * math.sqrt(2.0 * T)
-
-    def tail_max(L: float) -> float:
-        r = L / scale
-        return max(gaussian_tail(r, dim, 0), gaussian_tail(r, dim, 1))
-
-    if tail_max(L0_min) <= epsilon:
-        return L0_min
-    hi = max(L0_min, 1.0)
-    while tail_max(hi) > epsilon:
-        hi *= 2.0
-        if hi > 1e12:
-            raise InvalidParameterError("no admissible radius below 1e12")
-    lo = L0_min
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if tail_max(mid) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
+    omega = 2.0 * math.pi ** (dim / 2.0) / scipy.special.gamma(dim / 2.0)
+    s = np.array([dim, dim + 1]) / 2.0
+    y = 2.0 * epsilon / (omega * scipy.special.gamma(s))
+    r_squared = scipy.special.gammainccinv(s, np.minimum(y, 1.0))  # 0 where y >= 1
+    return max(L0_min, 2.0 * math.sqrt(2.0 * T) * math.sqrt(float(r_squared.max())))

@@ -10,6 +10,10 @@ File inventory for a run directory:
                       CalibrationConstants.PROVENANCE
     verdicts.json     status, one entry per requested check, fitted rate data
 
+The three are written together once the run is judged (or has diverged), so
+a run that ends in an input error writes nothing, even one found only when
+its checks read the records (a refined bound at b <= N*mu*chi/4).
+
 A sweep directory adds one subdirectory per point plus ``sweep_summary.csv``
 with a row per point; a poisoned point is recorded in its row and never
 aborts the sweep.  ``report`` turns any directory of outputs into
@@ -21,6 +25,7 @@ failed, 3 solver divergence, 4 configuration or I/O error.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import traceback
@@ -132,35 +137,32 @@ def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
         inf_u0=float(state.u.values.min()) if cfg.checks.persistence else None,
         n_records=len(times) if cfg.checks.convergence else None,
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     plan = SemigroupPlan(cfg.grid)
     c_grad = measure_gradient_constant(plan)
     cal = consts.CalibrationConstants.for_params(cfg.params, c_grad=c_grad)
     pc = consts.compute_constants(cfg.params, cal)
-    _write_constants(out / "constants.json", pc, cal)
 
     records: list[DiagnosticsRecord] = []
     status, divergence_t = "ok", None
-    with open(out / "diagnostics.csv", "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-
-        def sink(record: DiagnosticsRecord) -> None:
-            records.append(record)
-            fh.write(_record_row(record) + "\n")
-
-        try:
-            integrate(state, cfg.step, sink, plan=plan)
-        except (DivergenceError, PositivityViolationError) as exc:
-            status = "diverged"
-            divergence_t = exc.t
+    try:
+        integrate(state, cfg.step, records.append, plan=plan)
+    except (DivergenceError, PositivityViolationError) as exc:
+        status = "diverged"
+        divergence_t = exc.t
 
     verdicts: list[Verdict] = []
     alpha = r_squared = None
     if status == "ok" and cfg.checks.any_requested():
         verdicts, alpha, r_squared = _evaluate_checks(cfg, pc, records)
 
+    # Output only now, so an input error the checks raise leaves no directory.
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_constants(out / "constants.json", pc, cal)
+    with open(out / "diagnostics.csv", "w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        for record in records:
+            fh.write(_record_row(record) + "\n")
     payload = {
         "status": status,
         "divergence_t": divergence_t,
@@ -299,17 +301,11 @@ def execute_sweep(sweep: SweepConfig, out_dir: str | Path, workers: int | None =
             rows = list(pool.map(_run_sweep_point, tasks))
     rows.sort(key=lambda r: r["index"])
 
-    with open(out / "sweep_summary.csv", "w") as fh:
-        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_quote(str(row[c])) for c in _SWEEP_COLUMNS) + "\n")
+    with open(out / "sweep_summary.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_SWEEP_COLUMNS)
+        writer.writerows([row[c] for c in _SWEEP_COLUMNS] for row in rows)
     return EXIT_OK
-
-
-def _csv_quote(text: str) -> str:
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _load_diagnostics_csv(path: Path) -> list[tuple[str, list[float]]]:

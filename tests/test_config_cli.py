@@ -158,6 +158,15 @@ REJECTED = {
         },
         "random_uniform needs high > low",
     ),
+    # found only when the checks read the records, after the run: still no output
+    "refined-bound-below-threshold": (
+        {"b = 1.0": "b = 0.2"},
+        "error: refined bound undefined for b <= N*mu*chi/4; give a number",
+    ),
+    "lyapunov-below-threshold": (
+        {"b = 1.0": "b = 0.2", "eventual_bound = true": "eventual_bound = false\nlyapunov = true"},
+        "error: lyapunov check needs b > N*mu*chi/4",
+    ),
 }
 
 
@@ -473,16 +482,27 @@ def test_sweep_records_a_failed_point_as_an_error_row(tmp_path, capsys):
     assert point["final_sup_u"] == point["verdicts"] == ""
 
 
-def test_sweep_point_that_hits_a_bug_keeps_its_traceback(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "exc, status",
+    [
+        (KeyError("lost"), "ERROR(KeyError: 'lost')"),
+        # a message with a newline stays in its row
+        (ValueError("two\nlines"), "ERROR(ValueError: two\nlines)"),
+    ],
+    ids=["key-error", "multiline-message"],
+)
+def test_sweep_point_that_hits_a_bug_keeps_its_traceback(
+    tmp_path, capsys, monkeypatch, exc, status
+):
     def broken(cfg, out_dir):
-        raise KeyError("lost")
+        raise exc
 
     monkeypatch.setattr("chemotaxis_lab.runner.execute_run", broken)
     path = write_sweep_config(tmp_path, "1.0")
     assert main(["sweep", str(path), "--workers", "1"]) == 0
     with open(tmp_path / "sweep_results" / "sweep_summary.csv", newline="") as fh:
         header, row = csv.reader(fh)
-    assert dict(zip(header, row))["status"] == "ERROR(KeyError: 'lost')"
+    assert dict(zip(header, row))["status"] == status
     err = capsys.readouterr().err
     assert err.startswith("Traceback (most recent call last)") and "in broken" in err
 
@@ -491,6 +511,15 @@ def test_non_finite_sweep_value_is_a_config_error(tmp_path):
     path = write_sweep_config(tmp_path, "0.5, inf")
     with pytest.raises(ConfigError, match="sweep values: not a finite number: 'inf'"):
         load_sweep_config(path)
+
+
+def test_inadmissible_sweep_value_exits_4_before_any_output(tmp_path, capsys):
+    path = write_sweep_config(tmp_path, "1.0, -1.0")
+    assert main(["sweep", str(path)]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {path}: [sweep] values: coefficient 'b' must be finite and > 0, got -1.0\n"
+    )
+    assert not (tmp_path / "sweep_results").exists()
 
 
 def test_empty_sweep_grid_exits_4(tmp_path):

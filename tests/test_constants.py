@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
@@ -189,6 +189,47 @@ def test_convergence_threshold_large_decay_limit():
     root = 7.0 - 4.0 * math.sqrt(3.0)
     assert theta0 == pytest.approx(root, rel=1e-10)
     assert K == pytest.approx(1.0 / (4.0 * root), rel=1e-10)
+
+
+def theta_constraints(theta, a, lam, dim, cal):
+    """The two left sides of the convergence_K constraints (<= 1/6, <= 1/12)."""
+    g1 = 2 * cal.c2 * theta / ((1 - theta) ** 2 * a)
+    g2 = 8 * cal.c_generic * lam**-0.5 * a**0.5 * math.pi * theta / (dim * (1 - theta))
+    return g1, g2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=coeff, lam=coeff, c2=coeff, c_generic=coeff, dim=st.integers(min_value=1, max_value=3)
+)
+def test_closed_form_theta0_is_the_largest_feasible_theta(a, lam, c2, c_generic, dim):
+    cal = CalibrationConstants(c_grad=1.0, c_div=1.0, c2=c2, c_generic=c_generic)
+    theta0, K = convergence_K(a, lam, dim, cal)
+    g1, g2 = theta_constraints(theta0, a, lam, dim, cal)
+    assert g1 <= (1 / 6) * (1 + 1e-12) and g2 <= (1 / 12) * (1 + 1e-12)
+    g1, g2 = theta_constraints(theta0 * (1 + 1e-9), a, lam, dim, cal)
+    assert g1 > 1 / 6 or g2 > 1 / 12
+    assert K == dim / (4 * theta0) and K > dim / 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_eps=st.floats(min_value=-12.0, max_value=-1.0),
+    T=st.floats(min_value=0.01, max_value=100.0),
+    dim=st.integers(min_value=1, max_value=3),
+    L0_min=st.floats(min_value=0.01, max_value=10.0),
+)
+def test_closed_form_persistence_radius_is_the_smallest_admissible(log_eps, T, dim, L0_min):
+    eps = 10.0**log_eps
+    L = persistence_L(eps, T, dim, L0_min)
+    assume(L > L0_min)
+    scale = 2 * math.sqrt(2 * T)
+
+    def tails(radius):
+        return [gaussian_tail(radius / scale, dim, m) for m in (0, 1)]
+
+    assert max(tails(L)) <= eps * (1 + 1e-9)
+    assert max(tails(L * (1 - 1e-9))) > eps
 
 
 @pytest.mark.parametrize(
