@@ -28,6 +28,23 @@ the spent rows take u_hat and ik_i v_hat for the inverse.  A step owns the
 stack it consumes: a reference to it, or to one of its rows, held across a
 step keeps 1+N fields alive beside the step's spectra.
 
+:func:`integrate` also advances a block of runs that share a grid (the
+points of a sweep) as one ensemble: their states are stacked on a leading
+batch axis, [u, d_1 v, ..., d_N v] of shape (1+N, B, ...) and spectra of
+shape (B, ...), so a lockstep step makes one forward and one inverse
+transform call and one pass of the numpy arithmetic for the whole block.  A
+coefficient that differs across the block is a (B, 1, ...) column in the
+nonlinearity and the step weights; a shared one stays a number, and a
+single run has no batch axis at all, so it computes exactly the expressions
+it computes alone.  Each member keeps its own CFL step, with the reductions
+taken once per step over the block.  Members that desynchronise pay for it:
+a member that reaches the record time sits out (only the active rows are
+gathered, stepped and written back; none is stepped with dt = 0, where
+0 * N could flip the sign of a zero), and a member that diverges leaves the
+block with its own time and reason.  The batched transforms act row by row
+and the columns give each row its own value, so every member's records and
+final state equal its solo run's bit for bit.
+
 Positivity is monitored, never enforced: an undershoot past ``neg_tol``
 aborts the run with a diagnosis, because clipping would mask exactly the
 near-threshold instabilities this laboratory exists to expose.
@@ -37,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,15 +117,58 @@ class StepControl:
             raise InvalidParameterError("record_every must be > 0")
 
 
+class _Coefficients(NamedTuple):
+    """The coefficients of a block of members.  One that every member shares
+    stays a plain number, so a one-member block computes exactly the
+    expressions of a solo run; one that differs is a (B, 1, ..., 1) column
+    that broadcasts over the members' fields and spectra."""
+
+    chi: float | np.ndarray
+    a: float | np.ndarray
+    b: float | np.ndarray
+    lam: float | np.ndarray
+    mu: float | np.ndarray
+
+    @classmethod
+    def of(cls, params: Sequence[Params], dim: int) -> _Coefficients:
+        column = (len(params),) + (1,) * dim
+        coefficients = []
+        for name in cls._fields:
+            values = [getattr(p, name) for p in params]
+            shared = values.count(values[0]) == len(values)
+            coefficients.append(values[0] if shared else np.array(values, float).reshape(column))
+        return cls(*coefficients)
+
+    def take(self, rows) -> _Coefficients:
+        """The coefficients of the given rows (indices into the batch axis)."""
+        return _Coefficients(*(c[rows] if isinstance(c, np.ndarray) else c for c in self))
+
+
+def _step_weights(plan: SemigroupPlan, dt, lam, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E(dt), phi1(dt) and mu phi1(dt) with the modes outside the 2/3 band
+    zeroed; ``dt``, ``lam`` and ``mu`` are numbers or batch columns."""
+    prop = plan.multiplier(dt, lam)
+    prop *= plan.dealias
+    phi = plan.phi1(dt, lam)
+    phi *= plan.dealias
+    return prop, phi, mu * phi
+
+
 class _Stepper:
-    """ETD1 state of one run: the physical stack [u, d_1 v, ..., d_N v], the
-    spectra u_hat and v_hat, and a one-slot cache of the step's masked
-    weights, so the plan's dealias mask is applied once per step size.
+    """ETD1 state of a block of members on one grid: the physical stack
+    [u, d_1 v, ..., d_N v], the spectra u_hat and v_hat, and a one-slot cache
+    of the step's masked weights, so the plan's dealias mask is applied once
+    per step size (or per set of rows and their own steps, while members
+    step out of lockstep).  ``u`` and ``v`` may carry a leading batch axis
+    (one row per member; the stack is then (1+N, B, ...)), and ``params``
+    holds the members' coefficients (a :class:`Params`, or
+    :class:`_Coefficients` with a column per coefficient that differs).
 
     The first stack holds the input u itself, not a round trip of its
-    spectrum.  Each :meth:`advance` consumes the stack and leaves a new one,
-    so a reference to ``stack`` (or a row of it) must not be held across a
-    step: it would keep a spent stack alive beside the step's spectra.
+    spectrum.  Each :meth:`advance` of every row consumes the stack and
+    leaves a new one, so a reference to ``stack`` (or a row of it) must not
+    be held across a step: it would keep a spent stack alive beside the
+    step's spectra.
 
     A record interval usually ends on a short step a few ulps off the steady
     one.  Its weights are built with ``cache=False``, so the steady step's
@@ -116,35 +176,38 @@ class _Stepper:
     cache slot would build none, but it holds one more set of spectral
     weights through every step and record (+3.1 MB of peak memory at 64^3)."""
 
-    __slots__ = ("plan", "params", "stack", "u_hat", "v_hat", "_dt", "_weights")
+    __slots__ = ("plan", "params", "stack", "u_hat", "v_hat", "_key", "_weights")
 
-    def __init__(self, plan: SemigroupPlan, params: Params, u: np.ndarray, v: np.ndarray):
+    def __init__(self, plan: SemigroupPlan, params, u: np.ndarray, v: np.ndarray):
         self.plan = plan
         self.params = params
         self.u_hat = plan.to_spectral(u)
         self.v_hat = plan.to_spectral(v)
         self.stack = np.stack((u, *plan.grad(self.v_hat)))
-        self._dt = -1.0
+        self._key = -1.0
         self._weights = None
 
     def weights(
-        self, dt: float, *, cache: bool = True
+        self, dt, rows: tuple[int, ...] | None = None, *, cache: bool = True
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """E(dt), phi1(dt) and mu phi1(dt), with the modes outside the 2/3
-        band zeroed; ``cache=False`` leaves the cached set in place."""
-        if dt == self._dt:
+        """The masked E(dt), phi1(dt) and mu phi1(dt): of every row at the
+        one step ``dt``, or, for a tuple ``dt``, of the rows ``rows`` (None:
+        every row) at their own steps.  ``cache=False`` leaves the cached
+        set in place."""
+        key = dt if rows is None else (dt, rows)
+        if key == self._key:
             return self._weights
-        plan, lam = self.plan, self.params.lam
-        prop = plan.multiplier(dt, lam)
-        prop *= plan.dealias
-        phi = plan.phi1(dt, lam)
-        phi *= plan.dealias
-        weights = (prop, phi, self.params.mu * phi)
+        if isinstance(dt, tuple):
+            coef = self.params if rows is None else self.params.take(list(rows))
+            column = np.reshape(dt, (-1,) + (1,) * (self.u_hat.ndim - 1))
+            weights = _step_weights(self.plan, column, coef.lam, coef.mu)
+        else:
+            weights = _step_weights(self.plan, dt, self.params.lam, self.params.mu)
         if cache:
-            self._dt, self._weights = dt, weights
+            self._key, self._weights = key, weights
         return weights
 
-    def advance(self, dt: float, *, cache: bool = True) -> None:
+    def advance(self, dt, *, cache: bool = True, rows: tuple[int, ...] | None = None) -> None:
         """One ETD1 update in spectral space:
 
             u_hat_new = E u_hat + phi1 (reac_hat - chi flux_hat)
@@ -152,13 +215,23 @@ class _Stepper:
 
         phi1 integrates E over the step exactly, so the homogeneous
         equilibrium is a fixed point for every dt (k = 0: E u* + phi1 lam u*
-        = u*).  u_hat and v_hat are updated in place.  The consumed stack is
-        released before the weights are fetched, and the weights before the
-        inverse, so an uncached set overlaps neither stack."""
-        plan, u_hat, v_hat = self.plan, self.u_hat, self.v_hat
-        spec = nonlinear_hat(plan, self.params, self.stack)
-        self.stack = None
-        prop, phi, mu_phi = self.weights(dt, cache=cache)
+        = u*).  A float ``dt`` steps every row: u_hat and v_hat are updated
+        in place, the consumed stack is released before the weights are
+        fetched, and the weights before the inverse, so an uncached set
+        overlaps neither stack.  A tuple ``dt`` gives each stepped row its
+        own step, and ``rows`` steps only those rows: they are gathered,
+        stepped and written back, and the other rows keep their state."""
+        plan = self.plan
+        if rows is None:
+            coef, stack, u_hat, v_hat = self.params, self.stack, self.u_hat, self.v_hat
+            self.stack = None
+        else:
+            index = list(rows)
+            coef, stack = self.params.take(index), self.stack[:, index]
+            u_hat, v_hat = self.u_hat[index], self.v_hat[index]
+        spec = nonlinear_hat(plan, coef, stack)
+        del stack
+        prop, phi, mu_phi = self.weights(dt, rows, cache=cache)
         n_hat, scratch = spec[0], spec[1]
         n_hat *= phi
         np.multiply(mu_phi, u_hat, out=scratch)
@@ -170,12 +243,28 @@ class _Stepper:
         del prop, phi, mu_phi
         for ik, row in zip(plan.ik, spec[1:]):
             np.multiply(ik, v_hat, out=row)
-        self.stack = plan.to_physical(spec, overwrite=True)
+        stack = plan.to_physical(spec, overwrite=True)
+        if rows is None:
+            self.stack = stack
+        else:
+            self.stack[:, index] = stack
+            self.u_hat[index] = u_hat
+            self.v_hat[index] = v_hat
+
+    def keep(self, rows: list[int]) -> None:
+        """Drop every row but ``rows`` for good (members that left)."""
+        self.params = self.params.take(rows)
+        self.stack = self.stack[:, rows]
+        self.u_hat = self.u_hat[rows]
+        self.v_hat = self.v_hat[rows]
+        self._key, self._weights = -1.0, None
 
 
-def nonlinear_hat(plan: SemigroupPlan, p: Params, stack: np.ndarray) -> np.ndarray:
+def nonlinear_hat(plan: SemigroupPlan, p, stack: np.ndarray) -> np.ndarray:
     """Spectrum of u (a + lam - b u) - chi div(u grad v), given the physical
-    stack [u, d_1 v, ..., d_N v] (every row may carry a leading batch axis).
+    stack [u, d_1 v, ..., d_N v] (every row may carry a leading batch axis)
+    and the coefficients ``p`` (a :class:`Params`, or a block's
+    :class:`_Coefficients`, whose columns broadcast over the batch axis).
     The stepper and the Duhamel oracle both integrate this term.
 
     The stack is overwritten with the products u d_i v and u (a + lam - b u)
@@ -208,12 +297,14 @@ def _cfl_from_norms(
     return ctl.cfl_safety * min(ctl.dt_max, advective, reactive)
 
 
-def _check_state(u: np.ndarray, t: float, neg_tol: float) -> None:
-    u_min = u.min()
+def _state_error(u_min: float, t: float, neg_tol: float) -> RuntimeError | None:
+    """The error a member whose density reads ``u_min`` at time t leaves
+    the run with, or None while its state is admissible."""
     if not math.isfinite(u_min):
-        raise DivergenceError(t)
+        return DivergenceError(t)
     if u_min < -neg_tol:
-        raise PositivityViolationError(t, float(u_min))
+        return PositivityViolationError(t, u_min)
+    return None
 
 
 def record_times(start: float, ctl: StepControl) -> list[float]:
@@ -234,12 +325,12 @@ def record_times(start: float, ctl: StepControl) -> list[float]:
 
 
 def integrate(
-    s0: SimState,
+    s0: SimState | Sequence[SimState],
     ctl: StepControl,
-    sink: Callable[[DiagnosticsRecord], None] | None = None,
+    sink: Callable[[DiagnosticsRecord], None] | Sequence | None = None,
     *,
     plan: SemigroupPlan,
-) -> SimState:
+) -> SimState | list[SimState | RuntimeError]:
     """Advance to ctl.t_end, emitting a diagnostics record at the start time
     and then at every multiple of record_every (timestamps strictly
     increasing).  Each state's grad v is formed once from v_hat, and the
@@ -248,37 +339,139 @@ def integrate(
     per step, and at each record the inverses of v and lap v (of lap v alone
     at the start time, where v is the input).
 
-    Deterministic given (s0, ctl).  Raises :class:`PositivityViolationError`
-    or :class:`DivergenceError` with the offending time when the run leaves
+    ``s0`` may be a block: a sequence of states on one grid at one start
+    time, with ``sink`` a sequence of one sink (or None) per member.  The
+    members are stacked on a leading batch axis and stepped together, so
+    the counts above hold for the whole block while its members step in
+    lockstep.  Each member keeps its own CFL step; a member that reaches the
+    record time sits out the rest of the interval (only the rows still short
+    of it are stepped), and a member that leaves the admissible state space
+    leaves the block while the others go on.  Every member's records and
+    final state equal those of its solo run bit for bit: batched transforms
+    act row by row, and a coefficient that differs across the block is a
+    column that gives each row its own value.  A single state is a
+    one-member block without the batch axis, so its arrays and arithmetic
+    are those of a solo run.
+
+    Deterministic given (s0, ctl).  A single state returns its final
+    :class:`SimState` and raises :class:`PositivityViolationError` or
+    :class:`DivergenceError` with the offending time when the run leaves
     the admissible state space; records emitted so far remain with the sink.
+    A block returns one entry per member: its final state, or the error it
+    left the block with.
     """
-    if ctl.t_end <= s0.t:
-        raise InvalidParameterError(f"t_end {ctl.t_end!r} must exceed start time {s0.t!r}")
-    p = s0.params
-    st = _Stepper(plan, p, s0.u.values, s0.v.values)
+    block = not isinstance(s0, SimState)
+    states = list(s0) if block else [s0]
+    sinks = list(sink) if block and sink is not None else [sink] * len(states)
+    t, grid = states[0].t, states[0].grid
+    if len(sinks) != len(states) or any(s.t != t or s.grid != grid for s in states):
+        raise InvalidParameterError("a block's states share one grid and start time")
+    if ctl.t_end <= t:
+        raise InvalidParameterError(f"t_end {ctl.t_end!r} must exceed start time {t!r}")
+    if len(states) == 1:  # no batch axis: the member's row is the whole array
+        axes = None
+        u, v = states[0].u.values, states[0].v.values
 
-    t = s0.t
-    v = s0.v.values
+        def rows(a: np.ndarray) -> tuple[np.ndarray]:
+            return (a,)
+
+        def per_row(reduced: np.generic) -> list:
+            return [float(reduced)]
+
+    else:
+        axes = tuple(range(1, grid.dim + 1))
+        u = np.stack([s.u.values for s in states])
+        v = np.stack([s.v.values for s in states])
+
+        def rows(a: np.ndarray) -> np.ndarray:
+            return a
+
+        def per_row(reduced: np.ndarray) -> list:
+            return reduced.tolist()
+
+    params = [s.params for s in states]
+    st = _Stepper(plan, _Coefficients.of(params, grid.dim), u, v)
+    del u
+    ends: list = [None] * len(states)
+    live = list(range(len(states)))  # the member on each row
+    ts = [t] * len(states)  # the time of each row
+
+    def drop(errors: dict) -> list[int]:
+        """The members on the rows in ``errors`` leave the block with their
+        errors; returns the rows kept."""
+        nonlocal live, ts
+        kept = [row for row in range(len(live)) if row not in errors]
+        for row, error in errors.items():
+            ends[live[row]] = error
+        live, ts = [live[row] for row in kept], [ts[row] for row in kept]
+        if live:
+            st.keep(kept)
+        return kept
+
+    def record(t: float, v: np.ndarray, grad_sq: np.ndarray) -> None:
+        if all(sinks[member] is None for member in live):
+            return
+        lap_v = _lap(plan, st.v_hat)
+        member_rows = zip(live, rows(st.stack[0]), rows(v), rows(grad_sq), rows(lap_v))
+        for member, *arrays in member_rows:
+            if sinks[member] is not None:
+                sinks[member](diagnostics(t, params[member], *arrays))
+
+    spacing, neg_tol = grid.spacing, ctl.neg_tol
     grad_sq = sum_of_squares(st.stack[1:])
-    if sink is not None:
-        sink(diagnostics(t, p, st.stack[0], v, grad_sq, _lap(plan, st.v_hat)))
-
-    for target in record_times(s0.t, ctl):
-        while target - t > 1e-13 * max(1.0, target):
-            grad_sup = math.sqrt(grad_sq.max())
+    record(t, v, grad_sq)
+    for target in record_times(t, ctl):
+        tol = 1e-13 * max(1.0, target)
+        while live:
+            grad_sups = per_row(np.maximum.reduce(grad_sq, axes))
+            u_sups = per_row(np.maximum.reduce(st.stack[0], axes))
+            dts, cache = [], True  # 0.0 for a row that has reached the target
+            for row, t_row in enumerate(ts):
+                remaining = target - t_row
+                if remaining > tol:
+                    p = params[live[row]]
+                    dt = _cfl_from_norms(p, spacing, math.sqrt(grad_sups[row]), u_sups[row], ctl)
+                    if remaining <= dt * (1.0 + 1e-9):
+                        dt, cache = remaining, False
+                    ts[row] = t_row + dt
+                else:
+                    dt = 0.0
+                dts.append(dt)
+            if not any(dts):
+                break
             del grad_sq  # not held through the step: one field less at peak
-            dt_c = _cfl_from_norms(p, s0.grid.spacing, grad_sup, float(st.stack[0].max()), ctl)
-            remaining = target - t
-            short = remaining <= dt_c * (1.0 + 1e-9)
-            dt = remaining if short else dt_c
-            st.advance(dt, cache=not short)
-            t += dt
-            _check_state(st.stack[0], t, ctl.neg_tol)
+            if dts[0] and dts.count(dts[0]) == len(dts):
+                st.advance(dts[0], cache=cache)  # lockstep: every row, one step size
+            else:
+                stepping = tuple(row for row, dt in enumerate(dts) if dt)
+                own = tuple(dts[row] for row in stepping)
+                every = len(stepping) == len(dts)
+                st.advance(own, cache=cache, rows=None if every else stepping)
+            u_mins = per_row(np.minimum.reduce(st.stack[0], axes))
+            errors = {}
+            for row, dt in enumerate(dts):
+                error = _state_error(u_mins[row], ts[row], neg_tol) if dt else None
+                if error is not None:
+                    errors[row] = error
+            if errors and not drop(errors):
+                break
             grad_sq = sum_of_squares(st.stack[1:])
-        t = target
+        if not live:
+            break
+        ts = [target] * len(live)
         v = plan.to_physical(st.v_hat)
-        if not np.all(np.isfinite(v)):
-            raise DivergenceError(t)
-        if sink is not None:
-            sink(diagnostics(t, p, st.stack[0], v, grad_sq, _lap(plan, st.v_hat)))
-    return SimState(t=t, u=Field(s0.grid, st.stack[0]), v=Field(s0.grid, v), params=p)
+        finite = per_row(np.isfinite(v).all(axis=axes))
+        if not all(finite):
+            kept = drop({row: DivergenceError(target) for row, ok in enumerate(finite) if not ok})
+            if not kept:
+                break
+            v, grad_sq = v[kept], grad_sq[kept]
+        record(target, v, grad_sq)
+    for member, u_row, v_row in zip(live, rows(st.stack[0]), rows(v)):
+        u, v_end = Field(grid, u_row), Field(grid, v_row)
+        ends[member] = SimState(t=target, u=u, v=v_end, params=params[member])
+    if block:
+        return ends
+    if isinstance(ends[0], RuntimeError):
+        raise ends[0]
+    return ends[0]

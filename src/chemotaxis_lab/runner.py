@@ -10,14 +10,27 @@ File inventory for a run directory:
                       CalibrationConstants.PROVENANCE
     verdicts.json     status, one entry per requested check, fitted rate data
 
-The three are written together once the run is judged (or has diverged), so
-a run that ends in an input error writes nothing, even one found only when
-its checks read the records (a refined bound at b <= N*mu*chi/4).
+Every input error is raised by the per-point set-up, before the run
+integrates: a bad initial datum, checks that cannot judge the records, and
+checks undefined at the coefficients (a refined or general bound target, or
+a Lyapunov check, at b <= N*mu*chi/4).  The three files are written together
+once the run is judged (or has diverged), so a run that ends in an input
+error writes nothing.
 
 A sweep directory adds one subdirectory per point plus ``sweep_summary.csv``
-with a row per point; a poisoned point is recorded in its row and never
-aborts the sweep.  ``report`` turns any directory of outputs into
-``plot_data.csv`` (long format: series,t,value) and ``summary.txt``.
+with a row per point.  The points share one grid, so the sweep splits them
+into contiguous blocks (at least one per worker, at most ``_BLOCK_VALUES``
+grid values each) and the worker pool maps the blocks.  A block builds one
+plan and one gradient-constant calibration, sets each point up alone, and
+integrates its members as one batched ensemble (:func:`imex.integrate`);
+each point is then judged and written alone, byte-identical to a solo run.
+A poisoned point is recorded in its row and never aborts the sweep: a point
+whose set-up, checks or files fail is its own ``ERROR(...)`` row, and a
+member that diverges is its own ``DIVERGED(...)`` row.  A bug inside a
+block's shared plan, calibration or ``integrate`` becomes an ``ERROR(...)``
+row for every member of that block, with one traceback.  ``report`` turns
+any directory of outputs into ``plot_data.csv`` (long format:
+series,t,value) and ``summary.txt``.
 
 Exit codes (shared with the CLI): 0 all requested checks pass, 2 a check
 failed, 3 solver divergence, 4 configuration or I/O error.
@@ -35,7 +48,7 @@ from pathlib import Path
 
 from . import constants as consts
 from .config import ConfigError, ExperimentConfig, SweepConfig, build_initial_state
-from .core import InvalidParameterError
+from .core import InvalidParameterError, SimState
 from .harness import (
     DiagnosticsRecord,
     Verdict,
@@ -49,6 +62,8 @@ from .harness import (
     require_judgeable,
 )
 from .imex import DivergenceError, PositivityViolationError, integrate, record_times
+# The grid-value budget of a batched block, shared with the Picard oracle's node blocks.
+from .mild import _BLOCK_VALUES
 from .spectral import SemigroupPlan, measure_gradient_constant
 
 __all__ = [
@@ -125,40 +140,72 @@ def _write_constants(
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
-    """Integrate one experiment and write its three artifacts into out_dir."""
-    state = build_initial_state(cfg)  # a bad initial datum fails before any output
-    # So do checks that cannot judge records at integrate's record times; the
-    # eventual bound needs twice the relaxation time 1/min(a, lam).
+@dataclass(frozen=True)
+class _Point:
+    """One experiment, set up and admitted, ready to integrate."""
+
+    cfg: ExperimentConfig
+    state: SimState
+    cal: consts.CalibrationConstants
+    pc: consts.PaperConstants
+    bound_target: float | None  # the eventual bound's target, when checked
+
+
+def _set_up_point(cfg: ExperimentConfig, c_grad: float) -> _Point:
+    """Everything an experiment needs before it integrates, given its grid's
+    gradient constant.  Every input error is raised here, before the run
+    integrates or writes anything: a bad initial datum, checks that cannot
+    judge records at integrate's record times (the eventual bound needs
+    twice the relaxation time 1/min(a, lam)), and a refined or general bound
+    target or a Lyapunov check at b <= N*mu*chi/4."""
+    state = build_initial_state(cfg)
     times = [state.t, *record_times(state.t, cfg.step)]
+    checks = cfg.checks
     require_judgeable(
         span=times[-1] - times[0],
-        min_span=2.0 / min(cfg.params.a, cfg.params.lam) if cfg.checks.eventual_bound else None,
-        inf_u0=float(state.u.values.min()) if cfg.checks.persistence else None,
-        n_records=len(times) if cfg.checks.convergence else None,
+        min_span=2.0 / min(cfg.params.a, cfg.params.lam) if checks.eventual_bound else None,
+        inf_u0=float(state.u.values.min()) if checks.persistence else None,
+        n_records=len(times) if checks.convergence else None,
     )
-    plan = SemigroupPlan(cfg.grid)
-    c_grad = measure_gradient_constant(plan)
     cal = consts.CalibrationConstants.for_params(cfg.params, c_grad=c_grad)
     pc = consts.compute_constants(cfg.params, cal)
+    target = _resolve_bound_target(cfg, pc) if checks.eventual_bound else None
+    if checks.lyapunov and pc.bound_general is None:
+        raise ConfigError("lyapunov check needs b > N*mu*chi/4")
+    return _Point(cfg, state, cal, pc, target)
 
+
+def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
+    """Integrate one experiment and write its three artifacts into out_dir."""
+    plan = SemigroupPlan(cfg.grid)
+    point = _set_up_point(cfg, measure_gradient_constant(plan))
     records: list[DiagnosticsRecord] = []
-    status, divergence_t = "ok", None
+    divergence = None
     try:
-        integrate(state, cfg.step, records.append, plan=plan)
+        integrate(point.state, cfg.step, records.append, plan=plan)
     except (DivergenceError, PositivityViolationError) as exc:
-        status = "diverged"
-        divergence_t = exc.t
+        divergence = exc
+    return _judge_and_write(point, records, divergence, out_dir)
 
+
+def _judge_and_write(
+    point: _Point,
+    records: list[DiagnosticsRecord],
+    divergence: DivergenceError | PositivityViolationError | None,
+    out_dir: str | Path,
+) -> RunOutcome:
+    """Judge an integrated point's records and write its three files."""
+    status = "ok" if divergence is None else "diverged"
+    divergence_t = None if divergence is None else divergence.t
     verdicts: list[Verdict] = []
     alpha = r_squared = None
-    if status == "ok" and cfg.checks.any_requested():
-        verdicts, alpha, r_squared = _evaluate_checks(cfg, pc, records)
+    if status == "ok" and point.cfg.checks.any_requested():
+        verdicts, alpha, r_squared = _evaluate_checks(point, records)
 
     # Output only now, so an input error the checks raise leaves no directory.
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_constants(out / "constants.json", pc, cal)
+    _write_constants(out / "constants.json", point.pc, point.cal)
     with open(out / "diagnostics.csv", "w") as fh:
         fh.write(CSV_HEADER + "\n")
         for record in records:
@@ -177,32 +224,26 @@ def execute_run(cfg: ExperimentConfig, out_dir: str | Path) -> RunOutcome:
         records=records,
         alpha=alpha,
         r_squared=r_squared,
-        paper_constants=pc,
+        paper_constants=point.pc,
     )
 
 
-def _evaluate_checks(
-    cfg: ExperimentConfig, pc: consts.PaperConstants, records: list[DiagnosticsRecord]
-):
-    p = cfg.params
-    checks = cfg.checks
+def _evaluate_checks(point: _Point, records: list[DiagnosticsRecord]):
+    checks = point.cfg.checks
     verdicts: list[Verdict] = []
     if checks.eventual_bound:
         verdicts.append(
             check_eventual_bound(
                 records,
                 checks.eventual_bound_field,
-                _resolve_bound_target(cfg, pc),
+                point.bound_target,
                 transient_fraction=checks.transient_fraction,
                 slack=checks.slack,
             )
         )
     if checks.lyapunov:
-        if pc.bound_general is None:
-            raise ConfigError("lyapunov check needs b > N*mu*chi/4")
-        verdicts.append(
-            check_lyapunov(records, pc.bound_general / p.chi, slack=checks.lyapunov_slack)
-        )
+        plateau = point.pc.bound_general / point.cfg.params.chi
+        verdicts.append(check_lyapunov(records, plateau, slack=checks.lyapunov_slack))
     if checks.persistence:
         verdicts.append(
             check_persistence(
@@ -252,38 +293,78 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _run_sweep_point(args) -> dict:
-    index, parameter, value, cfg, out_dir = args
-    row = dict.fromkeys(_SWEEP_COLUMNS, "")
-    row.update(index=index, parameter=parameter, value=value, status="OK")
+def _error_status(exc: Exception) -> str:
+    """A failed point's status; a bug also prints its traceback."""
+    if is_bug(exc):
+        traceback.print_exc()
+    return f"ERROR({type(exc).__name__}: {exc})"
+
+
+def _fill_row(row: dict, outcome: RunOutcome) -> None:
+    pc = outcome.paper_constants
+    row["theta"] = _fmt(pc.theta)
+    row["bound_general"] = _fmt(pc.bound_general) if pc.bound_general is not None else ""
+    row["bound_refined"] = _fmt(pc.bound_refined) if pc.bound_refined is not None else ""
+    row["K"] = _fmt(pc.K)
+    if outcome.status == "diverged":
+        row["status"] = f"DIVERGED(t={_fmt(outcome.divergence_t)})"
+        return
+    last = outcome.records[-1]
+    row["final_sup_u"] = _fmt(last.sup_u)
+    row["final_err_sum"] = _fmt(last.err_sum)
+    if outcome.alpha is not None:
+        row["alpha"] = _fmt(outcome.alpha)
+        row["r_squared"] = _fmt(outcome.r_squared)
+    row["verdicts"] = ";".join(
+        f"{v.name}={'PASS' if v.passed else 'FAIL'}" for v in outcome.verdicts
+    )
+
+
+def _run_sweep_block(tasks: list[tuple]) -> list[dict]:
+    """Run a block of sweep points as one batched integrate; one row each.
+    A point is isolated wherever it can be: its set-up, checks and files
+    fail alone.  A failure of the block's shared plan, calibration or
+    integrate is every remaining member's ERROR row."""
+    rows = []
+    for index, parameter, value, _, _ in tasks:
+        row = dict.fromkeys(_SWEEP_COLUMNS, "")
+        row.update(index=index, parameter=parameter, value=value, status="OK")
+        rows.append(row)
+    shared = tasks[0][3]  # every point has the base point's grid and steps
     try:
-        outcome = execute_run(cfg, out_dir)
-        pc = outcome.paper_constants
-        row["theta"] = _fmt(pc.theta)
-        row["bound_general"] = _fmt(pc.bound_general) if pc.bound_general is not None else ""
-        row["bound_refined"] = _fmt(pc.bound_refined) if pc.bound_refined is not None else ""
-        row["K"] = _fmt(pc.K)
-        if outcome.status == "diverged":
-            row["status"] = f"DIVERGED(t={_fmt(outcome.divergence_t)})"
-            return row
-        last = outcome.records[-1]
-        row["final_sup_u"] = _fmt(last.sup_u)
-        row["final_err_sum"] = _fmt(last.err_sum)
-        if outcome.alpha is not None:
-            row["alpha"] = _fmt(outcome.alpha)
-            row["r_squared"] = _fmt(outcome.r_squared)
-        row["verdicts"] = ";".join(
-            f"{v.name}={'PASS' if v.passed else 'FAIL'}" for v in outcome.verdicts
-        )
-    except Exception as exc:  # point-level isolation: record, never abort the sweep
-        if is_bug(exc):
-            traceback.print_exc()
-        row["status"] = f"ERROR({type(exc).__name__}: {exc})"
-    return row
+        plan = SemigroupPlan(shared.grid)
+        c_grad = measure_gradient_constant(plan)
+        members = []  # (row, point, out_dir, records) of each admitted point
+        for row, (_, _, _, cfg, out_dir) in zip(rows, tasks):
+            try:  # an inadmissible point is its ERROR row and joins no block
+                members.append((row, _set_up_point(cfg, c_grad), out_dir, []))
+            except Exception as exc:
+                row["status"] = _error_status(exc)
+        if not members:
+            return rows
+        states = [point.state for _, point, _, _ in members]
+        sinks = [records.append for _, _, _, records in members]
+        ends = integrate(states, shared.step, sinks, plan=plan)
+    except Exception as exc:  # the block's shared work: one traceback for the block
+        status = _error_status(exc)
+        for row in rows:
+            if row["status"] == "OK":
+                row["status"] = status
+        return rows
+    for (row, point, out_dir, records), end in zip(members, ends):
+        divergence = end if isinstance(end, (DivergenceError, PositivityViolationError)) else None
+        try:
+            _fill_row(row, _judge_and_write(point, records, divergence, out_dir))
+        except Exception as exc:  # point-level isolation: record, never abort the sweep
+            row["status"] = _error_status(exc)
+    return rows
 
 
 def execute_sweep(sweep: SweepConfig, out_dir: str | Path, workers: int | None = None) -> int:
-    """Run every sweep point (bounded worker pool) and write sweep_summary.csv."""
+    """Run every sweep point and write sweep_summary.csv.  The points are
+    split into contiguous blocks, at least one per worker and at most
+    ``_BLOCK_VALUES`` grid values per block, and the bounded worker pool
+    maps the blocks."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = []
@@ -294,11 +375,18 @@ def execute_sweep(sweep: SweepConfig, out_dir: str | Path, workers: int | None =
 
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_workers = max(1, min(n_workers, len(tasks)))
+    grid = sweep.base.grid
+    members = max(1, _BLOCK_VALUES // grid.points**grid.dim)
+    n_blocks = min(len(tasks), max(n_workers, -(-len(tasks) // members)))
+    blocks = [
+        tasks[i * len(tasks) // n_blocks : (i + 1) * len(tasks) // n_blocks]
+        for i in range(n_blocks)
+    ]
     if n_workers == 1:
-        rows = [_run_sweep_point(task) for task in tasks]
+        rows = [row for block in blocks for row in _run_sweep_block(block)]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_run_sweep_point, tasks))
+            rows = [row for block_rows in pool.map(_run_sweep_block, blocks) for row in block_rows]
     rows.sort(key=lambda r: r["index"])
 
     with open(out / "sweep_summary.csv", "w", newline="") as fh:

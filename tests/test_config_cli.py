@@ -15,6 +15,7 @@ from chemotaxis_lab.config import (
     load_sweep_config,
     write_config,
 )
+from chemotaxis_lab.imex import _Stepper
 from chemotaxis_lab.runner import CSV_HEADER, execute_run
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -158,7 +159,7 @@ REJECTED = {
         },
         "random_uniform needs high > low",
     ),
-    # found only when the checks read the records, after the run: still no output
+    # judged from the paper's constants, before the run integrates
     "refined-bound-below-threshold": (
         {"b = 1.0": "b = 0.2"},
         "error: refined bound undefined for b <= N*mu*chi/4; give a number",
@@ -172,6 +173,22 @@ REJECTED = {
 
 @pytest.mark.parametrize("edits, message", list(REJECTED.values()), ids=list(REJECTED))
 def test_bad_input_exits_4_before_any_output(tmp_path, capsys, edits, message):
+    path = write_base_config(tmp_path, **edits)
+    assert main(["run", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize(
+    "case", ["refined-bound-below-threshold", "lyapunov-below-threshold"]
+)
+def test_late_input_error_is_judged_before_integrating(tmp_path, capsys, monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an inadmissible run was integrated")
+
+    monkeypatch.setattr("chemotaxis_lab.runner.integrate", refuse)
+    edits, message = REJECTED[case]
     path = write_base_config(tmp_path, **edits)
     assert main(["run", str(path)]) == 4
     err = capsys.readouterr().err
@@ -467,6 +484,49 @@ def test_sweep_isolates_poisoned_points(tmp_path):
     assert lines[2].split(",")[3] == "OK"
 
 
+# b = 0.5 diverges under the supercritical coefficients; b = 20 is tame
+POISONED = {
+    "chi = 1.0": "chi = 8.0",
+    "mu = 1.0": "mu = 8.0",
+    "points = 64": "points = 128",
+    "dt_max = 0.002": "dt_max = 0.01",
+    "t_end = 8.0": "t_end = 20.0",
+    "cfl_safety = 1.0": "cfl_safety = 0.5",
+    "eventual_bound = true": "eventual_bound = false",
+    "persistence = true": "persistence = false",
+}
+
+
+def test_sweep_block_member_that_diverges_leaves_the_others_as_solo_runs(
+    tmp_path, monkeypatch
+):
+    # One worker: both points are one block.  Their CFL steps differ, so the
+    # block steps each member with its own dt, and b = 0.5 leaves it at its
+    # divergence while b = 20 goes on to t_end.
+    own_steps = []  # whether each step gave the rows their own dt
+    advance = _Stepper.advance
+
+    def watched(self, dt, **kwargs):
+        own_steps.append(isinstance(dt, tuple))
+        return advance(self, dt, **kwargs)
+
+    monkeypatch.setattr(_Stepper, "advance", watched)
+    path = write_sweep_config(tmp_path, "0.5, 20.0", **POISONED)
+    assert main(["sweep", str(path), "--workers", "1"]) == 0
+    monkeypatch.undo()
+    assert any(own_steps)
+    lines = (tmp_path / "sweep_results" / "sweep_summary.csv").read_text().splitlines()
+    assert "DIVERGED(t=" in lines[1]
+    assert lines[2].split(",")[3] == "OK"
+    for index, b in enumerate(("0.5", "20.0")):
+        solo = tmp_path / f"solo_b={b}"
+        run_path = write_base_config(tmp_path, **POISONED, **{"b = 1.0": f"b = {b}"})
+        assert main(["run", str(run_path), "--out", str(solo)]) == (3 if b == "0.5" else 0)
+        point = tmp_path / "sweep_results" / f"point_{index:03d}_b={b}"
+        for name in ("diagnostics.csv", "verdicts.json", "constants.json"):
+            assert (point / name).read_bytes() == (solo / name).read_bytes(), (b, name)
+
+
 def test_sweep_records_a_failed_point_as_an_error_row(tmp_path, capsys):
     # t_end = 1 is shorter than the eventual bound's minimum span
     # 2/min(a, lam) = 2, so the point is rejected before it runs
@@ -482,6 +542,22 @@ def test_sweep_records_a_failed_point_as_an_error_row(tmp_path, capsys):
     assert point["final_sup_u"] == point["verdicts"] == ""
 
 
+def test_sweep_point_rejected_at_set_up_joins_no_block(tmp_path, capsys):
+    # the refined bound is undefined at b = 0.2: that point is its ERROR row
+    # and writes nothing, and b = 1.0 runs alone in the block
+    path = write_sweep_config(tmp_path, "0.2, 1.0")
+    assert main(["sweep", str(path), "--workers", "1"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(tmp_path / "sweep_results" / "sweep_summary.csv", newline="") as fh:
+        header, bad, good = csv.reader(fh)
+    assert dict(zip(header, bad))["status"] == (
+        "ERROR(ConfigError: refined bound undefined for b <= N*mu*chi/4; give a number)"
+    )
+    assert dict(zip(header, good))["status"] == "OK"
+    points = sorted(d.name for d in (tmp_path / "sweep_results").iterdir() if d.is_dir())
+    assert points == ["point_001_b=1.0"]
+
+
 @pytest.mark.parametrize(
     "exc, status",
     [
@@ -494,10 +570,11 @@ def test_sweep_records_a_failed_point_as_an_error_row(tmp_path, capsys):
 def test_sweep_point_that_hits_a_bug_keeps_its_traceback(
     tmp_path, capsys, monkeypatch, exc, status
 ):
-    def broken(cfg, out_dir):
+    def broken(cfg, c_grad):
         raise exc
 
-    monkeypatch.setattr("chemotaxis_lab.runner.execute_run", broken)
+    # the per-point set-up each sweep point runs before it joins its block
+    monkeypatch.setattr("chemotaxis_lab.runner._set_up_point", broken)
     path = write_sweep_config(tmp_path, "1.0")
     assert main(["sweep", str(path), "--workers", "1"]) == 0
     with open(tmp_path / "sweep_results" / "sweep_summary.csv", newline="") as fh:
@@ -505,6 +582,19 @@ def test_sweep_point_that_hits_a_bug_keeps_its_traceback(
     assert dict(zip(header, row))["status"] == status
     err = capsys.readouterr().err
     assert err.startswith("Traceback (most recent call last)") and "in broken" in err
+
+
+def test_bug_in_a_blocks_integrate_is_every_members_error_row(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("chemotaxis_lab.runner.integrate", broken)
+    path = write_sweep_config(tmp_path, "1.0, 2.0")
+    assert main(["sweep", str(path), "--workers", "1"]) == 0
+    with open(tmp_path / "sweep_results" / "sweep_summary.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert [dict(zip(header, row))["status"] for row in rows] == ["ERROR(KeyError: 'lost')"] * 2
+    assert capsys.readouterr().err.count("Traceback (most recent call last)") == 1
 
 
 def test_non_finite_sweep_value_is_a_config_error(tmp_path):
@@ -555,6 +645,8 @@ def test_report_on_run_directory(tmp_path):
 
 
 def test_report_marks_diverged_runs(tmp_path):
+    # no eventual bound: its refined target is undefined at b = 0.5, an
+    # input error judged before the run integrates
     path = write_base_config(
         tmp_path,
         **{
@@ -565,6 +657,7 @@ def test_report_marks_diverged_runs(tmp_path):
             "dt_max = 0.002": "dt_max = 0.01",
             "t_end = 8.0": "t_end = 20.0",
             "cfl_safety = 1.0": "cfl_safety = 0.5",
+            "eventual_bound = true": "eventual_bound = false",
         },
     )
     assert main(["run", str(path)]) == 3

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from chemotaxis_lab import (
     DivergenceError,
@@ -23,7 +25,7 @@ from chemotaxis_lab import (
     picard_solve,
 )
 from chemotaxis_lab.harness import DiagnosticsRecord
-from chemotaxis_lab.imex import _cfl_from_norms, _check_state, _Stepper
+from chemotaxis_lab.imex import _cfl_from_norms, _Coefficients, _state_error, _Stepper
 from chemotaxis_lab.spectral import sum_of_squares
 from conftest import bits
 
@@ -47,13 +49,15 @@ def cfl(s, ctl):
 
 def fixed_steps(s, dt, steps, neg_tol):
     """``steps`` steps of size dt from s, each the two calls integrate makes
-    per step (advance, then _check_state), without its step control."""
+    per step (advance, then _state_error), without its step control."""
     st = _Stepper(SemigroupPlan(s.grid), s.params, s.u.values, s.v.values)
     t = s.t
     for _ in range(steps):
         st.advance(dt)
         t += dt
-        _check_state(st.stack[0], t, neg_tol)
+        error = _state_error(float(st.stack[0].min()), t, neg_tol)
+        if error is not None:
+            raise error
 
 
 def _per_field_steps(plan, p, u, v, dts):
@@ -514,3 +518,127 @@ def test_single_mode_follows_the_linearised_system():
     M = np.array([[-1.0 - p.a, p.chi * p.steady_u], [p.mu, -1.0 - p.lam]])
     expected = (scipy.linalg.expm(M * T) @ np.array([eps, 0.0]))[0]
     assert abs(amplitude - expected) < 1e-3 * eps
+
+
+def _run_alone(s, ctl, plan):
+    """A solo run's records and its final state, or the error it stopped on."""
+    records: list[DiagnosticsRecord] = []
+    try:
+        end = integrate(s, ctl, records.append, plan=plan)
+    except (DivergenceError, PositivityViolationError) as exc:
+        end = exc
+    return records, end
+
+
+def _record_bits(records):
+    return [bits(np.array([getattr(r, f) for f in DiagnosticsRecord.FIELDS])).tolist() for r in records]
+
+
+BLOCK_GRIDS = [
+    Grid(dim=1, extent=2 * np.pi, points=16),
+    Grid(dim=2, extent=2 * np.pi, points=8),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=hs.sampled_from(BLOCK_GRIDS),
+    name=hs.sampled_from(["chi", "a", "b", "lam", "mu"]),
+    values=hs.lists(hs.floats(0.2, 3.0), min_size=2, max_size=4),
+    seed=hs.integers(0, 2**16),
+)
+def test_block_records_equal_the_solo_records_bit_for_bit(grid, name, values, seed):
+    # dt_max is loose, so the advective and reactive limits set each
+    # member's step: chi, a and b give the members different step
+    # sequences, and members sit out the ends of record intervals
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.2, 1.5, grid.shape)
+    v = rng.uniform(0.2, 1.5, grid.shape)
+    base = {"chi": 1.0, "a": 1.0, "b": 1.0, "lam": 1.0, "mu": 1.0, "dim": grid.dim}
+    states = [
+        SimState(t=0.0, u=Field(grid, u), v=Field(grid, v), params=Params(**{**base, name: x}))
+        for x in values
+    ]
+    ctl = StepControl(dt_max=0.2, t_end=0.3, record_every=0.1, cfl_safety=0.5)
+    plan = SemigroupPlan(grid)
+    block_records: list[list[DiagnosticsRecord]] = [[] for _ in states]
+    ends = integrate(states, ctl, [r.append for r in block_records], plan=plan)
+    for s, records, end in zip(states, block_records, ends):
+        solo_records, solo_end = _run_alone(s, ctl, plan)
+        assert _record_bits(records) == _record_bits(solo_records)
+        if isinstance(solo_end, SimState):
+            assert end.t == solo_end.t
+            assert np.array_equal(bits(end.u.values), bits(solo_end.u.values))
+            assert np.array_equal(bits(end.v.values), bits(solo_end.v.values))
+        else:
+            assert type(end) is type(solo_end) and str(end) == str(solo_end)
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS[:2], ids=lambda g: f"{g.dim}d-{g.points}")
+def test_block_steps_of_some_rows_equal_their_solo_steps(grid):
+    # Rows with their own lam step alone, together at one dt, and together
+    # at their own dts; one weight cache serves every step, so a row's own
+    # step must never reuse the weights built for another row at that step.
+    plan = SemigroupPlan(grid)
+    rng = np.random.default_rng(36)
+    params = [Params(chi=1.3, a=1.1, b=0.7, lam=lam, mu=1.2, dim=grid.dim) for lam in (0.9, 1.7)]
+    u = rng.uniform(0.1, 2.0, (2, *grid.shape))
+    v = rng.uniform(0.1, 2.0, (2, *grid.shape))
+    block = _Stepper(plan, _Coefficients.of(params, grid.dim), u, v)
+    solo = [_Stepper(plan, p, u[row], v[row]) for row, p in enumerate(params)]
+    dt = 1e-2
+    for step, rows in [((dt,), (0,)), ((dt,), (1,)), (dt, None), ((dt, dt / 2), None)]:
+        block.advance(step, rows=rows)
+        steps = step if isinstance(step, tuple) else (step, step)
+        for row, row_dt in zip(rows if rows is not None else (0, 1), steps):
+            solo[row].advance(row_dt)
+    for row, alone in enumerate(solo):
+        assert np.array_equal(bits(block.stack[:, row]), bits(alone.stack))
+        assert np.array_equal(bits(block.u_hat[row]), bits(alone.u_hat))
+        assert np.array_equal(bits(block.v_hat[row]), bits(alone.v_hat))
+
+
+def test_lockstep_block_makes_the_transform_calls_of_one_member(monkeypatch):
+    # dt_max sets every member's step, so the three members step in
+    # lockstep: one batched call per transform serves them all
+    calls = {"to_spectral": 0, "to_physical": 0}
+    for name in calls:
+        transform = getattr(SemigroupPlan, name)
+
+        def counted(self, *args, _name=name, _transform=transform, **kwargs):
+            calls[_name] += 1
+            return _transform(self, *args, **kwargs)
+
+        monkeypatch.setattr(SemigroupPlan, name, counted)
+    steps = []
+    advance = _Stepper.advance
+
+    def counted_advance(self, dt, **kwargs):
+        steps.append(dt)
+        return advance(self, dt, **kwargs)
+
+    monkeypatch.setattr(_Stepper, "advance", counted_advance)
+    grid = Grid(dim=1, extent=2 * np.pi, points=64)
+    rng = np.random.default_rng(35)
+    u = rng.uniform(0.1, 2.0, grid.shape)
+    v = rng.uniform(0.9, 1.1, grid.shape)
+    states = [
+        SimState(
+            t=0.0,
+            u=Field(grid, u),
+            v=Field(grid, v),
+            params=Params(chi=1, a=1, b=b, lam=1, mu=1, dim=1),
+        )
+        for b in (1.0, 1.5, 2.0)
+    ]
+    ctl = StepControl(dt_max=1e-2, t_end=0.1, record_every=0.05, cfl_safety=1.0)
+    counts = []
+    for s0, sink in ((states[0], [].append), (states, [[].append for _ in states])):
+        calls.update(to_spectral=0, to_physical=0)
+        steps.clear()
+        integrate(s0, ctl, sink, plan=SemigroupPlan(grid))
+        counts.append((dict(calls), list(steps)))
+    (solo_calls, solo_steps), (block_calls, block_steps) = counts
+    assert len(solo_steps) >= 10 and all(isinstance(dt, float) for dt in block_steps)
+    assert block_steps == solo_steps
+    assert block_calls == solo_calls
