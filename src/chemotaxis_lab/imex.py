@@ -17,21 +17,34 @@ reads e^{-lam dt} u* + (1 - e^{-lam dt})/lam * lam u* = u*, for any dt, up
 to roundoff.
 
 The chemotaxis divergence is formed spectrally from pointwise products;
-products are dealiased by the 2/3 rule (the updated spectra are truncated,
-so products of retained modes never alias back into the retained band).
+products are dealiased by the 2/3 rule: the stepper's spectra are the 2/3
+band itself (|k index| <= floor(points/3) on every axis; see
+:mod:`chemotaxis_lab.spectral` for the band and its pruned transforms), so
+products of retained modes never alias back into the retained band.  The
+band is the mask: u_hat, v_hat, the step's weights and the nonlinearity's
+spectra hold only the band entries.  The band transforms equal the full
+ones on the band bit for bit, so the band state computes the floats of a
+full spectral state whose modes off the band are zeroed every step.  The
+stepper's input is not band-limited: v's full spectrum gives the first
+stack's grad v and the start record's lap v, and every later record
+inverts v and lap v from the band.  The Duhamel oracle
+(:mod:`chemotaxis_lab.mild`) keeps full spectra on the same kernel,
+:func:`nonlinear_hat`.
 
 The physical state is one (1+N)-row stack [u, d_1 v, ..., d_N v], and a step
 makes one batched forward and one batched inverse transform call over it:
 the products u d_i v and u (a + lam - b u) are written over the stack and
 transformed together, the divergence is assembled from those spectra, and
-the spent rows take u_hat and ik_i v_hat for the inverse.  A step owns the
-stack it consumes: a reference to it, or to one of its rows, held across a
-step keeps 1+N fields alive beside the step's spectra.
+the spent rows take u_hat and ik_i v_hat for the inverse, which writes the
+new stack over the spent one.  The band spectra, the transforms' work and
+the field in which the reaction term and then |grad v|^2 are formed are
+buffers the stepper keeps, so a step allocates no field- or spectrum-sized
+array.
 
 :func:`integrate` also advances a block of runs that share a grid (the
 points of a sweep) as one ensemble: their states are stacked on a leading
-batch axis, [u, d_1 v, ..., d_N v] of shape (1+N, B, ...) and spectra of
-shape (B, ...), so a lockstep step makes one forward and one inverse
+batch axis, [u, d_1 v, ..., d_N v] of shape (1+N, B, ...) and band spectra
+of shape (B, ...), so a lockstep step makes one forward and one inverse
 transform call and one pass of the numpy arithmetic for the whole block.  A
 coefficient that differs across the block is a (B, 1, ...) column in the
 nonlinearity and the step weights; a shared one stays a number, and a
@@ -145,52 +158,60 @@ class _Coefficients(NamedTuple):
 
 
 def _step_weights(plan: SemigroupPlan, dt, lam, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E(dt), phi1(dt) and mu phi1(dt) with the modes outside the 2/3 band
-    zeroed; ``dt``, ``lam`` and ``mu`` are numbers or batch columns."""
-    prop = plan.multiplier(dt, lam)
-    prop *= plan.dealias
-    phi = plan.phi1(dt, lam)
-    phi *= plan.dealias
-    return prop, phi, mu * phi
+    """E(dt), phi1(dt) and mu phi1(dt) on the 2/3 band; ``dt``, ``lam`` and
+    ``mu`` are numbers or batch columns."""
+    phi = plan.phi1(dt, lam, band=True)
+    return plan.multiplier(dt, lam, band=True), phi, mu * phi
 
 
 class _Stepper:
     """ETD1 state of a block of members on one grid: the physical stack
-    [u, d_1 v, ..., d_N v], the spectra u_hat and v_hat, and a one-slot cache
-    of the step's masked weights, so the plan's dealias mask is applied once
-    per step size (or per set of rows and their own steps, while members
-    step out of lockstep).  ``u`` and ``v`` may carry a leading batch axis
-    (one row per member; the stack is then (1+N, B, ...)), and ``params``
-    holds the members' coefficients (a :class:`Params`, or
+    [u, d_1 v, ..., d_N v], the band spectra u_hat and v_hat, the buffers a
+    step works in, and a one-slot cache of the step's weights, so they are
+    built once per step size (or per set of rows and their own steps, while
+    members step out of lockstep).  ``u`` and ``v`` may carry a leading
+    batch axis (one row per member; the stack is then (1+N, B, ...)), and
+    ``params`` holds the members' coefficients (a :class:`Params`, or
     :class:`_Coefficients` with a column per coefficient that differs).
 
     The first stack holds the input u itself, not a round trip of its
-    spectrum.  Each :meth:`advance` of every row consumes the stack and
-    leaves a new one, so a reference to ``stack`` (or a row of it) must not
-    be held across a step: it would keep a spent stack alive beside the
-    step's spectra.
+    spectrum, and its grad v rows come from v's full spectrum, which is
+    kept for the start record's lap v (:meth:`lap_v`) until the first step.
+    A step overwrites the stack in place with the next one.  ``scratch`` is
+    a field-sized buffer: a step forms the reaction term in it, and between
+    steps the caller forms |grad v|^2 there (``sum_of_squares(stack[1:],
+    out=scratch)``).  The band spectra of a step and the transforms' work
+    are buffers too (:meth:`SemigroupPlan.band_workspace`), so a lockstep
+    step allocates no field- or spectrum-sized array.
 
     A record interval usually ends on a short step a few ulps off the steady
     one.  Its weights are built with ``cache=False``, so the steady step's
     weights survive it and an interval builds at most one set.  A second
     cache slot would build none, but it holds one more set of spectral
-    weights through every step and record (+3.1 MB of peak memory at 64^3)."""
+    weights through every step and record."""
 
-    __slots__ = ("plan", "params", "stack", "u_hat", "v_hat", "_key", "_weights")
+    __slots__ = (
+        "plan", "params", "stack", "scratch", "u_hat", "v_hat", "_spec", "_work",
+        "_v_hat_input", "_key", "_weights",
+    )
 
     def __init__(self, plan: SemigroupPlan, params, u: np.ndarray, v: np.ndarray):
         self.plan = plan
         self.params = params
-        self.u_hat = plan.to_spectral(u)
-        self.v_hat = plan.to_spectral(v)
-        self.stack = np.stack((u, *plan.grad(self.v_hat)))
+        v_hat = plan.to_spectral(v)
+        self.stack = np.stack((u, *plan.grad(v_hat)))
+        self.scratch = sum_of_squares(self.stack[1:])
+        self.u_hat = plan.to_spectral(u, band=True)
+        self.v_hat = plan.band_of(v_hat)
+        self._spec, self._work = plan.band_workspace(self.stack.shape[: -plan.grid.dim])
+        self._v_hat_input = v_hat
         self._key = -1.0
         self._weights = None
 
     def weights(
         self, dt, rows: tuple[int, ...] | None = None, *, cache: bool = True
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The masked E(dt), phi1(dt) and mu phi1(dt): of every row at the
+        """E(dt), phi1(dt) and mu phi1(dt) on the band: of every row at the
         one step ``dt``, or, for a tuple ``dt``, of the rows ``rows`` (None:
         every row) at their own steps.  ``cache=False`` leaves the cached
         set in place."""
@@ -208,83 +229,107 @@ class _Stepper:
         return weights
 
     def advance(self, dt, *, cache: bool = True, rows: tuple[int, ...] | None = None) -> None:
-        """One ETD1 update in spectral space:
+        """One ETD1 update on the band:
 
             u_hat_new = E u_hat + phi1 (reac_hat - chi flux_hat)
             v_hat_new = E v_hat + mu phi1 u_hat
 
         phi1 integrates E over the step exactly, so the homogeneous
         equilibrium is a fixed point for every dt (k = 0: E u* + phi1 lam u*
-        = u*).  A float ``dt`` steps every row: u_hat and v_hat are updated
-        in place, the consumed stack is released before the weights are
-        fetched, and the weights before the inverse, so an uncached set
-        overlaps neither stack.  A tuple ``dt`` gives each stepped row its
-        own step, and ``rows`` steps only those rows: they are gathered,
-        stepped and written back, and the other rows keep their state."""
+        = u*).  A float ``dt`` steps every row in the stepper's buffers:
+        u_hat and v_hat are updated in place and the band inverse writes
+        the new stack over the spent one.  A tuple ``dt`` gives each stepped
+        row its own step, and ``rows`` steps only those rows: they are
+        gathered, stepped in the first rows of the buffers and written back,
+        and the other rows keep their state."""
         plan = self.plan
+        self._v_hat_input = None
         if rows is None:
             coef, stack, u_hat, v_hat = self.params, self.stack, self.u_hat, self.v_hat
-            self.stack = None
+            scratch, spec, work = self.scratch, self._spec, self._work
         else:
             index = list(rows)
             coef, stack = self.params.take(index), self.stack[:, index]
             u_hat, v_hat = self.u_hat[index], self.v_hat[index]
-        spec = nonlinear_hat(plan, coef, stack)
-        del stack
+            # The buffers' first rows; a 1D work holds the stack's spectra.
+            count = stack.shape[1]
+            scratch, spec = self.scratch[:count], self._spec[:, :count]
+            work = self._work[:, :count] if plan.grid.dim == 1 else self._work
+        spec = nonlinear_hat(plan, coef, stack, band=True, scratch=scratch, out=spec, work=work)
         prop, phi, mu_phi = self.weights(dt, rows, cache=cache)
-        n_hat, scratch = spec[0], spec[1]
+        n_hat, tmp = spec[0], spec[1]
         n_hat *= phi
-        np.multiply(mu_phi, u_hat, out=scratch)
+        np.multiply(mu_phi, u_hat, out=tmp)
         v_hat *= prop
-        v_hat += scratch
+        v_hat += tmp
         u_hat *= prop
         u_hat += n_hat
         n_hat[...] = u_hat
-        del prop, phi, mu_phi
-        for ik, row in zip(plan.ik, spec[1:]):
+        for ik, row in zip(plan.band_ik, spec[1:]):
             np.multiply(ik, v_hat, out=row)
-        stack = plan.to_physical(spec, overwrite=True)
-        if rows is None:
-            self.stack = stack
-        else:
+        plan.to_physical(spec, band=True, out=stack, work=work)
+        if rows is not None:
             self.stack[:, index] = stack
             self.u_hat[index] = u_hat
             self.v_hat[index] = v_hat
+
+    def _field_work(self) -> np.ndarray:
+        """The work buffer of the band transforms of one row of the stack:
+        in 1D the first row's slot of the stack's half spectra."""
+        return self._work[0] if self.plan.grid.dim == 1 else self._work
+
+    def v(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The physical v of the band state, written into ``out`` if given."""
+        return self.plan.to_physical(self.v_hat, band=True, out=out, work=self._field_work())
+
+    def lap_v(self) -> np.ndarray:
+        """lap v of the state: before the first step from the input's full v
+        spectrum (consumed here), after it from the band."""
+        plan = self.plan
+        if self._v_hat_input is not None:
+            v_hat, self._v_hat_input = self._v_hat_input, None
+            return plan.to_physical(np.multiply(-plan.k2, v_hat, out=v_hat), overwrite=True)
+        lap_hat = -plan.band_k2 * self.v_hat
+        return plan.to_physical(lap_hat, band=True, work=self._field_work())
 
     def keep(self, rows: list[int]) -> None:
         """Drop every row but ``rows`` for good (members that left)."""
         self.params = self.params.take(rows)
         self.stack = self.stack[:, rows]
+        self.scratch = self.scratch[rows]
         self.u_hat = self.u_hat[rows]
         self.v_hat = self.v_hat[rows]
+        self._spec, self._work = self.plan.band_workspace(self.stack.shape[: -self.plan.grid.dim])
         self._key, self._weights = -1.0, None
 
 
-def nonlinear_hat(plan: SemigroupPlan, p, stack: np.ndarray) -> np.ndarray:
+def nonlinear_hat(
+    plan: SemigroupPlan, p, stack: np.ndarray, *, band=False, scratch=None, out=None, work=None
+) -> np.ndarray:
     """Spectrum of u (a + lam - b u) - chi div(u grad v), given the physical
     stack [u, d_1 v, ..., d_N v] (every row may carry a leading batch axis)
     and the coefficients ``p`` (a :class:`Params`, or a block's
     :class:`_Coefficients`, whose columns broadcast over the batch axis).
-    The stepper and the Duhamel oracle both integrate this term.
+    The stepper and the Duhamel oracle both integrate this term: the
+    stepper on the 2/3 band (``band=True``), the oracle on full spectra.
 
     The stack is overwritten with the products u d_i v and u (a + lam - b u)
     and transformed in one call.  The returned spectral stack holds the
-    term in row 0; its other rows are spent and the caller's to reuse."""
+    term in row 0; its other rows are spent and the caller's to reuse.
+    ``scratch`` (a field of the stack's row shape) takes the reaction
+    factor, and ``out`` and ``work`` are the band forward's buffers; each
+    is allocated when None."""
     u = stack[0]
     stack[1:] *= u
-    reac = p.b * u
+    reac = np.multiply(p.b, u, scratch)
     np.subtract(p.a + p.lam, reac, out=reac)
     u *= reac
     del reac  # not held through the transform
-    spec = plan.to_spectral(stack)
-    flux_hat = plan.div_hat(spec[1:])
+    spec = plan.to_spectral(stack, band, out=out, work=work)
+    flux_hat = plan.div_hat(spec[1:], band)
     flux_hat *= p.chi
     spec[0] -= flux_hat
     return spec
-
-
-def _lap(plan: SemigroupPlan, v_hat: np.ndarray) -> np.ndarray:
-    return plan.to_physical(-plan.k2 * v_hat, overwrite=True)
 
 
 def _cfl_from_norms(
@@ -335,9 +380,10 @@ def integrate(
     and then at every multiple of record_every (timestamps strictly
     increasing).  Each state's grad v is formed once from v_hat, and the
     next step and the record both read it.  Transform calls: two forward
-    (u, v) and N inverse (grad v) at the start, one forward and one inverse
-    per step, and at each record the inverses of v and lap v (of lap v alone
-    at the start time, where v is the input).
+    (u's band, v in full) and N full inverse (grad v) at the start, one band
+    forward and one band inverse per step, and at each record the band
+    inverses of v and lap v (of lap v alone at the start time, where v is
+    the input, from its full spectrum).
 
     ``s0`` may be a block: a sequence of states on one grid at one start
     time, with ``sink`` a sequence of one sink (or None) per member.  The
@@ -411,14 +457,15 @@ def integrate(
     def record(t: float, v: np.ndarray, grad_sq: np.ndarray) -> None:
         if all(sinks[member] is None for member in live):
             return
-        lap_v = _lap(plan, st.v_hat)
+        lap_v = st.lap_v()
         member_rows = zip(live, rows(st.stack[0]), rows(v), rows(grad_sq), rows(lap_v))
         for member, *arrays in member_rows:
             if sinks[member] is not None:
                 sinks[member](diagnostics(t, params[member], *arrays))
 
     spacing, neg_tol = grid.spacing, ctl.neg_tol
-    grad_sq = sum_of_squares(st.stack[1:])
+    v_out = None  # the later records' v, allocated by the first of them
+    grad_sq = st.scratch
     record(t, v, grad_sq)
     for target in record_times(t, ctl):
         tol = 1e-13 * max(1.0, target)
@@ -439,7 +486,6 @@ def integrate(
                 dts.append(dt)
             if not any(dts):
                 break
-            del grad_sq  # not held through the step: one field less at peak
             if dts[0] and dts.count(dts[0]) == len(dts):
                 st.advance(dts[0], cache=cache)  # lockstep: every row, one step size
             else:
@@ -455,17 +501,18 @@ def integrate(
                     errors[row] = error
             if errors and not drop(errors):
                 break
-            grad_sq = sum_of_squares(st.stack[1:])
+            grad_sq = sum_of_squares(st.stack[1:], out=st.scratch)
         if not live:
             break
         ts = [target] * len(live)
-        v = plan.to_physical(st.v_hat)
+        v = v_out = st.v(out=v_out)
         finite = per_row(np.isfinite(v).all(axis=axes))
         if not all(finite):
             kept = drop({row: DivergenceError(target) for row, ok in enumerate(finite) if not ok})
             if not kept:
                 break
-            v, grad_sq = v[kept], grad_sq[kept]
+            v = v_out = v[kept]
+            grad_sq = st.scratch
         record(target, v, grad_sq)
     for member, u_row, v_row in zip(live, rows(st.stack[0]), rows(v)):
         u, v_end = Field(grid, u_row), Field(grid, v_row)

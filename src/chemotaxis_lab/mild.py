@@ -19,7 +19,7 @@ accuracy is first order in the node spacing.
 
 The nonlinearity is the stepper's own :func:`chemotaxis_lab.imex.nonlinear_hat`,
 and the left-node rule's fixed point is the ETD1 recurrence of the stepper
-at step T/q, without its dealias mask.  So the cross-solver comparison
+at step T/q, without its 2/3 band.  So the cross-solver comparison
 checks dealiasing and step control, not the time discretisation; a
 higher-order quadrature here would make the oracle independent in time.
 

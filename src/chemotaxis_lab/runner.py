@@ -364,7 +364,10 @@ def execute_sweep(sweep: SweepConfig, out_dir: str | Path, workers: int | None =
     """Run every sweep point and write sweep_summary.csv.  The points are
     split into contiguous blocks, at least one per worker and at most
     ``_BLOCK_VALUES`` grid values per block, and the bounded worker pool
-    maps the blocks."""
+    maps the blocks.  A pool size below 1 is an input error, raised before
+    any output."""
+    if workers is not None and workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tasks = []

@@ -28,7 +28,8 @@ trailing ``dim`` axes, and pocketfft transforms each row of a stack exactly
 as it transforms that row alone, so a batched call equals the per-row calls
 bit for bit.  ``div_hat`` takes the N component spectra as rows.  The ETD1
 step makes one batched forward and one batched inverse call per step, over
-its (1+N)-row stack [u, d_1 v, ..., d_N v] (see :mod:`chemotaxis_lab.imex`),
+its (1+N)-row stack [u, d_1 v, ..., d_N v] (see :mod:`chemotaxis_lab.imex`;
+from 2D up its band transforms walk the stack row by row inside the call),
 and the Duhamel oracle transforms whole blocks of quadrature nodes this way.
 
 Every transform goes through :meth:`SemigroupPlan.to_spectral` and
@@ -49,11 +50,41 @@ A :class:`SemigroupPlan` is read-only after construction and safe to share
 between threads.  The plan transforms in place the arrays it allocates
 itself (``ik * spec`` in :meth:`SemigroupPlan.grad`, for example) and the
 arrays a caller hands over: ``div_hat`` overwrites the spectra it is given,
-and ``to_physical(..., overwrite=True)`` may destroy its input.  No other
-call modifies a caller's array.
+``to_physical(..., overwrite=True)`` may destroy its input, and the band
+transforms write their ``out`` and ``work`` buffers.  No other call
+modifies a caller's array.
+
+The 2/3 band.  The ETD1 step keeps only the modes with |k index| <=
+floor(points/3) on every axis (Orszag's 2/3 rule, the plan's ``dealias``
+mask): 30% of a 64^3 spectrum.  ``to_spectral(values, band=True)`` returns
+those entries alone, in ``band_shape`` (on a full axis the indices
+0..keep, then points-keep..points-1; on the half axis 0..keep), and
+``to_physical(spec, band=True)`` inverts a band spectrum as the full
+spectrum that is zero off the band.  They prune lines, not arithmetic
+within a line (Markel's FFT pruning): the forward transforms every line
+of the real-to-complex axis, and then on each later axis only the lines
+whose outputs all stay in the band; the inverse skips every line the zero
+padding leaves all zero and zeroes the padding the lines it transforms
+read.  Each line they do transform gets the same kernel call as in the
+full transform, so the band forward equals the full forward's band
+entries bit for bit, and the band inverse equals the full inverse of the
+zero-padded spectrum bit for bit (``tests/test_spectral.py``).  A band
+inverse's input is the band alone: a full spectrum with content off the
+band has no band transform.  In 1D the band is a prefix of the half
+spectrum, so a band transform is the full one and a slice.  From 2D up the
+band transforms work row by row (one field of a stack at a time) through
+a work buffer of one full spectrum; :meth:`SemigroupPlan.band_workspace`
+makes it and the band spectra, and the caller (the stepper) owns them, so
+the plan stays read-only.  Full transforms stay where a spectrum is not
+band-limited: the stepper's input v (its full spectrum gives the first
+stack's grad v and the start record's lap v; the input u needs only its
+band), the Duhamel oracle, whose product integration keeps every mode, and
+the gradient-constant calibration, whose kernels span the whole spectrum.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -73,12 +104,14 @@ __all__ = [
 
 # Multiplier values below this are flushed to zero to avoid denormal slowdowns.
 _UNDERFLOW_FLUSH = 1e-300
+# Most values per chunk of sum_of_squares's temporary (128 KiB of float64).
+_CHUNK_VALUES = 2**14
 # Times at which measure_gradient_constant evaluates the kernels.
 CALIBRATION_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
 
 
 class SemigroupPlan:
-    """Cached wavenumber arrays for one grid (rfftn layout).
+    """Cached wavenumber arrays for one grid (rfftn layout) and its 2/3 band.
 
     Attributes
     ----------
@@ -87,25 +120,33 @@ class SemigroupPlan:
          shape, with the Nyquist mode zeroed (odd derivatives of real data).
     dealias : read-only 2/3-rule mask over the spectral shape: keep
               |k index| <= floor(points/3) on every axis.
+    band_shape : shape of a band spectrum, the entries ``dealias`` keeps:
+                 2 keep + 1 on each full axis (indices 0..keep, then
+                 points-keep..points-1, in fftfreq order) and keep + 1 on the
+                 half axis, with keep = floor(points/3).
+    band_k2, band_ik : ``k2`` and ``ik`` on the band.
     """
 
-    __slots__ = ("grid", "k2", "ik", "spectral_shape", "dealias")
+    __slots__ = (
+        "grid", "k2", "ik", "spectral_shape", "dealias", "band_shape", "band_k2", "band_ik",
+        "_half", "_prefix", "_blocks", "_forward_lines", "_inverse_lines",
+    )
 
     def __init__(self, grid: Grid):
         self.grid = grid
         n = grid.points
         d = grid.spacing
+        dim = grid.dim
         k_full = 2.0 * np.pi * np.fft.fftfreq(n, d=d)
         k_half = 2.0 * np.pi * np.fft.rfftfreq(n, d=d)
 
-        axes = [k_full] * (grid.dim - 1) + [k_half]
+        axes = [k_full] * (dim - 1) + [k_half]
         shape = tuple(len(ax) for ax in axes)
         self.spectral_shape = shape
-
         k2 = np.zeros(shape)
         ik = []
         for axis, k_axis in enumerate(axes):
-            view = [1] * grid.dim
+            view = [1] * dim
             view[axis] = len(k_axis)
             k2 = k2 + (k_axis**2).reshape(view)
             k_deriv = k_axis.copy()
@@ -117,77 +158,246 @@ class SemigroupPlan:
 
         # 2/3 rule: keep |k index| <= floor(points/3) on every axis.
         keep = n // 3
-        idx_full = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-        idx_half = np.abs(np.fft.rfftfreq(n, d=1.0 / n))
-        mask = np.ones(shape, dtype=bool)
-        for axis, idx in enumerate([idx_full] * (grid.dim - 1) + [idx_half]):
-            view = [1] * grid.dim
-            view[axis] = len(idx)
-            mask &= (idx <= keep).reshape(view)
+        half = keep + 1
+        self.band_shape = (2 * keep + 1,) * (dim - 1) + (half,)
+
+        def band(values: np.ndarray, axis: int) -> np.ndarray:
+            """The band entries of one axis's values: the low and the high
+            run on a full axis, the low run on the half axis."""
+            if axis == dim - 1:
+                return values[:half]
+            return np.concatenate((values[:half], values[n - keep :]))
+
+        # The band arrays repeat the full arrays' arithmetic on the band's
+        # wavenumbers, so they equal the full arrays' band entries bit for bit.
+        band_k2 = np.zeros(self.band_shape)
+        band_ik = []
+        for axis, (k_axis, ik_axis) in enumerate(zip(axes, ik)):
+            view = [1] * dim
+            view[axis] = self.band_shape[axis]
+            band_k2 = band_k2 + (band(k_axis, axis) ** 2).reshape(view)
+            band_ik.append(band(ik_axis.ravel(), axis).reshape(view))
+        self.band_k2 = band_k2
+        self.band_ik = tuple(band_ik)
+
+        # Index tuples of the band transforms (see the module docstring).  A
+        # full axis holds the band in two runs: the low run 0..keep and the
+        # high run points-keep..points-1.
+        self._half = half
+        self._prefix = (Ellipsis, slice(0, half))  # the band of a 1D spectrum
+        runs = [(slice(0, half), slice(0, half)), (slice(half, None), slice(n - keep, n))]
+        full_runs = [entries for _, entries in runs]
+        last = (slice(0, half),)
+        # (band entries, full-spectrum entries) of each block of runs.
+        self._blocks = [
+            (
+                (Ellipsis, *(band_entries for band_entries, _ in combo), slice(None)),
+                (Ellipsis, *(entries for _, entries in combo), *last),
+            )
+            for combo in itertools.product(runs, repeat=dim - 1)
+        ]
+        mask = np.zeros(shape, dtype=bool)
+        for _, entries in self._blocks:
+            mask[entries] = True
         mask.flags.writeable = False
         self.dealias = mask
 
-    def to_spectral(self, values: np.ndarray) -> np.ndarray:
+        def later_runs(axis):
+            """The combinations of runs on the full axes after ``axis``."""
+            return itertools.product(full_runs, repeat=dim - 2 - axis)
+
+        whole = slice(None)
+        gap = slice(half, n - keep)
+        # Forward, c2c axes dim-2 down to 0: the lines in the band on every
+        # axis already transformed.  Inverse, axes 0 up to dim-2: the lines
+        # in the band on every axis not yet transformed, each first padded
+        # with zeros on the transformed axis.
+        self._forward_lines = [
+            (axis, [(whole,) * (axis + 1) + combo + last for combo in later_runs(axis)])
+            for axis in range(dim - 2, -1, -1)
+        ]
+        self._inverse_lines = [
+            (
+                axis,
+                [(whole,) * axis + (gap,) + combo + last for combo in later_runs(axis)],
+                [(whole,) * (axis + 1) + combo + last for combo in later_runs(axis)],
+            )
+            for axis in range(dim - 1)
+        ]
+
+    def to_spectral(
+        self, values: np.ndarray, band: bool = False, *, out=None, work=None
+    ) -> np.ndarray:
         """rfftn over the trailing ``dim`` axes (a leading batch axis is
         allowed): the last axis real-to-complex, then the others from the
         second-to-last down to the first, in place, as numpy does.
-        ``values`` must be float64; the spectrum is complex128."""
-        # Kernel arguments: (array, axes, forward, inorm, out, nthreads).
-        spec = _pocketfft.r2c(values, (-1,), True, 0, None, 1)
-        for axis in range(-2, -self.grid.dim - 1, -1):
-            _pocketfft.c2c(spec, (axis,), True, 0, spec, 1)
-        return spec
+        ``values`` must be float64; the spectrum is complex128.
 
-    def to_physical(self, spec: np.ndarray, *, overwrite: bool = False) -> np.ndarray:
+        ``band=True`` returns the band entries alone (shape ``band_shape``),
+        written into ``out`` if it is given: the c2c lines whose outputs
+        all leave the band are skipped.  ``out`` and ``work`` (the buffers
+        of :meth:`band_workspace`) serve the band transform alone; without
+        ``work`` it allocates its own.  In 1D it needs none: its one r2c
+        output is as small as the stack."""
+        if not band:
+            # Kernel arguments: (array, axes, forward, inorm, out, nthreads).
+            spec = _pocketfft.r2c(values, (-1,), True, 0, None, 1)
+            for axis in range(-2, -self.grid.dim - 1, -1):
+                _pocketfft.c2c(spec, (axis,), True, 0, spec, 1)
+            return spec
+        if self.grid.dim == 1:
+            spec = _pocketfft.r2c(values, (-1,), True, 0, None, 1)[self._prefix]
+            if out is None:
+                return spec.copy()
+            out[...] = spec
+            return out
+        lead = values.shape[: -self.grid.dim]
+        if out is None:
+            out = np.empty(lead + self.band_shape, np.complex128)
+        if work is None:
+            work = np.empty(self.spectral_shape, np.complex128)
+        for row in np.ndindex(lead):
+            _pocketfft.r2c(values[row], (-1,), True, 0, work, 1)
+            for axis, lines in self._forward_lines:
+                for index in lines:
+                    line = work[index]
+                    _pocketfft.c2c(line, (axis,), True, 0, line, 1)
+            out_row = out[row]
+            for band_entries, entries in self._blocks:
+                out_row[band_entries] = work[entries]
+        return out
+
+    def to_physical(
+        self, spec: np.ndarray, band: bool = False, *, overwrite: bool = False, out=None, work=None
+    ) -> np.ndarray:
         """irfftn over the trailing ``dim`` axes, in numpy's order: the
         leading axes complex-to-complex, then the last complex-to-real, each
         normalised by its length.  ``spec`` must be complex128; the field is
-        float64.  ``overwrite=True`` lets the transform destroy ``spec``;
-        pass it only for a temporary nothing else holds."""
-        for axis in range(-self.grid.dim, -1):
-            spec = _pocketfft.c2c(spec, (axis,), False, 2, spec if overwrite else None, 1)
-            overwrite = True
-        # c2r's third argument is the length of the real output axis.
-        return _pocketfft.c2r(spec, (-1,), self.grid.points, False, 2, None, 1)
+        float64, written into ``out`` if it is given.  ``overwrite=True``
+        lets the transform destroy ``spec``; pass it only for a temporary
+        nothing else holds.
+
+        ``band=True`` takes a band spectrum (shape ``band_shape``) and
+        returns the field of its zero-padded full spectrum; the c2c lines
+        that the padding leaves all zero are skipped, and ``spec`` is left
+        as it is.  ``work`` is :meth:`band_workspace`'s; without it the
+        band transform allocates its own."""
+        n = self.grid.points
+        if not band:
+            for axis in range(-self.grid.dim, -1):
+                spec = _pocketfft.c2c(spec, (axis,), False, 2, spec if overwrite else None, 1)
+                overwrite = True
+            # c2r's third argument is the length of the real output axis.
+            return _pocketfft.c2r(spec, (-1,), n, False, 2, out, 1)
+        half = self._half
+        if self.grid.dim == 1:
+            if work is None:
+                work = np.zeros(spec.shape[:-1] + self.spectral_shape, np.complex128)
+            work[self._prefix] = spec  # the padding past the band stays zero
+            return _pocketfft.c2r(work, (-1,), n, False, 2, out, 1)
+        lead = spec.shape[: -self.grid.dim]
+        if out is None:
+            out = np.empty(lead + self.grid.shape)
+        if work is None:
+            work = np.empty(self.spectral_shape, np.complex128)
+        # Only c2r reads the half axis past the band, and it writes nothing
+        # back, so that padding is zeroed once for every row.
+        work[..., half:] = 0.0
+        for row in np.ndindex(lead):
+            spec_row = spec[row]
+            for band_entries, entries in self._blocks:
+                work[entries] = spec_row[band_entries]
+            for axis, padding, lines in self._inverse_lines:
+                for index in padding:
+                    work[index] = 0.0
+                for index in lines:
+                    line = work[index]
+                    _pocketfft.c2c(line, (axis,), False, 2, line, 1)
+            _pocketfft.c2r(work, (-1,), n, False, 2, out[row], 1)
+        return out
+
+    def band_workspace(self, lead: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Buffers for the band transforms of a stack with leading shape
+        ``lead``: its band spectra and the transforms' ``work``, which only
+        the band transforms may write.  From 2D up ``work`` is one full
+        spectrum, which the transforms reuse row by row.  In 1D it is the
+        stack's zero-padded half spectra, which only the band inverse uses:
+        it writes the band entries, and the padding stays zero from here on.
+        (A 1D band forward is one r2c call whose output is as small as the
+        stack, then a copy of its band.)"""
+        if self.grid.dim == 1:
+            work = np.zeros(lead + self.spectral_shape, np.complex128)
+            if len(lead) == 1:  # rows of one field: the band is work's prefix
+                return work[self._prefix], work
+            return np.empty(lead + self.band_shape, np.complex128), work
+        return np.empty(lead + self.band_shape, np.complex128), np.empty(
+            self.spectral_shape, np.complex128
+        )
+
+    def band_of(self, spec: np.ndarray) -> np.ndarray:
+        """The band entries of the full spectrum ``spec`` (a leading batch
+        axis is allowed), copied."""
+        out = np.empty(spec.shape[: -self.grid.dim] + self.band_shape, np.complex128)
+        for band_entries, entries in self._blocks:
+            out[band_entries] = spec[entries]
+        return out
 
     def grad(self, spec: np.ndarray) -> list[np.ndarray]:
-        """Physical-space gradient components of the spectrum ``spec`` (a
-        leading batch axis is allowed)."""
+        """Physical-space gradient components of the full spectrum ``spec``
+        (a leading batch axis is allowed)."""
         return [self.to_physical(ik * spec, overwrite=True) for ik in self.ik]
 
-    def div_hat(self, specs: np.ndarray) -> np.ndarray:
+    def div_hat(self, specs: np.ndarray, band: bool = False) -> np.ndarray:
         """Spectrum of the divergence of a vector field, given the spectra of
         its components as the rows of ``specs`` (each may carry a leading
-        batch axis): sum_i ik_i specs[i], accumulated axis by axis.  The
-        rows are overwritten with the products and the sum is returned in
-        the first row, so no spectrum-sized temporary is made."""
+        batch axis; band spectra with ``band=True``): sum_i ik_i specs[i],
+        accumulated axis by axis.  The rows are overwritten with the
+        products and the sum is returned in the first row, so no
+        spectrum-sized temporary is made."""
+        iks = self.band_ik if band else self.ik
         acc = specs[0]
-        np.multiply(self.ik[0], acc, out=acc)
-        for ik, row in zip(self.ik[1:], specs[1:]):
+        np.multiply(iks[0], acc, out=acc)
+        for ik, row in zip(iks[1:], specs[1:]):
             np.multiply(ik, row, out=row)
             acc += row
         return acc
 
-    def multiplier(self, t: float, sigma: float) -> np.ndarray:
-        m = np.exp(-(self.k2 + sigma) * t)
+    def multiplier(self, t: float, sigma: float, band: bool = False) -> np.ndarray:
+        """exp(-(|k|^2 + sigma) t) per mode (on the band with ``band=True``),
+        flushed to zero below 1e-300."""
+        m = np.exp(-((self.band_k2 if band else self.k2) + sigma) * t)
         m[m < _UNDERFLOW_FLUSH] = 0.0
         return m
 
-    def phi1(self, t: float, sigma: float) -> np.ndarray:
+    def phi1(self, t: float, sigma: float, band: bool = False) -> np.ndarray:
         """Exact integral of exp(-(|k|^2 + sigma) s) over s in [0, t], per
-        mode: -expm1(-(|k|^2 + sigma) t) / (|k|^2 + sigma).  The ``expm1``
-        form keeps full precision when (|k|^2 + sigma) t is small.  Needs
-        sigma > 0, since the k = 0 mode divides by sigma."""
-        rate = self.k2 + sigma
+        mode (on the band with ``band=True``): -expm1(-(|k|^2 + sigma) t) /
+        (|k|^2 + sigma).  The ``expm1`` form keeps full precision when
+        (|k|^2 + sigma) t is small.  Needs sigma > 0, since the k = 0 mode
+        divides by sigma."""
+        rate = (self.band_k2 if band else self.k2) + sigma
         return -np.expm1(-rate * t) / rate
 
 
-def sum_of_squares(components) -> np.ndarray:
+def sum_of_squares(components, out: np.ndarray | None = None) -> np.ndarray:
     """Pointwise sum of the squared components (|grad v|^2 for the output
-    of :meth:`SemigroupPlan.grad`), accumulated axis by axis."""
-    out = components[0] * components[0]
+    of :meth:`SemigroupPlan.grad`, or for rows 1: of the step's stack),
+    accumulated axis by axis.  With ``out`` given the sum is formed there,
+    and the squares after the first are taken a chunk of ``out``'s first
+    axis at a time (at most a quarter of it, and at most 128 KiB), so no
+    temporary as large as a component is made."""
+    first = components[0]
+    if out is None:
+        out = first * first
+        for c in components[1:]:
+            out += c * c
+        return out
+    np.multiply(first, first, out)
     for c in components[1:]:
-        out += c * c
+        rows = max(1, min(len(out) // 4, _CHUNK_VALUES // out[0].size))
+        for start in range(0, len(out), rows):
+            chunk = c[start : start + rows]
+            out[start : start + rows] += chunk * chunk
     return out
 
 

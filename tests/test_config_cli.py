@@ -612,6 +612,14 @@ def test_inadmissible_sweep_value_exits_4_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "sweep_results").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_with_fewer_than_one_worker_exits_4_before_any_output(tmp_path, capsys, workers):
+    path = write_sweep_config(tmp_path, "1.0")
+    assert main(["sweep", str(path), "--workers", workers]) == 4
+    assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+    assert not (tmp_path / "sweep_results").exists()
+
+
 def test_empty_sweep_grid_exits_4(tmp_path):
     path = write_sweep_config(tmp_path, "")
     assert main(["sweep", str(path)]) == 4

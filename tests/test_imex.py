@@ -110,6 +110,13 @@ def test_stacked_step_equals_the_per_field_step_bit_for_bit(grid, v_kind):
     dt = 1e-2
     dts = [dt, dt, dt, dt * (1.0 - 4e-16), dt]
     assert dts[3] != dt
+    # The stepper keeps the 2/3 band alone: its spectra are the reference's
+    # band entries, and the reference's other entries are zero.
+    keep = grid.points // 3
+    band = np.ix_(
+        *[np.abs(np.fft.fftfreq(grid.points, 1.0 / grid.points)) <= keep] * (grid.dim - 1),
+        np.arange(grid.points // 2 + 1) <= keep,
+    )
     st = _Stepper(plan, p, u, v)
     reference = _per_field_steps(plan, p, u, v, dts)
     for step, (dt_step, (ref_u, ref_vx, ref_u_hat, ref_v_hat)) in enumerate(zip(dts, reference)):
@@ -117,8 +124,12 @@ def test_stacked_step_equals_the_per_field_step_bit_for_bit(grid, v_kind):
         assert np.array_equal(bits(st.stack[0]), bits(ref_u)), step
         for row, ref_row in zip(st.stack[1:], ref_vx):
             assert np.array_equal(bits(row), bits(ref_row)), step
-        assert np.array_equal(bits(st.u_hat), bits(ref_u_hat)), step
-        assert np.array_equal(bits(st.v_hat), bits(ref_v_hat)), step
+        assert np.array_equal(bits(st.u_hat), bits(ref_u_hat[band])), step
+        assert np.array_equal(bits(st.v_hat), bits(ref_v_hat[band])), step
+        for ref_hat in (ref_u_hat, ref_v_hat):
+            outside = ref_hat.copy()
+            outside[band] = 0.0
+            assert not outside.any(), step
 
 
 def test_cfl_formula_reaction_limited():
@@ -262,9 +273,9 @@ def test_step_weights_are_rebuilt_at_most_once_per_record_interval(monkeypatch):
     built = []
     phi1 = SemigroupPlan.phi1
 
-    def counted(self, t, sigma):
+    def counted(self, t, sigma, **kwargs):
         built.append(t)
-        return phi1(self, t, sigma)
+        return phi1(self, t, sigma, **kwargs)
 
     monkeypatch.setattr(SemigroupPlan, "phi1", counted)
     p = Params(chi=1, a=1, b=10, lam=1, mu=1, dim=1)
@@ -313,31 +324,40 @@ def test_integrate_makes_one_forward_and_one_inverse_transform_per_step(grid, mo
     assert calls["to_physical"] == grid.dim + 1 + 2 * (len(records) - 1) + len(steps)
 
 
-def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
-    # On 32^3, F is one field (256 KiB) and S one half-complex spectrum
-    # (17/16 F).  Held through the run: u_hat and v_hat (2 S) and the cached
-    # weights E, phi1 and mu phi1 (3 real half spectra, 1.5 S).  A step holds
-    # the stack [u, grad v] beside its spectra, then the spectra beside the
-    # new stack: 4 F + 7.5 S.  A record holds the stack (4 F), |grad v|^2, v
-    # and lap v (3 F) and one reduction temporary (1 F): 8 F + 3.5 S.  The
-    # bound is the larger of the two plus one field for small objects (numpy's
-    # 128 KiB ufunc buffer among them).  A spent stack held through a step
-    # adds 4 F, and a record with three reduction temporaries holds
-    # 10 F + 3.5 S; either is over the bound.
-    grid = Grid(dim=3, extent=2 * np.pi, points=32)
-    plan = SemigroupPlan(grid)
-    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=3)
+def _memory_run(grid, seed):
+    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=grid.dim)
     s = SimState(
         t=0.0,
-        u=Field(grid, np.random.default_rng(33).uniform(0.1, 2.0, grid.shape)),
+        u=Field(grid, np.random.default_rng(seed).uniform(0.1, 2.0, grid.shape)),
         v=Field(grid, np.ones(grid.shape)),
         params=p,
     )
-    ctl = StepControl(dt_max=1e-2, t_end=0.05, record_every=0.05, cfl_safety=0.5)
+    return s, StepControl(dt_max=1e-2, t_end=0.05, record_every=0.05, cfl_safety=0.5)
+
+
+def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
+    # On 32^3, F is one field (256 KiB), S one half-complex spectrum
+    # (17/16 F) and B one band spectrum (21 * 21 * 11 modes, 0.28 S).  Held
+    # through the run: the stack [u, grad v] (4 F), the scratch field that
+    # holds |grad v|^2 (F), u_hat and v_hat (2 B), the cached weights E,
+    # phi1 and mu phi1 (3 real band spectra, 1.5 B), the step's band spectra
+    # (4 B) and the transforms' work (S): 5 F + S + 7.5 B.  A step adds at
+    # most an uncached set of weights (1.5 B): 5 F + S + 9 B.  A record adds
+    # v and lap v (2 F) and one reduction temporary (F): 8 F + S + 7.5 B.
+    # The bound is the larger of the two plus one field for small objects
+    # (numpy's 128 KiB ufunc buffer among them).  Full spectra for the
+    # step's stack add 4 (S - B), a spent stack held through a step 4 F, and
+    # a record's v made beside the last record's one F; each is over the
+    # bound.
+    grid = Grid(dim=3, extent=2 * np.pi, points=32)
+    plan = SemigroupPlan(grid)
+    s, ctl = _memory_run(grid, 33)
     field = 8 * grid.points**3
     spectrum = 16 * int(np.prod(plan.spectral_shape))
-    step = 4 * field + 7.5 * spectrum
-    record = 8 * field + 3.5 * spectrum
+    band = 16 * int(np.prod(plan.band_shape))
+    assert band <= 0.28 * spectrum
+    step = 5 * field + spectrum + 9 * band
+    record = 8 * field + spectrum + 7.5 * band
     bound = max(step, record) + field
     records: list[DiagnosticsRecord] = []
     tracing = tracemalloc.is_tracing()
@@ -353,6 +373,51 @@ def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
             tracemalloc.stop()
     assert len(records) == 2
     assert peak <= bound
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid(dim=2, extent=2 * np.pi, points=256), Grid(dim=3, extent=2 * np.pi, points=32)],
+    ids=lambda g: f"{g.dim}d-{g.points}",
+)
+def test_a_step_allocates_no_field_sized_array(grid, monkeypatch):
+    # After the first step (which builds the cached weights), a loop
+    # iteration, from the start of one step to the start of the next, steps,
+    # checks positivity, forms |grad v|^2 and bounds the next step in the
+    # stepper's buffers: its peak stays less than one field above its start,
+    # and the stack, the scratch field and the spectra are the same arrays
+    # throughout.  One record interval, so no record falls between two steps.
+    # The fields (512 and 256 KiB) are larger than numpy's ufunc buffer
+    # (at most 8192 values, 64 KiB of float64 or 128 KiB of complex128),
+    # which a broadcast product such as stack[1:] *= u may allocate.
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    rises, arrays = [], []
+    level = []  # the traced memory at the start of the last step measured
+    advance = _Stepper.advance
+
+    def measured(self, dt, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        if level:
+            rises.append(peak - level[0])
+        if arrays:
+            tracemalloc.reset_peak()
+            level[:] = [current]
+        arrays.append((self.stack, self.scratch, self.u_hat, self.v_hat))
+        advance(self, dt, **kwargs)
+
+    monkeypatch.setattr(_Stepper, "advance", measured)
+    s, ctl = _memory_run(grid, 37)
+    try:
+        integrate(s, ctl, None, plan=SemigroupPlan(grid))
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    field = 8 * int(np.prod(grid.shape))
+    assert len(rises) >= 5
+    assert max(rises) < field, [rise / field for rise in rises]
+    assert all(all(a is b for a, b in zip(held, arrays[0])) for held in arrays)
 
 
 @pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"{g.dim}d-{g.points}")

@@ -289,6 +289,100 @@ def test_stacked_calls_equal_the_per_row_calls_bit_for_bit(grid):
         assert np.array_equal(bits(n_hat[row]), bits(row_n_hat))
 
 
+# The 2/3 band transforms: the band entries of the full transforms, bit for
+# bit, from half the work (see chemotaxis_lab.spectral).
+BAND_GRIDS = [
+    pytest.param(Grid(dim=dim, extent=2 * np.pi, points=n), id=f"{dim}d-{n}")
+    for dim, n in [(1, 64), (2, 32), (2, 64), (3, 16), (3, 32)]
+]
+
+
+def _band_index(grid):
+    """Index of the band entries of a full spectrum, independent of the
+    plan: |k index| <= floor(points/3) on every axis, in fftfreq order."""
+    keep = grid.points // 3
+    full = np.abs(np.fft.fftfreq(grid.points, 1.0 / grid.points)) <= keep
+    half = np.arange(grid.points // 2 + 1) <= keep
+    return (Ellipsis, *np.ix_(*[full] * (grid.dim - 1), half))
+
+
+def _padded(plan, band_spec):
+    """The full spectrum that is ``band_spec`` on the band and zero elsewhere."""
+    lead = band_spec.shape[: -plan.grid.dim]
+    full = np.zeros(lead + plan.spectral_shape, np.complex128)
+    full[_band_index(plan.grid)] = band_spec
+    return full
+
+
+def _band_inputs(grid, rng):
+    """Fields to transform: one field, a three-row stack, and non-contiguous
+    layouts of each (transposed rows, every other element)."""
+    values = rng.standard_normal(grid.shape)
+    stack = rng.standard_normal((3, *grid.shape))
+    axes = (0, *range(grid.dim, 0, -1))
+    transposed = rng.standard_normal((2, *grid.shape)).transpose(axes)
+    return [values, stack, values.T, transposed, _every_other(values), stack[1:]]
+
+
+@pytest.mark.parametrize("grid", BAND_GRIDS)
+def test_band_forward_is_the_full_forwards_band_bit_for_bit(grid):
+    plan = SemigroupPlan(grid)
+    index = _band_index(grid)
+    for values in _band_inputs(grid, np.random.default_rng(40)):
+        kept = values.copy()
+        expected = plan.to_spectral(values)[index]
+        _assert_bits(plan.to_spectral(values, band=True), expected, np.complex128)
+        assert np.array_equal(bits(values), bits(kept))  # the input is left alone
+        lead = values.shape[: -grid.dim]
+        assert expected.shape == lead + plan.band_shape
+        out, work = plan.band_workspace(lead)
+        for _ in range(2):  # a reused work buffer gives the same bits
+            got = plan.to_spectral(values, band=True, out=out, work=work)
+            _assert_bits(got, expected, np.complex128)
+            assert got is out
+        assert np.array_equal(bits(values), bits(kept))
+
+
+@pytest.mark.parametrize("grid", BAND_GRIDS)
+def test_band_inverse_is_the_padded_full_inverse_bit_for_bit(grid):
+    plan = SemigroupPlan(grid)
+    rng = np.random.default_rng(41)
+    for values in _band_inputs(grid, rng):
+        band_spec = plan.to_spectral(values, band=True)
+        band_spec[...] += 0.25 * rng.standard_normal(band_spec.shape)
+        kept = band_spec.copy()
+        expected = plan.to_physical(_padded(plan, band_spec))
+        _assert_bits(plan.to_physical(band_spec, band=True), expected, np.float64)
+        lead = band_spec.shape[: -grid.dim]
+        spec_buffer, work = plan.band_workspace(lead)
+        out = np.empty(lead + grid.shape)
+        for _ in range(2):  # a reused work buffer gives the same bits
+            spec_buffer[...] = band_spec
+            got = plan.to_physical(spec_buffer, band=True, out=out, work=work)
+            assert got is out
+            _assert_bits(got, expected, np.float64)
+        # Non-contiguous band spectra: Fortran order and every other element.
+        for layout in (np.asfortranarray, _every_other):
+            _assert_bits(plan.to_physical(layout(band_spec), band=True), expected, np.float64)
+        assert np.array_equal(bits(band_spec), bits(kept))
+
+
+@pytest.mark.parametrize("grid", BAND_GRIDS)
+def test_band_arrays_are_the_full_arrays_band_entries(grid):
+    plan = SemigroupPlan(grid)
+    index = _band_index(grid)
+    assert plan.dealias.sum() == np.prod(plan.band_shape)
+    _assert_bits(plan.band_k2, plan.k2[index], np.float64)
+    for ik, band_ik in zip(plan.ik, plan.band_ik):
+        full = np.broadcast_to(ik, plan.spectral_shape)
+        _assert_bits(np.broadcast_to(band_ik, plan.band_shape), full[index], np.complex128)
+    spec = plan.to_spectral(np.random.default_rng(42).standard_normal((2, *grid.shape)))
+    _assert_bits(plan.band_of(spec), spec[index], np.complex128)
+    for t, sigma in [(1e-3, 0.7), (0.5, 1.3)]:
+        for weight in (plan.multiplier, plan.phi1):
+            _assert_bits(weight(t, sigma, band=True), weight(t, sigma)[index], np.float64)
+
+
 def _gradient_kernels(plan, t):
     """d_i E(t) delta per axis, from the transform of a unit delta."""
     delta = np.zeros(plan.grid.shape)
