@@ -18,6 +18,9 @@ is carried in every verdict:
   r-squared as the diagnostic of pure exponential decay; the caller fits
   once and :func:`check_convergence` judges that fit.
 
+Every slack, fraction and tolerance is a required keyword: ``ChecksSpec``
+alone holds their defaults.
+
 All functions are pure over immutable series and safe for concurrent use.
 """
 
@@ -154,8 +157,8 @@ def check_eventual_bound(
     field: str,
     target: float,
     *,
-    transient_fraction: float = 0.5,
-    slack: float = 0.05,
+    transient_fraction: float,
+    slack: float,
 ) -> Verdict:
     """Max of ``field`` over the tail of the run against target*(1+slack).
     A series too short to judge is refused by :func:`require_judgeable`."""
@@ -196,9 +199,9 @@ def check_lyapunov(
 
 def check_persistence(
     series: Sequence[DiagnosticsRecord],
-    floor_guess: float | None = None,
     *,
-    transient_fraction: float = 0.5,
+    floor_guess: float | None,
+    transient_fraction: float,
 ) -> Verdict:
     """Inferred persistence floor m = min of inf_u over the tail, reported
     as the verdict's ``measured``.
@@ -286,8 +289,8 @@ def check_convergence(
     alpha: float,
     r_squared: float,
     *,
-    tol_final: float = 1e-6,
-    min_r2: float = 0.99,
+    tol_final: float,
+    min_r2: float,
 ) -> Verdict:
     """Final err_u + err_v against tol_final plus a positive fitted rate.
 

@@ -36,10 +36,9 @@ makes one batched forward and one batched inverse transform call over it:
 the products u d_i v and u (a + lam - b u) are written over the stack and
 transformed together, the divergence is assembled from those spectra, and
 the spent rows take u_hat and ik_i v_hat for the inverse, which writes the
-new stack over the spent one.  The band spectra, the transforms' work and
-the field in which the reaction term and then |grad v|^2 are formed are
-buffers the stepper keeps, so a step allocates no field- or spectrum-sized
-array.
+new stack over the spent one.  Every band transform writes buffers the
+stepper keeps (band spectra, work, a record's v), as does the reaction term
+and then |grad v|^2, so a step allocates no field- or spectrum-sized array.
 
 :func:`integrate` also advances a block of runs that share a grid (the
 points of a sweep) as one ensemble: their states are stacked on a leading
@@ -53,8 +52,9 @@ it computes alone.  Each member keeps its own CFL step, with the reductions
 taken once per step over the block.  Members that desynchronise pay for it:
 a member that reaches the record time sits out (only the active rows are
 gathered, stepped and written back; none is stepped with dt = 0, where
-0 * N could flip the sign of a zero), and a member that diverges leaves the
-block with its own time and reason.  The batched transforms act row by row
+0 * N could flip the sign of a zero), and a member that diverges (a
+non-finite or negative state, or a norm so large that its step bound is 0)
+leaves the block with its own time and reason.  The batched transforms act row by row
 and the columns give each row its own value, so every member's records and
 final state equal its solo run's bit for bit.
 
@@ -181,8 +181,10 @@ class _Stepper:
     a field-sized buffer: a step forms the reaction term in it, and between
     steps the caller forms |grad v|^2 there (``sum_of_squares(stack[1:],
     out=scratch)``).  The band spectra of a step and the transforms' work
-    are buffers too (:meth:`SemigroupPlan.band_workspace`), so a lockstep
-    step allocates no field- or spectrum-sized array.
+    are buffers too (:meth:`SemigroupPlan.band_workspace`), made before the
+    first band transform, as is the field :meth:`v` writes: every band
+    transform writes the stepper's buffers, and a lockstep step allocates
+    no field- or spectrum-sized array.
 
     A record interval usually ends on a short step a few ulps off the steady
     one.  Its weights are built with ``cache=False``, so the steady step's
@@ -191,7 +193,7 @@ class _Stepper:
     weights through every step and record."""
 
     __slots__ = (
-        "plan", "params", "stack", "scratch", "u_hat", "v_hat", "_spec", "_work",
+        "plan", "params", "stack", "scratch", "u_hat", "v_hat", "_spec", "_work", "_v",
         "_v_hat_input", "_key", "_weights",
     )
 
@@ -200,10 +202,12 @@ class _Stepper:
         self.params = params
         v_hat = plan.to_spectral(v)
         self.stack = np.stack((u, *plan.grad(v_hat)))
-        self.scratch = sum_of_squares(self.stack[1:])
-        self.u_hat = plan.to_spectral(u, band=True)
-        self.v_hat = plan.band_of(v_hat)
         self._spec, self._work = plan.band_workspace(self.stack.shape[: -plan.grid.dim])
+        self.scratch = sum_of_squares(self.stack[1:], out=np.empty(self.stack.shape[1:]))
+        self._v = np.empty_like(self.scratch)
+        u_hat = np.empty_like(self._spec[0])
+        self.u_hat = plan.to_spectral(u, band=True, out=u_hat, work=self._field_work())
+        self.v_hat = plan.band_of(v_hat)
         self._v_hat_input = v_hat
         self._key = -1.0
         self._weights = None
@@ -278,9 +282,10 @@ class _Stepper:
         in 1D the first row's slot of the stack's half spectra."""
         return self._work[0] if self.plan.grid.dim == 1 else self._work
 
-    def v(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The physical v of the band state, written into ``out`` if given."""
-        return self.plan.to_physical(self.v_hat, band=True, out=out, work=self._field_work())
+    def v(self) -> np.ndarray:
+        """The physical v of the band state, in the field the stepper keeps
+        for it (overwritten by the next call)."""
+        return self.plan.to_physical(self.v_hat, band=True, out=self._v, work=self._field_work())
 
     def lap_v(self) -> np.ndarray:
         """lap v of the state: before the first step from the input's full v
@@ -290,13 +295,15 @@ class _Stepper:
             v_hat, self._v_hat_input = self._v_hat_input, None
             return plan.to_physical(np.multiply(-plan.k2, v_hat, out=v_hat), overwrite=True)
         lap_hat = -plan.band_k2 * self.v_hat
-        return plan.to_physical(lap_hat, band=True, work=self._field_work())
+        lap_v = np.empty_like(self.scratch)
+        return plan.to_physical(lap_hat, band=True, out=lap_v, work=self._field_work())
 
     def keep(self, rows: list[int]) -> None:
         """Drop every row but ``rows`` for good (members that left)."""
         self.params = self.params.take(rows)
         self.stack = self.stack[:, rows]
         self.scratch = self.scratch[rows]
+        self._v = self._v[rows]
         self.u_hat = self.u_hat[rows]
         self.v_hat = self.v_hat[rows]
         self._spec, self._work = self.plan.band_workspace(self.stack.shape[: -self.plan.grid.dim])
@@ -317,8 +324,8 @@ def nonlinear_hat(
     and transformed in one call.  The returned spectral stack holds the
     term in row 0; its other rows are spent and the caller's to reuse.
     ``scratch`` (a field of the stack's row shape) takes the reaction
-    factor, and ``out`` and ``work`` are the band forward's buffers; each
-    is allocated when None."""
+    factor, or a new field when None; ``out`` and ``work`` are the band
+    forward's buffers, which a band call must pass."""
     u = stack[0]
     stack[1:] *= u
     reac = np.multiply(p.b, u, scratch)
@@ -336,7 +343,8 @@ def _cfl_from_norms(
     p: Params, spacing: float, grad_sup: float, u_sup: float, ctl: StepControl
 ) -> float:
     """cfl_safety * min(dt_max, spacing/max(chi |grad v|_inf, floor),
-    1/(a + 2 b |u|_inf)); always strictly positive."""
+    1/(a + 2 b |u|_inf)): > 0 for finite norms, 0 for a norm that
+    overflowed to inf."""
     advective = spacing / max(p.chi * grad_sup, ADVECTION_FLOOR)
     reactive = 1.0 / (p.a + 2.0 * p.b * u_sup)
     return ctl.cfl_safety * min(ctl.dt_max, advective, reactive)
@@ -372,7 +380,7 @@ def record_times(start: float, ctl: StepControl) -> list[float]:
 def integrate(
     s0: SimState | Sequence[SimState],
     ctl: StepControl,
-    sink: Callable[[DiagnosticsRecord], None] | Sequence | None = None,
+    sink: Callable[[DiagnosticsRecord], None] | Sequence[Callable[[DiagnosticsRecord], None]],
     *,
     plan: SemigroupPlan,
 ) -> SimState | list[SimState | RuntimeError]:
@@ -386,7 +394,7 @@ def integrate(
     the input, from its full spectrum).
 
     ``s0`` may be a block: a sequence of states on one grid at one start
-    time, with ``sink`` a sequence of one sink (or None) per member.  The
+    time, with ``sink`` a sequence of one sink per member.  The
     members are stacked on a leading batch axis and stepped together, so
     the counts above hold for the whole block while its members step in
     lockstep.  Each member keeps its own CFL step; a member that reaches the
@@ -403,12 +411,13 @@ def integrate(
     :class:`SimState` and raises :class:`PositivityViolationError` or
     :class:`DivergenceError` with the offending time when the run leaves
     the admissible state space; records emitted so far remain with the sink.
+    A step bound that is not > 0 (an overflowed norm) is divergence too.
     A block returns one entry per member: its final state, or the error it
     left the block with.
     """
     block = not isinstance(s0, SimState)
     states = list(s0) if block else [s0]
-    sinks = list(sink) if block and sink is not None else [sink] * len(states)
+    sinks = list(sink) if block else [sink]
     t, grid = states[0].t, states[0].grid
     if len(sinks) != len(states) or any(s.t != t or s.grid != grid for s in states):
         raise InvalidParameterError("a block's states share one grid and start time")
@@ -454,36 +463,34 @@ def integrate(
             st.keep(kept)
         return kept
 
-    def record(t: float, v: np.ndarray, grad_sq: np.ndarray) -> None:
-        if all(sinks[member] is None for member in live):
-            return
+    def record(t: float, v: np.ndarray) -> None:
         lap_v = st.lap_v()
-        member_rows = zip(live, rows(st.stack[0]), rows(v), rows(grad_sq), rows(lap_v))
+        member_rows = zip(live, rows(st.stack[0]), rows(v), rows(st.scratch), rows(lap_v))
         for member, *arrays in member_rows:
-            if sinks[member] is not None:
-                sinks[member](diagnostics(t, params[member], *arrays))
+            sinks[member](diagnostics(t, params[member], *arrays))
 
     spacing, neg_tol = grid.spacing, ctl.neg_tol
-    v_out = None  # the later records' v, allocated by the first of them
-    grad_sq = st.scratch
-    record(t, v, grad_sq)
+    record(t, v)
     for target in record_times(t, ctl):
         tol = 1e-13 * max(1.0, target)
         while live:
-            grad_sups = per_row(np.maximum.reduce(grad_sq, axes))
+            grad_sups = per_row(np.maximum.reduce(st.scratch, axes))
             u_sups = per_row(np.maximum.reduce(st.stack[0], axes))
-            dts, cache = [], True  # 0.0 for a row that has reached the target
+            dts, cache, stalled = [], True, {}
             for row, t_row in enumerate(ts):
+                dt = 0.0  # a row that has reached the target sits out
                 remaining = target - t_row
                 if remaining > tol:
                     p = params[live[row]]
                     dt = _cfl_from_norms(p, spacing, math.sqrt(grad_sups[row]), u_sups[row], ctl)
-                    if remaining <= dt * (1.0 + 1e-9):
+                    if not dt > 0.0:  # an overflowed norm: no step advances the row
+                        stalled[row], dt = DivergenceError(t_row), 0.0
+                    elif remaining <= dt * (1.0 + 1e-9):
                         dt, cache = remaining, False
                     ts[row] = t_row + dt
-                else:
-                    dt = 0.0
                 dts.append(dt)
+            if stalled:
+                dts = [dts[row] for row in drop(stalled)]
             if not any(dts):
                 break
             if dts[0] and dts.count(dts[0]) == len(dts):
@@ -501,19 +508,18 @@ def integrate(
                     errors[row] = error
             if errors and not drop(errors):
                 break
-            grad_sq = sum_of_squares(st.stack[1:], out=st.scratch)
+            sum_of_squares(st.stack[1:], out=st.scratch)
         if not live:
             break
         ts = [target] * len(live)
-        v = v_out = st.v(out=v_out)
+        v = st.v()
         finite = per_row(np.isfinite(v).all(axis=axes))
         if not all(finite):
             kept = drop({row: DivergenceError(target) for row, ok in enumerate(finite) if not ok})
             if not kept:
                 break
-            v = v_out = v[kept]
-            grad_sq = st.scratch
-        record(target, v, grad_sq)
+            v = v[kept]
+        record(target, v)
     for member, u_row, v_row in zip(live, rows(st.stack[0]), rows(v)):
         u, v_end = Field(grid, u_row), Field(grid, v_row)
         ends[member] = SimState(t=target, u=u, v=v_end, params=params[member])

@@ -247,7 +247,9 @@ def _evaluate_checks(point: _Point, records: list[DiagnosticsRecord]):
     if checks.persistence:
         verdicts.append(
             check_persistence(
-                records, checks.persistence_floor, transient_fraction=checks.transient_fraction
+                records,
+                floor_guess=checks.persistence_floor,
+                transient_fraction=checks.transient_fraction,
             )
         )
     try:

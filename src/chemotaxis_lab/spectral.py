@@ -55,10 +55,10 @@ transforms write their ``out`` and ``work`` buffers.  No other call
 modifies a caller's array.
 
 The 2/3 band.  The ETD1 step keeps only the modes with |k index| <=
-floor(points/3) on every axis (Orszag's 2/3 rule, the plan's ``dealias``
-mask): 30% of a 64^3 spectrum.  ``to_spectral(values, band=True)`` returns
-those entries alone, in ``band_shape`` (on a full axis the indices
-0..keep, then points-keep..points-1; on the half axis 0..keep), and
+floor(points/3) on every axis (Orszag's 2/3 rule): 30% of a 64^3
+spectrum.  ``to_spectral(values, band=True)`` writes those entries alone,
+in ``band_shape`` (on a full axis the indices 0..keep, then
+points-keep..points-1; on the half axis 0..keep), and
 ``to_physical(spec, band=True)`` inverts a band spectrum as the full
 spectrum that is zero off the band.  They prune lines, not arithmetic
 within a line (Markel's FFT pruning): the forward transforms every line
@@ -71,11 +71,12 @@ entries bit for bit, and the band inverse equals the full inverse of the
 zero-padded spectrum bit for bit (``tests/test_spectral.py``).  A band
 inverse's input is the band alone: a full spectrum with content off the
 band has no band transform.  In 1D the band is a prefix of the half
-spectrum, so a band transform is the full one and a slice.  From 2D up the
-band transforms work row by row (one field of a stack at a time) through
-a work buffer of one full spectrum; :meth:`SemigroupPlan.band_workspace`
-makes it and the band spectra, and the caller (the stepper) owns them, so
-the plan stays read-only.  Full transforms stay where a spectrum is not
+spectrum, so a band transform is the full one and a copy of the prefix.
+From 2D up the band transforms work row by row (one field of a stack at a
+time) through a work buffer of one full spectrum.  A band transform
+allocates nothing: every call passes its ``out`` and ``work``, which
+:meth:`SemigroupPlan.band_workspace` makes and the caller (the stepper)
+owns, so the plan stays read-only.  Full transforms stay where a spectrum is not
 band-limited: the stepper's input v (its full spectrum gives the first
 stack's grad v and the start record's lap v; the input u needs only its
 band), the Duhamel oracle, whose product integration keeps every mode, and
@@ -118,17 +119,16 @@ class SemigroupPlan:
     k2 : |k|^2 over the half-complex spectral shape.
     ik : per-axis i*k derivative multipliers, broadcastable to the spectral
          shape, with the Nyquist mode zeroed (odd derivatives of real data).
-    dealias : read-only 2/3-rule mask over the spectral shape: keep
-              |k index| <= floor(points/3) on every axis.
-    band_shape : shape of a band spectrum, the entries ``dealias`` keeps:
-                 2 keep + 1 on each full axis (indices 0..keep, then
+    band_shape : shape of a band spectrum, the 2/3 rule's entries
+                 (|k index| <= keep = floor(points/3) on every axis): 2 keep
+                 + 1 on each full axis (indices 0..keep, then
                  points-keep..points-1, in fftfreq order) and keep + 1 on the
-                 half axis, with keep = floor(points/3).
+                 half axis.
     band_k2, band_ik : ``k2`` and ``ik`` on the band.
     """
 
     __slots__ = (
-        "grid", "k2", "ik", "spectral_shape", "dealias", "band_shape", "band_k2", "band_ik",
+        "grid", "k2", "ik", "spectral_shape", "band_shape", "band_k2", "band_ik",
         "_half", "_prefix", "_blocks", "_forward_lines", "_inverse_lines",
     )
 
@@ -196,11 +196,6 @@ class SemigroupPlan:
             )
             for combo in itertools.product(runs, repeat=dim - 1)
         ]
-        mask = np.zeros(shape, dtype=bool)
-        for _, entries in self._blocks:
-            mask[entries] = True
-        mask.flags.writeable = False
-        self.dealias = mask
 
         def later_runs(axis):
             """The combinations of runs on the full axes after ``axis``."""
@@ -233,12 +228,12 @@ class SemigroupPlan:
         second-to-last down to the first, in place, as numpy does.
         ``values`` must be float64; the spectrum is complex128.
 
-        ``band=True`` returns the band entries alone (shape ``band_shape``),
-        written into ``out`` if it is given: the c2c lines whose outputs
-        all leave the band are skipped.  ``out`` and ``work`` (the buffers
-        of :meth:`band_workspace`) serve the band transform alone; without
-        ``work`` it allocates its own.  In 1D it needs none: its one r2c
-        output is as small as the stack."""
+        ``band=True`` writes the band entries alone into ``out`` and returns
+        it: the c2c lines whose outputs all leave the band are skipped.
+        ``out`` and ``work`` are the caller's buffers (see
+        :meth:`band_workspace`) and serve the band transform alone; a 1D
+        band forward reads no ``work``, since its one r2c output is as small
+        as the stack."""
         if not band:
             # Kernel arguments: (array, axes, forward, inorm, out, nthreads).
             spec = _pocketfft.r2c(values, (-1,), True, 0, None, 1)
@@ -246,17 +241,9 @@ class SemigroupPlan:
                 _pocketfft.c2c(spec, (axis,), True, 0, spec, 1)
             return spec
         if self.grid.dim == 1:
-            spec = _pocketfft.r2c(values, (-1,), True, 0, None, 1)[self._prefix]
-            if out is None:
-                return spec.copy()
-            out[...] = spec
+            out[...] = _pocketfft.r2c(values, (-1,), True, 0, None, 1)[self._prefix]
             return out
-        lead = values.shape[: -self.grid.dim]
-        if out is None:
-            out = np.empty(lead + self.band_shape, np.complex128)
-        if work is None:
-            work = np.empty(self.spectral_shape, np.complex128)
-        for row in np.ndindex(lead):
+        for row in np.ndindex(values.shape[: -self.grid.dim]):
             _pocketfft.r2c(values[row], (-1,), True, 0, work, 1)
             for axis, lines in self._forward_lines:
                 for index in lines:
@@ -278,10 +265,10 @@ class SemigroupPlan:
         nothing else holds.
 
         ``band=True`` takes a band spectrum (shape ``band_shape``) and
-        returns the field of its zero-padded full spectrum; the c2c lines
-        that the padding leaves all zero are skipped, and ``spec`` is left
-        as it is.  ``work`` is :meth:`band_workspace`'s; without it the
-        band transform allocates its own."""
+        writes the field of its zero-padded full spectrum into ``out``; the
+        c2c lines that the padding leaves all zero are skipped, and ``spec``
+        is left as it is.  ``out`` and ``work`` are the caller's buffers (see
+        :meth:`band_workspace`)."""
         n = self.grid.points
         if not band:
             for axis in range(-self.grid.dim, -1):
@@ -289,21 +276,13 @@ class SemigroupPlan:
                 overwrite = True
             # c2r's third argument is the length of the real output axis.
             return _pocketfft.c2r(spec, (-1,), n, False, 2, out, 1)
-        half = self._half
         if self.grid.dim == 1:
-            if work is None:
-                work = np.zeros(spec.shape[:-1] + self.spectral_shape, np.complex128)
             work[self._prefix] = spec  # the padding past the band stays zero
             return _pocketfft.c2r(work, (-1,), n, False, 2, out, 1)
-        lead = spec.shape[: -self.grid.dim]
-        if out is None:
-            out = np.empty(lead + self.grid.shape)
-        if work is None:
-            work = np.empty(self.spectral_shape, np.complex128)
         # Only c2r reads the half axis past the band, and it writes nothing
         # back, so that padding is zeroed once for every row.
-        work[..., half:] = 0.0
-        for row in np.ndindex(lead):
+        work[..., self._half :] = 0.0
+        for row in np.ndindex(spec.shape[: -self.grid.dim]):
             spec_row = spec[row]
             for band_entries, entries in self._blocks:
                 work[entries] = spec_row[band_entries]
@@ -322,17 +301,11 @@ class SemigroupPlan:
         the band transforms may write.  From 2D up ``work`` is one full
         spectrum, which the transforms reuse row by row.  In 1D it is the
         stack's zero-padded half spectra, which only the band inverse uses:
-        it writes the band entries, and the padding stays zero from here on.
-        (A 1D band forward is one r2c call whose output is as small as the
-        stack, then a copy of its band.)"""
+        it writes the band entries, and the padding stays zero from here on."""
+        spec = np.empty(lead + self.band_shape, np.complex128)
         if self.grid.dim == 1:
-            work = np.zeros(lead + self.spectral_shape, np.complex128)
-            if len(lead) == 1:  # rows of one field: the band is work's prefix
-                return work[self._prefix], work
-            return np.empty(lead + self.band_shape, np.complex128), work
-        return np.empty(lead + self.band_shape, np.complex128), np.empty(
-            self.spectral_shape, np.complex128
-        )
+            return spec, np.zeros(lead + self.spectral_shape, np.complex128)
+        return spec, np.empty(self.spectral_shape, np.complex128)
 
     def band_of(self, spec: np.ndarray) -> np.ndarray:
         """The band entries of the full spectrum ``spec`` (a leading batch
@@ -379,19 +352,14 @@ class SemigroupPlan:
         return -np.expm1(-rate * t) / rate
 
 
-def sum_of_squares(components, out: np.ndarray | None = None) -> np.ndarray:
+def sum_of_squares(components, out: np.ndarray) -> np.ndarray:
     """Pointwise sum of the squared components (|grad v|^2 for the output
     of :meth:`SemigroupPlan.grad`, or for rows 1: of the step's stack),
-    accumulated axis by axis.  With ``out`` given the sum is formed there,
-    and the squares after the first are taken a chunk of ``out``'s first
-    axis at a time (at most a quarter of it, and at most 128 KiB), so no
-    temporary as large as a component is made."""
+    accumulated axis by axis in ``out``, which is returned.  The squares
+    after the first are taken a chunk of ``out``'s first axis at a time (at
+    most a quarter of it, and at most 128 KiB), so no temporary as large as
+    a component is made."""
     first = components[0]
-    if out is None:
-        out = first * first
-        for c in components[1:]:
-            out += c * c
-        return out
     np.multiply(first, first, out)
     for c in components[1:]:
         rows = max(1, min(len(out) // 4, _CHUNK_VALUES // out[0].size))

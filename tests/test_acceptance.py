@@ -135,7 +135,7 @@ def test_criterion_03_cross_solver_agreement():
     plan = SemigroupPlan(grid)
     picard = picard_solve(state, 0.02, PicardConfig(quad_nodes=400, tol=1e-10), plan)
     ctl = StepControl(dt_max=1e-4, t_end=0.02, record_every=0.02, cfl_safety=1.0)
-    stepped = integrate(state, ctl, plan=plan)
+    stepped = integrate(state, ctl, [].append, plan=plan)
     diff_u = np.abs(picard.states[-1].u.values - stepped.u.values).max()
     diff_v = np.abs(picard.states[-1].v.values - stepped.v.values).max()
     diff = max(diff_u, diff_v)

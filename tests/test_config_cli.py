@@ -6,6 +6,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chemotaxis_lab.cli import main
@@ -319,6 +320,28 @@ def test_cli_run_divergence_exits_3(tmp_path):
     # partial diagnostics up to the failure are kept
     csv = (tmp_path / "results" / "diagnostics.csv").read_text().splitlines()
     assert csv[0] == CSV_HEADER and len(csv) >= 2
+
+
+def test_cli_run_whose_step_bound_overflows_exits_3(tmp_path):
+    # |grad v|^2 of a 1e155 cosine overflows to inf, so the CFL bound is 0:
+    # no step can advance the run, which diverges at its start time.
+    path = write_base_config(
+        tmp_path,
+        **{
+            "u_base = 0.8": "u_base = 1.0",
+            "u_amplitude = 0.2": "u_amplitude = 0.0",
+            "v_kind = constant": "v_kind = cosine\nv_amplitude = 1e155\nv_wavenumber = 1.0",
+            "v_base = 0.8": "v_base = 2e155",
+        },
+    )
+    with np.errstate(over="ignore"):
+        code = main(["run", str(path)])
+    assert code == 3
+    verdicts = json.loads((tmp_path / "results" / "verdicts.json").read_text())
+    assert verdicts["status"] == "diverged"
+    assert verdicts["divergence_t"] == 0.0
+    csv = (tmp_path / "results" / "diagnostics.csv").read_text().splitlines()
+    assert len(csv) == 2 and csv[1].startswith("0,")  # the start record alone
 
 
 def test_cli_malformed_config_exits_4_without_outputs(tmp_path):

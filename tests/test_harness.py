@@ -126,7 +126,7 @@ def test_record_matches_the_round_trip_norms_of_the_state(dim, points):
     ctl = StepControl(dt_max=0.01, t_end=2.0, record_every=0.5, cfl_safety=0.5)
     final = integrate(state, ctl, records.append, plan=plan)
     u, v = final.u.values, final.v.values
-    grad_sq = sum_of_squares(plan.grad(plan.to_spectral(v)))
+    grad_sq = sum_of_squares(plan.grad(plan.to_spectral(v)), out=np.empty(grid.shape))
     unit = np.finfo(float).eps * (np.pi / grid.spacing) * v.max()
     record = records[-1]
     assert abs(record.sup_grad_v - np.sqrt(grad_sq.max())) <= 16 * unit
@@ -144,7 +144,7 @@ def test_record_columns_are_the_dataclass_fields():
 
 def test_eventual_bound_constant_series_passes():
     series = series_from(np.linspace(0, 10, 21))
-    verdict = check_eventual_bound(series, "sup_u", 4.0 / 3.0, slack=0.05)
+    verdict = check_eventual_bound(series, "sup_u", 4.0 / 3.0, transient_fraction=0.5, slack=0.05)
     assert verdict.passed
     assert verdict.measured == 1.0
 
@@ -154,17 +154,18 @@ def test_eventual_bound_boundary_arithmetic():
     ts = np.linspace(0, 10, 21)
     vals = np.full(21, 1.4)
     series = series_from(ts, sup_u=vals)
-    verdict = check_eventual_bound(series, "sup_u", 4.0 / 3.0, slack=0.05)
+    verdict = check_eventual_bound(series, "sup_u", 4.0 / 3.0, transient_fraction=0.5, slack=0.05)
     assert verdict.passed
     series = series_from(ts, sup_u=np.full(21, 1.41))
-    assert not check_eventual_bound(series, "sup_u", 4.0 / 3.0, slack=0.05).passed
+    verdict = check_eventual_bound(series, "sup_u", 4.0 / 3.0, transient_fraction=0.5, slack=0.05)
+    assert not verdict.passed
 
 
 def test_eventual_bound_discards_transient():
     ts = np.linspace(0, 10, 21)
     vals = np.where(ts < 5.0, 10.0, 1.0)  # huge transient, quiet tail
     series = series_from(ts, sup_u=vals)
-    verdict = check_eventual_bound(series, "sup_u", 4.0 / 3.0, transient_fraction=0.5)
+    verdict = check_eventual_bound(series, "sup_u", 4.0 / 3.0, transient_fraction=0.5, slack=0.05)
     assert verdict.passed
     assert verdict.transient_time == pytest.approx(5.0)
 
@@ -173,8 +174,8 @@ def test_eventual_bound_slack_monotone():
     ts = np.linspace(0, 10, 21)
     series = series_from(ts, sup_u=np.full(21, 1.39))
     for s1, s2 in [(0.0, 0.02), (0.02, 0.05), (0.05, 0.2)]:
-        v1 = check_eventual_bound(series, "sup_u", 4.0 / 3.0, slack=s1)
-        v2 = check_eventual_bound(series, "sup_u", 4.0 / 3.0, slack=s2)
+        v1 = check_eventual_bound(series, "sup_u", 4.0 / 3.0, transient_fraction=0.5, slack=s1)
+        v2 = check_eventual_bound(series, "sup_u", 4.0 / 3.0, transient_fraction=0.5, slack=s2)
         assert (not v1.passed) or v2.passed
 
 
@@ -186,7 +187,7 @@ def test_eventual_bound_short_series_is_an_error():
 
 def test_persistence_constant_tail():
     series = series_from(np.linspace(0, 60, 61))
-    verdict = check_persistence(series)
+    verdict = check_persistence(series, floor_guess=None, transient_fraction=0.5)
     assert verdict.passed
     assert verdict.measured == pytest.approx(1.0)
 
@@ -196,15 +197,15 @@ def test_persistence_fails_when_touching_zero():
     infs = np.full(21, 0.5)
     infs[-1] = 0.0
     series = series_from(ts, inf_u=infs)
-    verdict = check_persistence(series)
+    verdict = check_persistence(series, floor_guess=None, transient_fraction=0.5)
     assert not verdict.passed
     assert verdict.measured == 0.0
 
 
 def test_persistence_floor_guess():
     series = series_from(np.linspace(0, 10, 21))
-    assert check_persistence(series, floor_guess=0.9).passed
-    assert not check_persistence(series, floor_guess=1.1).passed
+    assert check_persistence(series, floor_guess=0.9, transient_fraction=0.5).passed
+    assert not check_persistence(series, floor_guess=1.1, transient_fraction=0.5).passed
 
 
 def test_lyapunov_ceiling_is_the_larger_of_start_and_plateau():
@@ -263,17 +264,17 @@ def test_convergence_verdict_on_synthetic_series():
     ts = np.linspace(0.0, 30.0, 121)
     decaying = 0.05 * np.exp(-ts)
     series = series_from(ts, err_u=decaying, err_v=decaying)
-    verdict = fitted_convergence(series, tol_final=1e-6)
+    verdict = fitted_convergence(series, tol_final=1e-6, min_r2=0.99)
     assert verdict.passed
     plateaued = np.maximum(0.05 * np.exp(-ts), 1e-2)
     series = series_from(ts, err_u=plateaued, err_v=plateaued)
-    verdict = fitted_convergence(series, tol_final=1e-6)
+    verdict = fitted_convergence(series, tol_final=1e-6, min_r2=0.99)
     assert not verdict.passed  # stuck at 2e-2
 
 
 def test_verdict_determinism():
     ts = np.linspace(0, 10, 21)
     series = series_from(ts, sup_u=np.full(21, 1.2))
-    v1 = check_eventual_bound(series, "sup_u", 4.0 / 3.0)
-    v2 = check_eventual_bound(series, "sup_u", 4.0 / 3.0)
+    v1 = check_eventual_bound(series, "sup_u", 4.0 / 3.0, transient_fraction=0.5, slack=0.05)
+    v2 = check_eventual_bound(series, "sup_u", 4.0 / 3.0, transient_fraction=0.5, slack=0.05)
     assert v1 == v2

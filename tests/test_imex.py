@@ -42,7 +42,7 @@ def cfl(s, ctl):
     """The step bound integrate computes at state s: the CFL formula on
     sup|grad v| from v's spectrum and sup u."""
     plan = SemigroupPlan(s.grid)
-    grad_sq = sum_of_squares(plan.grad(plan.to_spectral(s.v.values)))
+    grad_sq = sum_of_squares(plan.grad(plan.to_spectral(s.v.values)), out=np.empty(s.grid.shape))
     grad_sup = float(np.sqrt(grad_sq.max()))
     return _cfl_from_norms(s.params, s.grid.spacing, grad_sup, s.u.sup(), ctl)
 
@@ -60,12 +60,12 @@ def fixed_steps(s, dt, steps, neg_tol):
             raise error
 
 
-def _per_field_steps(plan, p, u, v, dts):
+def _per_field_steps(plan, p, u, v, dts, mask):
     """The ETD1 step written field by field, as the reference for the stacked
     step: the reaction and each flux product transformed on their own,
-    the divergence summed from zero, and u and each component of grad v
-    transformed back on their own.  Yields (u, grad v, u_hat, v_hat) after
-    each step."""
+    the divergence summed from zero, the weights zeroed off the boolean
+    ``mask``, and u and each component of grad v transformed back on their
+    own.  Yields (u, grad v, u_hat, v_hat) after each step."""
     u_hat = plan.to_spectral(u)
     v_hat = plan.to_spectral(v)
     vx = [plan.to_physical(ik * v_hat, overwrite=True) for ik in plan.ik]
@@ -76,8 +76,8 @@ def _per_field_steps(plan, p, u, v, dts):
             flux_hat += ik * plan.to_spectral(u * comp)
         flux_hat *= p.chi
         n_hat -= flux_hat
-        prop = plan.multiplier(dt, p.lam) * plan.dealias
-        phi = plan.phi1(dt, p.lam) * plan.dealias
+        prop = plan.multiplier(dt, p.lam) * mask
+        phi = plan.phi1(dt, p.lam) * mask
         n_hat *= phi
         u_hat_new = u_hat * prop
         u_hat_new += n_hat
@@ -117,8 +117,10 @@ def test_stacked_step_equals_the_per_field_step_bit_for_bit(grid, v_kind):
         *[np.abs(np.fft.fftfreq(grid.points, 1.0 / grid.points)) <= keep] * (grid.dim - 1),
         np.arange(grid.points // 2 + 1) <= keep,
     )
+    mask = np.zeros(plan.spectral_shape, bool)
+    mask[band] = True
     st = _Stepper(plan, p, u, v)
-    reference = _per_field_steps(plan, p, u, v, dts)
+    reference = _per_field_steps(plan, p, u, v, dts, mask)
     for step, (dt_step, (ref_u, ref_vx, ref_u_hat, ref_v_hat)) in enumerate(zip(dts, reference)):
         st.advance(dt_step, cache=dt_step == dt)
         assert np.array_equal(bits(st.stack[0]), bits(ref_u)), step
@@ -173,7 +175,7 @@ def test_steady_state_is_fixed_up_to_step_bias():
     s = make_state(p, p.steady_u, p.steady_v)
     for dt in (5e-4, 1e-2, 0.1):
         ctl = StepControl(dt_max=dt, t_end=dt, record_every=dt, cfl_safety=1.0)
-        stepped = integrate(s, ctl, plan=SemigroupPlan(s.grid))
+        stepped = integrate(s, ctl, [].append, plan=SemigroupPlan(s.grid))
         for attr in ("u", "v"):
             drift = getattr(stepped, attr).values - getattr(s, attr).values
             assert np.abs(drift).max() <= 1e-14
@@ -186,7 +188,7 @@ def test_chi_zero_reduces_to_logistic():
     c = 0.5
     s = make_state(p, c, 0.5)
     ctl = StepControl(dt_max=2e-4, t_end=1.0, record_every=0.5, cfl_safety=1.0)
-    final = integrate(s, ctl, plan=SemigroupPlan(s.grid))
+    final = integrate(s, ctl, [].append, plan=SemigroupPlan(s.grid))
     expected = p.a * c / (p.b * c + (p.a - p.b * c) * math.exp(-p.a * 1.0))
     assert expected == pytest.approx(0.7310585786300049, rel=1e-12)
     assert np.abs(final.u.values - expected).max() <= 1e-4
@@ -196,7 +198,7 @@ def test_zero_density_invariant_subspace():
     p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
     s = make_state(p, 0.0, 0.8)
     ctl = StepControl(dt_max=1e-2, t_end=2.0, record_every=1.0, cfl_safety=1.0)
-    final = integrate(s, ctl, plan=SemigroupPlan(s.grid))
+    final = integrate(s, ctl, [].append, plan=SemigroupPlan(s.grid))
     assert np.abs(final.u.values).max() == 0.0
     assert final.v.values == pytest.approx(0.8 * math.exp(-p.lam * 2.0), rel=1e-12)
 
@@ -248,7 +250,7 @@ def test_step_halving_is_first_order():
     finals = []
     for dt in (2e-3, 1e-3, 5e-4):
         ctl = StepControl(dt_max=dt, t_end=0.25, record_every=0.25, cfl_safety=1.0)
-        finals.append(integrate(s, ctl, plan=SemigroupPlan(grid)).u.values)
+        finals.append(integrate(s, ctl, [].append, plan=SemigroupPlan(grid)).u.values)
     e1 = np.abs(finals[0] - finals[1]).max()
     e2 = np.abs(finals[1] - finals[2]).max()
     slope = math.log2(e1 / e2)
@@ -339,11 +341,11 @@ def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
     # On 32^3, F is one field (256 KiB), S one half-complex spectrum
     # (17/16 F) and B one band spectrum (21 * 21 * 11 modes, 0.28 S).  Held
     # through the run: the stack [u, grad v] (4 F), the scratch field that
-    # holds |grad v|^2 (F), u_hat and v_hat (2 B), the cached weights E,
-    # phi1 and mu phi1 (3 real band spectra, 1.5 B), the step's band spectra
-    # (4 B) and the transforms' work (S): 5 F + S + 7.5 B.  A step adds at
-    # most an uncached set of weights (1.5 B): 5 F + S + 9 B.  A record adds
-    # v and lap v (2 F) and one reduction temporary (F): 8 F + S + 7.5 B.
+    # holds |grad v|^2 (F), the records' v (F), u_hat and v_hat (2 B), the
+    # cached weights E, phi1 and mu phi1 (3 real band spectra, 1.5 B), the
+    # step's band spectra (4 B) and the transforms' work (S): 6 F + S + 7.5 B.
+    # A step adds at most an uncached set of weights (1.5 B): 6 F + S + 9 B.
+    # A record adds lap v (F) and one reduction temporary (F): 8 F + S + 7.5 B.
     # The bound is the larger of the two plus one field for small objects
     # (numpy's 128 KiB ufunc buffer among them).  Full spectra for the
     # step's stack add 4 (S - B), a spent stack held through a step 4 F, and
@@ -356,7 +358,7 @@ def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
     spectrum = 16 * int(np.prod(plan.spectral_shape))
     band = 16 * int(np.prod(plan.band_shape))
     assert band <= 0.28 * spectrum
-    step = 5 * field + spectrum + 9 * band
+    step = 6 * field + spectrum + 9 * band
     record = 8 * field + spectrum + 7.5 * band
     bound = max(step, record) + field
     records: list[DiagnosticsRecord] = []
@@ -410,7 +412,7 @@ def test_a_step_allocates_no_field_sized_array(grid, monkeypatch):
     monkeypatch.setattr(_Stepper, "advance", measured)
     s, ctl = _memory_run(grid, 37)
     try:
-        integrate(s, ctl, None, plan=SemigroupPlan(grid))
+        integrate(s, ctl, [].append, plan=SemigroupPlan(grid))
     finally:
         if not tracing:
             tracemalloc.stop()
@@ -495,7 +497,7 @@ def test_long_run_converges_to_equilibrium():
     # the equilibrium is a fixed point of every ETD1 step, so after t = 50
     # (decay ~ t e^{-t}) only roundoff separates the state from it
     ctl = StepControl(dt_max=1e-3, t_end=50.0, record_every=5.0, cfl_safety=1.0)
-    final = integrate(s, ctl, plan=SemigroupPlan(s.grid))
+    final = integrate(s, ctl, [].append, plan=SemigroupPlan(s.grid))
     assert np.abs(final.u.values - 1.0).max() <= 1e-12
 
 
@@ -578,7 +580,7 @@ def test_single_mode_follows_the_linearised_system():
     x = grid.axis_coordinates()
     s0 = make_state(p, p.steady_u + eps * np.cos(x), p.steady_v, points=32)
     ctl = StepControl(dt_max=1e-3, t_end=T, record_every=T, cfl_safety=1.0)
-    u_T = integrate(s0, ctl, plan=SemigroupPlan(grid)).u.values
+    u_T = integrate(s0, ctl, [].append, plan=SemigroupPlan(grid)).u.values
     amplitude = 2.0 * np.mean((u_T - p.steady_u) * np.cos(x))
     M = np.array([[-1.0 - p.a, p.chi * p.steady_u], [p.mu, -1.0 - p.lam]])
     expected = (scipy.linalg.expm(M * T) @ np.array([eps, 0.0]))[0]
@@ -637,6 +639,36 @@ def test_block_records_equal_the_solo_records_bit_for_bit(grid, name, values, se
             assert np.array_equal(bits(end.v.values), bits(solo_end.v.values))
         else:
             assert type(end) is type(solo_end) and str(end) == str(solo_end)
+
+
+@pytest.mark.parametrize("overflowing", [0, 1])
+def test_block_member_whose_step_bound_overflows_leaves_at_its_start(overflowing):
+    # |grad v|^2 of a 1e155 cosine overflows to inf, so that member's CFL
+    # bound is 0 and no step can advance it: it leaves with a divergence at
+    # t = 0, and the other member's records and end equal its solo run's.
+    grid = Grid(dim=1, extent=2 * np.pi, points=64)
+    x = grid.axis_coordinates()
+    p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=1)
+    v = [np.full(grid.shape, 0.8) + 0.1 * np.cos(x), 2e155 + 1e155 * np.cos(x)]
+    v.insert(overflowing, v.pop())
+    u = Field(grid, np.ones(grid.shape))
+    states = [SimState(t=0.0, u=u, v=Field(grid, row), params=p) for row in v]
+    ctl = StepControl(dt_max=1e-2, t_end=0.3, record_every=0.1)
+    plan = SemigroupPlan(grid)
+    block_records: list[list[DiagnosticsRecord]] = [[], []]
+    with np.errstate(over="ignore"):
+        ends = integrate(states, ctl, [r.append for r in block_records], plan=plan)
+        solo = [_run_alone(s, ctl, plan) for s in states]
+    for member, (records, end) in enumerate(zip(block_records, ends)):
+        solo_records, solo_end = solo[member]
+        assert _record_bits(records) == _record_bits(solo_records)
+        if member == overflowing:
+            assert isinstance(end, DivergenceError) and end.t == 0.0
+            assert str(end) == str(solo_end) and len(records) == 1
+        else:
+            assert end.t == solo_end.t == 0.3 and len(records) == 4
+            assert np.array_equal(bits(end.u.values), bits(solo_end.u.values))
+            assert np.array_equal(bits(end.v.values), bits(solo_end.v.values))
 
 
 @pytest.mark.parametrize("grid", STACK_GRIDS[:2], ids=lambda g: f"{g.dim}d-{g.points}")
