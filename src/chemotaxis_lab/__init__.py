@@ -44,7 +44,6 @@ from .constants import (
     persistence_L,
     persistence_T,
     principal_eigenvalue,
-    principal_eigenvalue_fd,
 )
 from .harness import (
     DiagnosticsRecord,

@@ -37,6 +37,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
+# numpy loads np.random on first use; loading it with this module keeps that
+# load out of the first run's set-up (build_initial_state's default_rng).
+import numpy.random  # noqa: F401
 
 from .core import Field, Grid, InvalidParameterError, Params, SimState
 from .harness import DiagnosticsRecord

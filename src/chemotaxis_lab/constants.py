@@ -27,6 +27,11 @@ together with the hypotheses each statement needs and the persistence
 trend value; nothing else in the package repeats the algebra.
 
 All functions are pure and safe for concurrent use.
+
+The module imports no scipy: a run evaluates none of the incomplete-gamma
+functions, and importing ``scipy.special`` adds ~26 MB to a fresh
+process, so :func:`gaussian_tail` and :func:`persistence_L` import it
+when they are called.
 """
 
 from __future__ import annotations
@@ -36,8 +41,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .core import InvalidParameterError, Params
 from .spectral import CALIBRATION_TIMES
@@ -49,7 +52,6 @@ __all__ = [
     "compute_constants",
     "convergence_K",
     "principal_eigenvalue",
-    "principal_eigenvalue_fd",
     "minimal_ball_radius",
     "persistence_T",
     "gaussian_tail",
@@ -57,8 +59,8 @@ __all__ = [
 ]
 
 # First positive zero of J_{N/2-1}, 12+ digits, N = 1, 2, 3.  The N=1 and
-# N=3 values are pi/2 and pi exactly; the finite-difference eigensolver
-# below serves as the independent verification path.
+# N=3 values are pi/2 and pi exactly; a finite-difference eigensolver in
+# the tests serves as the independent verification path.
 BESSEL_FIRST_ZERO = {
     1: math.pi / 2.0,
     2: 2.404825557695773,
@@ -214,55 +216,6 @@ def principal_eigenvalue(a: float, L0: float, dim: int) -> float:
     return a / 2.0 - (j / L0) ** 2
 
 
-def principal_eigenvalue_fd(
-    a: float, L0: float, dim: int, *, nodes: int = 2048, max_iterations: int = 200
-) -> float:
-    """Finite-difference cross-check of :func:`principal_eigenvalue`.
-
-    Discretises the radial Dirichlet problem -(phi'' + (N-1)/r phi') = nu phi
-    on (0, L0) with the symmetry condition phi'(0) = 0 (lap phi(0) = N phi''(0)
-    at the origin) on a vertex grid, and runs inverse iteration on the
-    tridiagonal operator to find the smallest eigenvalue nu.
-    """
-    if L0 <= 0.0:
-        raise InvalidParameterError("ball radius must be > 0")
-    m = nodes
-    h = L0 / m
-    main = np.zeros(m)
-    upper = np.zeros(m - 1)
-    lower = np.zeros(m - 1)
-    main[0] = 2.0 * dim / h**2
-    upper[0] = -2.0 * dim / h**2
-    for i in range(1, m):
-        r = i * h
-        main[i] = 2.0 / h**2
-        if i < m - 1:
-            upper[i] = -1.0 / h**2 - (dim - 1) / (2.0 * h * r)
-        lower[i - 1] = -1.0 / h**2 + (dim - 1) / (2.0 * h * r)
-
-    banded = np.zeros((3, m))
-    banded[0, 1:] = upper
-    banded[1, :] = main
-    banded[2, :-1] = lower
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        y = main * x
-        y[:-1] += upper * x[1:]
-        y[1:] += lower * x[:-1]
-        return y
-
-    x = np.ones(m)
-    nu_prev = np.inf
-    for _ in range(max_iterations):
-        x = scipy.linalg.solve_banded((1, 1), banded, x)
-        x /= np.linalg.norm(x)
-        nu = float(x @ apply(x))
-        if abs(nu - nu_prev) <= 1e-13 * abs(nu):
-            break
-        nu_prev = nu
-    return a / 2.0 - nu
-
-
 def minimal_ball_radius(a: float, dim: int) -> float:
     """Smallest admissible ball radius: at least 1, and large enough that the
     principal eigenvalue is strictly positive."""
@@ -289,6 +242,8 @@ def gaussian_tail(R: float, dim: int, moment: int) -> float:
         raise InvalidParameterError("radius must be >= 0")
     if moment not in (0, 1):
         raise InvalidParameterError("moment must be 0 or 1")
+    import scipy.special  # not imported by a run (see the module docstring)
+
     omega = 2.0 * math.pi ** (dim / 2.0) / scipy.special.gamma(dim / 2.0)
     s = (dim + moment) / 2.0
     return float(omega * 0.5 * scipy.special.gammaincc(s, R * R) * scipy.special.gamma(s))
@@ -309,6 +264,8 @@ def persistence_L(epsilon: float, T: float, dim: int, L0_min: float) -> float:
     """
     if epsilon <= 0.0 or T <= 0.0 or L0_min <= 0.0:
         raise InvalidParameterError("epsilon, T, L0_min must be > 0")
+    import scipy.special  # not imported by a run (see the module docstring)
+
     omega = 2.0 * math.pi ** (dim / 2.0) / scipy.special.gamma(dim / 2.0)
     s = np.array([dim, dim + 1]) / 2.0
     y = 2.0 * epsilon / (omega * scipy.special.gamma(s))

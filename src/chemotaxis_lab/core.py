@@ -28,7 +28,11 @@ __all__ = [
     "Grid",
     "Field",
     "SimState",
+    "row_chunks",
 ]
+
+# Most values per chunk of a row_chunks temporary (128 KiB of float64).
+_CHUNK_VALUES = 2**14
 
 
 class InvalidParameterError(ValueError):
@@ -163,3 +167,10 @@ class SimState:
     def grid(self) -> Grid:
         return self.u.grid
 
+
+def row_chunks(a: np.ndarray) -> list[slice]:
+    """Slices of ``a``'s first axis, each at most a quarter of it and at most
+    128 KiB of float64: an update taken a chunk at a time makes no
+    temporary as large as ``a``."""
+    rows = max(1, min(len(a) // 4, _CHUNK_VALUES // a[0].size))
+    return [slice(start, start + rows) for start in range(0, len(a), rows)]

@@ -32,7 +32,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .core import InvalidParameterError, Params
+from .core import InvalidParameterError, Params, row_chunks
 
 __all__ = [
     "SeriesTooShortError",
@@ -108,12 +108,15 @@ def diagnostics(
     lap v that the stepper already holds (see :func:`imex.integrate`).
 
     ``lap_v`` is consumed: it is made for the record alone, and its memory
-    holds the Lyapunov quantity once its sup is read.  Every other array is
-    left as it is, and at most one field-sized temporary is live at a time."""
+    holds the Lyapunov quantity once its sup is read, then each sup
+    distance to the equilibrium.  Every other array is left as it is, and
+    the one temporary, grad_sq/(2 mu) taken a chunk at a time
+    (:func:`~chemotaxis_lab.core.row_chunks`), is smaller than a field."""
     sup_lap_v = float(np.abs(lap_v, out=lap_v).max())
     lyap = np.divide(u, p.chi, out=lap_v)
-    work = grad_sq / (2.0 * p.mu)
-    lyap += work
+    two_mu = 2.0 * p.mu
+    for rows in row_chunks(lyap):
+        lyap[rows] += grad_sq[rows] / two_mu
     lyapunov_sup = float(lyap.max())
     return DiagnosticsRecord(
         t=t,
@@ -123,8 +126,8 @@ def diagnostics(
         sup_grad_v=float(np.sqrt(grad_sq.max())),
         sup_lap_v=sup_lap_v,
         lyapunov_sup=lyapunov_sup,
-        err_u=float(np.abs(np.subtract(u, p.steady_u, out=work), out=work).max()),
-        err_v=float(np.abs(np.subtract(v, p.steady_v, out=work), out=work).max()),
+        err_u=float(np.abs(np.subtract(u, p.steady_u, out=lap_v), out=lap_v).max()),
+        err_v=float(np.abs(np.subtract(v, p.steady_v, out=lap_v), out=lap_v).max()),
     )
 
 

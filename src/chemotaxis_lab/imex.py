@@ -182,9 +182,9 @@ class _Stepper:
     steps the caller forms |grad v|^2 there (``sum_of_squares(stack[1:],
     out=scratch)``).  The band spectra of a step and the transforms' work
     are buffers too (:meth:`SemigroupPlan.band_workspace`), made before the
-    first band transform, as is the field :meth:`v` writes: every band
-    transform writes the stepper's buffers, and a lockstep step allocates
-    no field- or spectrum-sized array.
+    first band transform, as is ``last_v``, the field :meth:`v` writes:
+    every band transform writes the stepper's buffers, and a lockstep step
+    allocates no field- or spectrum-sized array.
 
     A record interval usually ends on a short step a few ulps off the steady
     one.  Its weights are built with ``cache=False``, so the steady step's
@@ -193,7 +193,7 @@ class _Stepper:
     weights through every step and record."""
 
     __slots__ = (
-        "plan", "params", "stack", "scratch", "u_hat", "v_hat", "_spec", "_work", "_v",
+        "plan", "params", "stack", "scratch", "u_hat", "v_hat", "last_v", "_spec", "_work",
         "_v_hat_input", "_key", "_weights",
     )
 
@@ -204,7 +204,7 @@ class _Stepper:
         self.stack = np.stack((u, *plan.grad(v_hat)))
         self._spec, self._work = plan.band_workspace(self.stack.shape[: -plan.grid.dim])
         self.scratch = sum_of_squares(self.stack[1:], out=np.empty(self.stack.shape[1:]))
-        self._v = np.empty_like(self.scratch)
+        self.last_v = np.empty_like(self.scratch)
         u_hat = np.empty_like(self._spec[0])
         self.u_hat = plan.to_spectral(u, band=True, out=u_hat, work=self._field_work())
         self.v_hat = plan.band_of(v_hat)
@@ -285,7 +285,8 @@ class _Stepper:
     def v(self) -> np.ndarray:
         """The physical v of the band state, in the field the stepper keeps
         for it (overwritten by the next call)."""
-        return self.plan.to_physical(self.v_hat, band=True, out=self._v, work=self._field_work())
+        work = self._field_work()
+        return self.plan.to_physical(self.v_hat, band=True, out=self.last_v, work=work)
 
     def lap_v(self) -> np.ndarray:
         """lap v of the state: before the first step from the input's full v
@@ -299,11 +300,12 @@ class _Stepper:
         return plan.to_physical(lap_hat, band=True, out=lap_v, work=self._field_work())
 
     def keep(self, rows: list[int]) -> None:
-        """Drop every row but ``rows`` for good (members that left)."""
+        """Drop every row but ``rows`` for good (members that left);
+        ``last_v`` keeps the kept rows of the last :meth:`v`."""
         self.params = self.params.take(rows)
         self.stack = self.stack[:, rows]
         self.scratch = self.scratch[rows]
-        self._v = self._v[rows]
+        self.last_v = self.last_v[rows]
         self.u_hat = self.u_hat[rows]
         self.v_hat = self.v_hat[rows]
         self._spec, self._work = self.plan.band_workspace(self.stack.shape[: -self.plan.grid.dim])
@@ -518,7 +520,7 @@ def integrate(
             kept = drop({row: DivergenceError(target) for row, ok in enumerate(finite) if not ok})
             if not kept:
                 break
-            v = v[kept]
+            v = st.last_v
         record(target, v)
     for member, u_row, v_row in zip(live, rows(st.stack[0]), rows(v)):
         u, v_end = Field(grid, u_row), Field(grid, v_row)

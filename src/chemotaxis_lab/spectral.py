@@ -33,19 +33,23 @@ from 2D up its band transforms walk the stack row by row inside the call),
 and the Duhamel oracle transforms whole blocks of quadrature nodes this way.
 
 Every transform goes through :meth:`SemigroupPlan.to_spectral` and
-:meth:`SemigroupPlan.to_physical`.  They call pocketfft's kernels (``r2c``,
-``c2c``, ``c2r``: the ones ``scipy.fft`` wraps) one axis at a time in
-numpy's own ``rfftn`` order, so the spectra and fields equal
-``np.fft.rfftn``/``irfftn`` bit for bit.  ``scipy.fft.rfft`` and its
-siblings make the same kernel calls after ~5 us of Python dispatch each,
-most of a transform on 64 points (a (2, 64) stack: ~7 us forward through
-``scipy.fft``, ~1.6 us through the kernel).  The kernel module is private
-to scipy; the bit-identity tests in ``tests/test_spectral.py`` guard it.
-Fields are float64 and spectra complex128, as
-:class:`~chemotaxis_lab.core.Field` holds them and the plan returns them;
-an integer array, which ``scipy.fft`` upcast, raises.  The transforms run
-on one thread: on a shared 2-vCPU host, pocketfft's threads made 64^3 runs
-1.6 to 2.3 times slower, because each transform waits for the slower core.
+:meth:`SemigroupPlan.to_physical`.  They call numpy's pocketfft kernels
+(the ufuncs ``rfft_n_even``, ``fft``, ``ifft`` and ``irfft`` of
+``numpy.fft._pocketfft_umath``, the ones ``np.fft`` calls) one axis at a
+time in numpy's own ``rfftn`` order, scaled as numpy scales them (1
+forward, 1/points per inverse axis), so the spectra and fields equal
+``np.fft.rfftn``/``irfftn`` bit for bit.  ``np.fft.rfft`` and its siblings
+make the same kernel calls after 4-6 us of Python dispatch each, most of a
+transform on 64 points (a (2, 64) stack: ~8.5 us forward through
+``np.fft.rfft``, ~2 us through the kernel).  The kernel module is private
+to numpy; the bit-identity tests in ``tests/test_spectral.py`` guard it.
+It is the package's only FFT, so a run imports no scipy: ``scipy.fft``
+alone adds ~27 MB to a process, ``numpy.fft`` ~0.4 MB.  Fields are float64
+and spectra complex128, as :class:`~chemotaxis_lab.core.Field` holds them
+and the plan returns them; the kernels upcast an integer or float32 array.
+The kernels run on one thread and transform one line at a time (on a
+shared 2-vCPU host, scipy's pocketfft threads made 64^3 runs 1.6 to 2.3
+times slower, because each transform waits for the slower core).
 A :class:`SemigroupPlan` is read-only after construction and safe to share
 between threads.  The plan transforms in place the arrays it allocates
 itself (``ik * spec`` in :meth:`SemigroupPlan.grad`, for example) and the
@@ -64,20 +68,22 @@ spectrum that is zero off the band.  They prune lines, not arithmetic
 within a line (Markel's FFT pruning): the forward transforms every line
 of the real-to-complex axis, and then on each later axis only the lines
 whose outputs all stay in the band; the inverse skips every line the zero
-padding leaves all zero and zeroes the padding the lines it transforms
-read.  Each line they do transform gets the same kernel call as in the
-full transform, so the band forward equals the full forward's band
-entries bit for bit, and the band inverse equals the full inverse of the
-zero-padded spectrum bit for bit (``tests/test_spectral.py``).  A band
-inverse's input is the band alone: a full spectrum with content off the
-band has no band transform.  In 1D the band is a prefix of the half
-spectrum, so a band transform is the full one and a copy of the prefix.
+padding leaves all zero, zeroes the padding the c2c lines it transforms
+read, and hands the c2r kernel the half axis up to the band alone, which
+the kernel pads with zeros itself.  Each line they do transform gets the
+same kernel arithmetic as in the full transform, so the band forward
+equals the full forward's band entries bit for bit, and the band inverse
+equals the full inverse of the zero-padded spectrum bit for bit
+(``tests/test_spectral.py``).  A band inverse's input is the band alone: a
+full spectrum with content off the band has no band transform.  In 1D the
+band is a prefix of the half spectrum, so a band forward is the full one
+and a copy of the prefix, and a band inverse is one c2r call on the band.
 From 2D up the band transforms work row by row (one field of a stack at a
 time) through a work buffer of one full spectrum.  A band transform
 allocates nothing: every call passes its ``out`` and ``work``, which
 :meth:`SemigroupPlan.band_workspace` makes and the caller (the stepper)
-owns, so the plan stays read-only.  Full transforms stay where a spectrum is not
-band-limited: the stepper's input v (its full spectrum gives the first
+owns, so the plan stays read-only.  Full transforms stay where a spectrum
+is not band-limited: the stepper's input v (its full spectrum gives the first
 stack's grad v and the start record's lap v; the input u needs only its
 band), the Duhamel oracle, whose product integration keeps every mode, and
 the gradient-constant calibration, whose kernels span the whole spectrum.
@@ -89,12 +95,12 @@ import itertools
 
 import numpy as np
 
-# The kernels behind scipy.fft's rfft/fft/ifft/irfft, called without its
-# per-call dispatch (see above).  The module is private to scipy, so the
+# The kernels behind np.fft's rfft/fft/ifft/irfft, called without its
+# per-call dispatch (see above).  The module is private to numpy, so the
 # bit-identity tests against np.fft.rfftn/irfftn guard it.
-from scipy.fft._pocketfft import pypocketfft as _pocketfft
+from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .core import Grid
+from .core import Grid, row_chunks
 
 __all__ = [
     "CALIBRATION_TIMES",
@@ -105,10 +111,17 @@ __all__ = [
 
 # Multiplier values below this are flushed to zero to avoid denormal slowdowns.
 _UNDERFLOW_FLUSH = 1e-300
-# Most values per chunk of sum_of_squares's temporary (128 KiB of float64).
-_CHUNK_VALUES = 2**14
 # Times at which measure_gradient_constant evaluates the kernels.
 CALIBRATION_TIMES = (1e-3, 1e-2, 1e-1, 1.0)
+# np.fft.rfft's kernel for an even point count; a Grid's point count is a
+# power of two.
+_rfft = _pocketfft.rfft_n_even
+
+
+def _axes(axis: int) -> list[tuple[int, ...]]:
+    """A kernel's ``axes`` argument for a transform along ``axis``: the core
+    axis of the input, of the scale (a scalar) and of the output."""
+    return [(axis,), (), (axis,)]
 
 
 class SemigroupPlan:
@@ -129,7 +142,7 @@ class SemigroupPlan:
 
     __slots__ = (
         "grid", "k2", "ik", "spectral_shape", "band_shape", "band_k2", "band_ik",
-        "_half", "_prefix", "_blocks", "_forward_lines", "_inverse_lines",
+        "_scale", "_prefix", "_blocks", "_full_axes", "_forward_lines", "_inverse_lines",
     )
 
     def __init__(self, grid: Grid):
@@ -180,10 +193,14 @@ class SemigroupPlan:
         self.band_k2 = band_k2
         self.band_ik = tuple(band_ik)
 
+        # Every inverse axis is scaled by 1/points, as np.fft scales it.
+        self._scale = 1.0 / n
+        # The full transforms' c2c axes count from the end, past any batch axis.
+        self._full_axes = [_axes(axis) for axis in range(-dim, -1)]
+
         # Index tuples of the band transforms (see the module docstring).  A
         # full axis holds the band in two runs: the low run 0..keep and the
         # high run points-keep..points-1.
-        self._half = half
         self._prefix = (Ellipsis, slice(0, half))  # the band of a 1D spectrum
         runs = [(slice(0, half), slice(0, half)), (slice(half, None), slice(n - keep, n))]
         full_runs = [entries for _, entries in runs]
@@ -208,12 +225,12 @@ class SemigroupPlan:
         # in the band on every axis not yet transformed, each first padded
         # with zeros on the transformed axis.
         self._forward_lines = [
-            (axis, [(whole,) * (axis + 1) + combo + last for combo in later_runs(axis)])
+            (_axes(axis), [(whole,) * (axis + 1) + combo + last for combo in later_runs(axis)])
             for axis in range(dim - 2, -1, -1)
         ]
         self._inverse_lines = [
             (
-                axis,
+                _axes(axis),
                 [(whole,) * axis + (gap,) + combo + last for combo in later_runs(axis)],
                 [(whole,) * (axis + 1) + combo + last for combo in later_runs(axis)],
             )
@@ -226,29 +243,32 @@ class SemigroupPlan:
         """rfftn over the trailing ``dim`` axes (a leading batch axis is
         allowed): the last axis real-to-complex, then the others from the
         second-to-last down to the first, in place, as numpy does.
-        ``values`` must be float64; the spectrum is complex128.
+        ``values`` is read as float64 (the kernel upcasts an integer or
+        float32 array); the spectrum is complex128.
 
         ``band=True`` writes the band entries alone into ``out`` and returns
         it: the c2c lines whose outputs all leave the band are skipped.
         ``out`` and ``work`` are the caller's buffers (see
         :meth:`band_workspace`) and serve the band transform alone; a 1D
-        band forward reads no ``work``, since its one r2c output is as small
-        as the stack."""
+        band forward writes its r2c output, the stack's half spectra, into
+        ``work`` and copies the band out."""
         if not band:
-            # Kernel arguments: (array, axes, forward, inorm, out, nthreads).
-            spec = _pocketfft.r2c(values, (-1,), True, 0, None, 1)
-            for axis in range(-2, -self.grid.dim - 1, -1):
-                _pocketfft.c2c(spec, (axis,), True, 0, spec, 1)
+            # Kernel arguments: (array, scale, out), with ``axes`` off the last axis.
+            spec = np.empty(values.shape[:-1] + self.spectral_shape[-1:], np.complex128)
+            _rfft(values, 1.0, spec)
+            for axes in reversed(self._full_axes):
+                _pocketfft.fft(spec, 1.0, spec, axes=axes)
             return spec
         if self.grid.dim == 1:
-            out[...] = _pocketfft.r2c(values, (-1,), True, 0, None, 1)[self._prefix]
+            _rfft(values, 1.0, work)
+            out[...] = work[self._prefix]
             return out
         for row in np.ndindex(values.shape[: -self.grid.dim]):
-            _pocketfft.r2c(values[row], (-1,), True, 0, work, 1)
-            for axis, lines in self._forward_lines:
+            _rfft(values[row], 1.0, work)
+            for axes, lines in self._forward_lines:
                 for index in lines:
                     line = work[index]
-                    _pocketfft.c2c(line, (axis,), True, 0, line, 1)
+                    _pocketfft.fft(line, 1.0, line, axes=axes)
             out_row = out[row]
             for band_entries, entries in self._blocks:
                 out_row[band_entries] = work[entries]
@@ -268,31 +288,33 @@ class SemigroupPlan:
         writes the field of its zero-padded full spectrum into ``out``; the
         c2c lines that the padding leaves all zero are skipped, and ``spec``
         is left as it is.  ``out`` and ``work`` are the caller's buffers (see
-        :meth:`band_workspace`)."""
-        n = self.grid.points
+        :meth:`band_workspace`); a 1D band inverse reads no ``work``, since
+        the c2r kernel pads a short half spectrum with zeros itself."""
+        scale = self._scale
         if not band:
-            for axis in range(-self.grid.dim, -1):
-                spec = _pocketfft.c2c(spec, (axis,), False, 2, spec if overwrite else None, 1)
+            for axes in self._full_axes:
+                dest = spec if overwrite else np.empty(spec.shape, np.complex128)
+                spec = _pocketfft.ifft(spec, scale, dest, axes=axes)
                 overwrite = True
-            # c2r's third argument is the length of the real output axis.
-            return _pocketfft.c2r(spec, (-1,), n, False, 2, out, 1)
+            if out is None:
+                out = np.empty(spec.shape[:-1] + (self.grid.points,))
+            # c2r's output length, the grid's point count, is read off ``out``.
+            return _pocketfft.irfft(spec, scale, out)
         if self.grid.dim == 1:
-            work[self._prefix] = spec  # the padding past the band stays zero
-            return _pocketfft.c2r(work, (-1,), n, False, 2, out, 1)
-        # Only c2r reads the half axis past the band, and it writes nothing
-        # back, so that padding is zeroed once for every row.
-        work[..., self._half :] = 0.0
+            return _pocketfft.irfft(spec, scale, out)
+        # c2r reads the half axis up to the band alone (a view of ``work``)
+        # and pads the rest with zeros itself.
         for row in np.ndindex(spec.shape[: -self.grid.dim]):
             spec_row = spec[row]
             for band_entries, entries in self._blocks:
                 work[entries] = spec_row[band_entries]
-            for axis, padding, lines in self._inverse_lines:
+            for axes, padding, lines in self._inverse_lines:
                 for index in padding:
                     work[index] = 0.0
                 for index in lines:
                     line = work[index]
-                    _pocketfft.c2c(line, (axis,), False, 2, line, 1)
-            _pocketfft.c2r(work, (-1,), n, False, 2, out[row], 1)
+                    _pocketfft.ifft(line, scale, line, axes=axes)
+            _pocketfft.irfft(work[self._prefix], scale, out[row])
         return out
 
     def band_workspace(self, lead: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -300,11 +322,11 @@ class SemigroupPlan:
         ``lead``: its band spectra and the transforms' ``work``, which only
         the band transforms may write.  From 2D up ``work`` is one full
         spectrum, which the transforms reuse row by row.  In 1D it is the
-        stack's zero-padded half spectra, which only the band inverse uses:
-        it writes the band entries, and the padding stays zero from here on."""
+        stack's half spectra, which only the band forward uses: the kernel
+        writes each whole half spectrum there, and the band is copied out."""
         spec = np.empty(lead + self.band_shape, np.complex128)
         if self.grid.dim == 1:
-            return spec, np.zeros(lead + self.spectral_shape, np.complex128)
+            return spec, np.empty(lead + self.spectral_shape, np.complex128)
         return spec, np.empty(self.spectral_shape, np.complex128)
 
     def band_of(self, spec: np.ndarray) -> np.ndarray:
@@ -356,16 +378,15 @@ def sum_of_squares(components, out: np.ndarray) -> np.ndarray:
     """Pointwise sum of the squared components (|grad v|^2 for the output
     of :meth:`SemigroupPlan.grad`, or for rows 1: of the step's stack),
     accumulated axis by axis in ``out``, which is returned.  The squares
-    after the first are taken a chunk of ``out``'s first axis at a time (at
-    most a quarter of it, and at most 128 KiB), so no temporary as large as
+    after the first are taken a chunk of ``out``'s first axis at a time
+    (:func:`~chemotaxis_lab.core.row_chunks`), so no temporary as large as
     a component is made."""
     first = components[0]
     np.multiply(first, first, out)
     for c in components[1:]:
-        rows = max(1, min(len(out) // 4, _CHUNK_VALUES // out[0].size))
-        for start in range(0, len(out), rows):
-            chunk = c[start : start + rows]
-            out[start : start + rows] += chunk * chunk
+        for rows in row_chunks(out):
+            chunk = c[rows]
+            out[rows] += chunk * chunk
     return out
 
 

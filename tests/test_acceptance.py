@@ -30,11 +30,10 @@ from chemotaxis_lab import (
     integrate,
     picard_solve,
     principal_eigenvalue,
-    principal_eigenvalue_fd,
 )
 from chemotaxis_lab.config import ChecksSpec, ExperimentConfig, InitialSpec
 from chemotaxis_lab.runner import RunOutcome, execute_run
-from conftest import semigroup, semigroup_div, semigroup_grad
+from conftest import principal_eigenvalue_fd, semigroup, semigroup_div, semigroup_grad
 
 SQRT_PI = math.sqrt(math.pi)
 TWO_PI = 2.0 * math.pi

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -263,6 +266,26 @@ def test_cli_run_passes_and_writes_artifacts(tmp_path):
     assert constants["theta"] == pytest.approx(0.25)
     assert constants["bound_refined"] == pytest.approx(4.0 / 3.0)
     assert constants["hypotheses"]["existence"]["b > N*mu*chi/4"]["holds"] is True
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    # scipy.fft alone adds ~27 MB to a process, paid by every run and sweep
+    # worker; the package imports scipy only in functions a run never calls.
+    path = write_base_config(tmp_path)
+    script = (
+        "import sys\n"
+        "import chemotaxis_lab\n"
+        "from chemotaxis_lab.cli import main\n"
+        f"code = main(['run', {str(path)!r}])\n"
+        "print(code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+    )
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["0", "[]"], done.stdout + done.stderr
+    assert (tmp_path / "results" / "diagnostics.csv").is_file()
 
 
 def test_cli_run_check_failure_exits_2(tmp_path):

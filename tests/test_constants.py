@@ -22,8 +22,8 @@ from chemotaxis_lab import (
     persistence_L,
     persistence_T,
     principal_eigenvalue,
-    principal_eigenvalue_fd,
 )
+from conftest import principal_eigenvalue_fd
 
 coeff = st.floats(min_value=0.05, max_value=20.0, allow_nan=False)
 

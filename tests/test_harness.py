@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,7 @@ def test_diagnostics_lyapunov_value(unit_params):
 
 
 def test_diagnostics_consumes_only_lap_v():
-    # The reductions run in lap_v's memory and one work array.  u, v and
+    # The reductions run in lap_v's memory and a chunked temporary.  u, v and
     # |grad v|^2 belong to the stepper and come back untouched, and every
     # column is the value of the plain expression.
     p = Params(chi=1.3, a=1.1, b=0.7, lam=0.9, mu=1.2, dim=1)
@@ -110,6 +112,23 @@ def test_diagnostics_consumes_only_lap_v():
     )
     assert diagnostics(0.5, p, u, v, grad_sq, lap_v) == expected
     assert all(np.array_equal(a, b) for a, b in zip((u, v, grad_sq), kept))
+
+
+@pytest.mark.parametrize("shape", [(4096,), (32, 32, 32)], ids=["1d-4096", "3d-32"])
+def test_diagnostics_allocates_less_than_a_field(shape):
+    # A record sets a run's memory peak unless its reductions stay inside
+    # the arrays the stepper holds: grad_sq/(2 mu) is added a chunk at a
+    # time, and the sup distances to the equilibrium reuse lap_v.
+    p = Params(chi=1.3, a=1.1, b=0.7, lam=0.9, mu=1.2, dim=len(shape))
+    rng = np.random.default_rng(13)
+    u, v, grad_sq, lap_v = (rng.uniform(0.0, 2.0, shape) for _ in range(4))
+    tracemalloc.start()
+    try:
+        diagnostics(0.5, p, u, v, grad_sq, lap_v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes / 2, (peak, u.nbytes)
 
 
 @pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)], ids=["1d-256", "2d-64"])

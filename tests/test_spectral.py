@@ -176,7 +176,7 @@ TRANSFORM_GRIDS = [
 ]
 
 
-# The plan calls pocketfft's kernels through a module private to scipy, so
+# The plan calls pocketfft's kernels through a module private to numpy, so
 # the tests below carry the transform contract: the spectra and fields of
 # np.fft.rfftn/irfftn, bit for bit, in complex128/float64, on ROADMAP's grid
 # ladder (1D 64/256/4096, 2D 128, 3D 32) and on any memory layout.
