@@ -5,7 +5,8 @@ explicit calibration constants standing in for generic constants of the
 underlying estimates), so the hypotheses and conclusions of the boundedness,
 persistence, and convergence statements become machine-checkable numbers.
 :class:`CalibrationConstants` owns those constants and where each comes
-from; the smoothing ones are exact on the run's grid, c_div = N c_grad.
+from; the smoothing ones are the kernel norms of the run's grid (exact in
+1D, rounded up by under 1e-13 relative in 2D/3D), c_div = N c_grad.
 
 Naming used throughout:
 
@@ -72,9 +73,12 @@ BESSEL_FIRST_ZERO = {
 class CalibrationConstants:
     """Explicit stand-ins for the generic constants of the smoothing estimates.
 
-    c_grad is the exact gradient constant of the run's grid (see
-    spectral.measure_gradient_constant) and c_div = N c_grad the exact
-    divergence one, whose kernel's l1 norm sums N equal axis norms.  c2 and
+    c_grad is the gradient constant of the run's grid (see
+    spectral.measure_gradient_constant): the kernel's l1 norm as a product
+    of 1D norms, exact in 1D and rounded up by 64 machine epsilons per heat
+    factor in 2D/3D.  c_div = N c_grad is the divergence one, whose kernel's
+    l1 norm sums N equal axis norms.  PROVENANCE, which constants.json
+    repeats, calls both exact: the rounding is below 1e-13 relative.  c2 and
     c_generic parameterise the convergence threshold.  PROVENANCE states
     where :meth:`for_params` takes each value.
     """

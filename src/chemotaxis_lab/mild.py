@@ -99,9 +99,11 @@ def local_horizon(R: float, p: Params, c_div: float, c_grad: float) -> float:
         4 R c_div chi sqrt(T) + (lam + a + 2 R b) T + mu T
             + 2 mu c_grad sqrt(T) <= 1 - CONTRACTION_MARGIN.
 
-    c_div and c_grad are the grid's exact smoothing constants, c_div =
-    N c_grad since the divergence kernel's norm sums N equal gradient-kernel
-    norms (see constants.CalibrationConstants).  Solved as a quadratic in
+    c_div and c_grad are the grid's smoothing constants, c_div = N c_grad
+    since the divergence kernel's norm sums N equal gradient-kernel norms:
+    exact in 1D, and from 2D up a product of 1D norms rounded up by 64
+    machine epsilons per factor, so never below the kernels' norms (see
+    constants.CalibrationConstants).  Solved as a quadratic in
     sqrt(T); strictly decreasing in R, and positive as the left side is 0 at 0.
     """
     if R <= 0.0:

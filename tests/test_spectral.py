@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,6 +426,28 @@ def test_gradient_constant_is_attained_and_never_exceeded(grid, sigma):
         # 64 points over 2*pi: sqrt(1e-3) is below the spacing, so the exact
         # constant exceeds the continuum 1/sqrt(pi) by far.
         assert c > 1.8 / SQRT_PI
+
+
+def test_gradient_calibration_allocates_less_than_a_field():
+    # The constant is a product of 1D kernel norms: calibrating a 3D grid
+    # transforms 1D kernels alone, no field-sized one.
+    plan = SemigroupPlan(Grid(dim=3, extent=2 * np.pi, points=32))
+    field_bytes = np.empty(plan.grid.shape).nbytes
+    tracemalloc.start()
+    try:
+        measure_gradient_constant(plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < field_bytes / 2, (peak, field_bytes)
+
+
+def test_derivative_multiplier_zeroes_only_the_mean_and_the_nyquist_mode():
+    # The Nyquist mode is found by its index: from 2^18 points on, |k| within
+    # a relative 1e-5 of pi/spacing also takes the modes just below it.
+    points = 2**18
+    (ik,) = SemigroupPlan(Grid(dim=1, extent=2 * np.pi, points=points)).ik
+    assert np.flatnonzero(ik == 0).tolist() == [0, points // 2]
 
 
 @pytest.mark.parametrize("sigma", [1.0, 0.37, 25.0])
