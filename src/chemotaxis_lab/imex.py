@@ -31,14 +31,19 @@ inverts v and lap v from the band.  The Duhamel oracle
 (:mod:`chemotaxis_lab.mild`) keeps full spectra on the same kernel,
 :func:`nonlinear_hat`.
 
-The physical state is one (1+N)-row stack [u, d_1 v, ..., d_N v], and a step
-makes one batched forward and one batched inverse transform call over it:
-the products u d_i v and u (a + lam - b u) are written over the stack and
-transformed together, the divergence is assembled from those spectra, and
-the spent rows take u_hat and ik_i v_hat for the inverse, which writes the
-new stack over the spent one.  Every band transform writes buffers the
-stepper keeps (band spectra, work, a record's v), as does the reaction term
-and then |grad v|^2, so a step allocates no field- or spectrum-sized array.
+The physical state is one (1+N)-row stack [u, d_1 v, ..., d_N v], rows 1:
+of one buffer [scratch | u | grad v], and a step makes one batched forward
+and one batched inverse transform call over it: the products u d_i v and
+u (a + lam - b u) are written over the stack and transformed together, the
+divergence is assembled from those spectra, and the spent rows take u_hat
+and ik_i v_hat for the inverse, which writes the new stack over the spent
+one.  Row 0 takes the reaction factor within a step and |grad v|^2 between
+steps, so one reduction gives the step bound's sups of |grad v|^2 and u.
+u_hat and v_hat are the rows of one array; both take E(dt), so the update
+runs on stacked rows.  The row views a step uses and the nonlinearity's
+coefficients, as numpy scalars, are bound once per layout, and every band
+transform writes buffers the stepper keeps, as do the reaction term and
+|grad v|^2, so a step allocates no field- or spectrum-sized array.
 
 :func:`integrate` also advances a block of runs that share a grid (the
 points of a sweep) as one ensemble: their states are stacked on a leading
@@ -60,12 +65,14 @@ final state equal its solo run's bit for bit.
 
 Positivity is monitored, never enforced: an undershoot past ``neg_tol``
 aborts the run with a diagnosis, because clipping would mask exactly the
-near-threshold instabilities this laboratory exists to expose.
+near-threshold instabilities this laboratory exists to expose.  After a
+step, a row whose min u fails -neg_tol <= min u < inf is diagnosed.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -157,77 +164,131 @@ class _Coefficients(NamedTuple):
         return _Coefficients(*(c[rows] if isinstance(c, np.ndarray) else c for c in self))
 
 
-def _step_weights(plan: SemigroupPlan, dt, lam, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E(dt), phi1(dt) and mu phi1(dt) on the 2/3 band; ``dt``, ``lam`` and
+class _Kinetics(NamedTuple):
+    """chi, b and a + lam as numpy scalars (chi complex, as the spectrum it
+    scales) or a block's columns.  A ufunc converts a Python float operand
+    to just these in every call: they give its floats without that cost."""
+
+    chi: np.ndarray
+    b: np.ndarray
+    growth: np.ndarray
+
+    @classmethod
+    def of(cls, p) -> _Kinetics:
+        return cls(
+            np.asarray(p.chi, np.complex128), np.asarray(p.b, float), np.asarray(p.a + p.lam, float)
+        )
+
+
+def _step_weights(plan: SemigroupPlan, dt, lam, mu, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """E(dt) and the pair [phi1(dt), mu phi1(dt)] on the 2/3 band, the pair
+    with the ``ndim`` axes of u_hat after its first; ``dt``, ``lam`` and
     ``mu`` are numbers or batch columns."""
     phi = plan.phi1(dt, lam, band=True)
-    return plan.multiplier(dt, lam, band=True), phi, mu * phi
+    shape = np.broadcast_shapes(np.shape(mu), phi.shape)
+    pair = np.empty((2,) + (1,) * (ndim - len(shape)) + shape)
+    pair[0] = phi
+    del phi
+    np.multiply(mu, pair[0], out=pair[1])
+    return plan.multiplier(dt, lam, band=True), pair
+
+
+def _layout(plan: SemigroupPlan, kinetics, stack, scratch, uv_hat, spec, work) -> tuple:
+    """What an ETD1 update reads and writes: the arguments, u_hat, v_hat,
+    the step spectra's rows [n_hat, first spent row] and the (ik_i, spectra
+    row 1 + i) pairs the inverse's grad v rows are formed in."""
+    u_hat, v_hat = uv_hat
+    grad_rows = tuple(zip(plan.band_ik, spec[1:]))
+    return kinetics, stack, scratch, uv_hat, u_hat, v_hat, spec, spec[:2], grad_rows, work
 
 
 class _Stepper:
-    """ETD1 state of a block of members on one grid: the physical stack
-    [u, d_1 v, ..., d_N v], the band spectra u_hat and v_hat, the buffers a
-    step works in, and a one-slot cache of the step's weights, so they are
-    built once per step size (or per set of rows and their own steps, while
-    members step out of lockstep).  ``u`` and ``v`` may carry a leading
-    batch axis (one row per member; the stack is then (1+N, B, ...)), and
-    ``params`` holds the members' coefficients (a :class:`Params`, or
-    :class:`_Coefficients` with a column per coefficient that differs).
+    """ETD1 state of a block of members on one grid, laid out in two
+    arrays: ``fields`` [scratch | u | d_1 v, ..., d_N v] of shape (2+N,
+    *lead, *grid shape) and the band spectra ``uv_hat`` [u_hat, v_hat] of
+    shape (2, *lead, *band_shape), with ``lead`` () for a single run and
+    (B,) for B members; ``params`` holds their coefficients (a
+    :class:`Params`, or :class:`_Coefficients` with a column per
+    coefficient that differs).  The row views (``stack``, rows 1:;
+    ``scratch``, ``u``, ``grad_v``, ``u_hat``, ``v_hat``; ``sups``, rows
+    :2, and ``u_rows`` with a batch axis even for one run, so that one
+    reduction gives every row's sups and one its min u), the step's band
+    spectra and the nonlinearity's coefficients are bound once per layout,
+    here and in :meth:`keep`.
 
     The first stack holds the input u itself, not a round trip of its
     spectrum, and its grad v rows come from v's full spectrum, which is
     kept for the start record's lap v (:meth:`lap_v`) until the first step.
-    A step overwrites the stack in place with the next one.  ``scratch`` is
-    a field-sized buffer: a step forms the reaction term in it, and between
-    steps the caller forms |grad v|^2 there (``sum_of_squares(stack[1:],
-    out=scratch)``).  The band spectra of a step and the transforms' work
-    are buffers too (:meth:`SemigroupPlan.band_workspace`), made before the
-    first band transform, as is ``last_v``, the field :meth:`v` writes:
-    every band transform writes the stepper's buffers, and a lockstep step
-    allocates no field- or spectrum-sized array.
+    A step overwrites the stack in place with the next one.  A step forms
+    the reaction term in ``scratch``, and between steps the caller forms
+    |grad v|^2 there (``sum_of_squares(grad_v, out=scratch)``).  The band
+    spectra of a step (in 1D a view of the forward's work) and the
+    transforms' work (:meth:`SemigroupPlan.band_workspace`) are buffers
+    too, as is ``last_v``, the field :meth:`v` writes: every band transform
+    writes the stepper's buffers, and a lockstep step allocates no field-
+    or spectrum-sized array.
 
-    A record interval usually ends on a short step a few ulps off the steady
+    The weights of a step, E and the pair [phi1, mu phi1], sit in a
+    one-slot cache, so they are built once per step size (or per set of
+    rows and their own steps, while members step out of lockstep).  A
+    record interval usually ends on a short step a few ulps off the steady
     one.  Its weights are built with ``cache=False``, so the steady step's
     weights survive it and an interval builds at most one set.  A second
     cache slot would build none, but it holds one more set of spectral
     weights through every step and record."""
 
     __slots__ = (
-        "plan", "params", "stack", "scratch", "u_hat", "v_hat", "last_v", "_spec", "_work",
-        "_v_hat_input", "_key", "_weights",
+        "plan", "params", "fields", "stack", "scratch", "u", "grad_v", "sups", "u_rows",
+        "uv_hat", "u_hat", "v_hat", "last_v", "_spec", "_work", "_layout", "_v_hat_input", "_key",
+        "_weights",
     )
 
     def __init__(self, plan: SemigroupPlan, params, u: np.ndarray, v: np.ndarray):
         self.plan = plan
         self.params = params
+        lead = u.shape[: u.ndim - plan.grid.dim]
         v_hat = plan.to_spectral(v)
-        self.stack = np.stack((u, *plan.grad(v_hat)))
-        self._spec, self._work = plan.band_workspace(self.stack.shape[: -plan.grid.dim])
-        self.scratch = sum_of_squares(self.stack[1:], out=np.empty(self.stack.shape[1:]))
+        fields = np.empty((2 + plan.grid.dim,) + u.shape)
+        fields[1] = u
+        sum_of_squares(plan.grad(v_hat, out=fields[2:]), out=fields[0])
+        self._bind(fields, np.empty((2,) + lead + plan.band_shape, np.complex128))
         self.last_v = np.empty_like(self.scratch)
-        u_hat = np.empty_like(self._spec[0])
-        self.u_hat = plan.to_spectral(u, band=True, out=u_hat, work=self._field_work())
-        self.v_hat = plan.band_of(v_hat)
+        plan.to_spectral(u, band=True, out=self.u_hat, work=self._field_work())
+        self.v_hat[...] = plan.band_of(v_hat)
         self._v_hat_input = v_hat
-        self._key = -1.0
-        self._weights = None
+
+    def _bind(self, fields: np.ndarray, uv_hat: np.ndarray) -> None:
+        """Lay the stepper out on ``fields`` and ``uv_hat``, with new band
+        transform buffers and an empty weight cache."""
+        plan = self.plan
+        self.fields, self.uv_hat = fields, uv_hat
+        self.scratch, self.u, self.stack = fields[0], fields[1], fields[1:]
+        self.grad_v = fields[2:]
+        batched = fields.reshape(fields.shape[:1] + (-1,) + plan.grid.shape)
+        self.sups, self.u_rows = batched[:2], batched[1]
+        self.u_hat, self.v_hat = uv_hat
+        self._spec, self._work = plan.band_workspace(self.stack.shape[: -plan.grid.dim])
+        kinetics, spec, work = _Kinetics.of(self.params), self._spec, self._work
+        self._layout = _layout(plan, kinetics, self.stack, self.scratch, uv_hat, spec, work)
+        self._key, self._weights = -1.0, None
 
     def weights(
         self, dt, rows: tuple[int, ...] | None = None, *, cache: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """E(dt), phi1(dt) and mu phi1(dt) on the band: of every row at the
-        one step ``dt``, or, for a tuple ``dt``, of the rows ``rows`` (None:
-        every row) at their own steps.  ``cache=False`` leaves the cached
-        set in place."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """E(dt) and the pair [phi1(dt), mu phi1(dt)] on the band: of every
+        row at the one step ``dt``, or, for a tuple ``dt``, of the rows
+        ``rows`` (None: every row) at their own steps.  ``cache=False``
+        leaves the cached set in place."""
         key = dt if rows is None else (dt, rows)
         if key == self._key:
             return self._weights
+        ndim = self.u_hat.ndim
         if isinstance(dt, tuple):
             coef = self.params if rows is None else self.params.take(list(rows))
-            column = np.reshape(dt, (-1,) + (1,) * (self.u_hat.ndim - 1))
-            weights = _step_weights(self.plan, column, coef.lam, coef.mu)
+            column = np.reshape(dt, (-1,) + (1,) * (ndim - 1))
+            weights = _step_weights(self.plan, column, coef.lam, coef.mu, ndim)
         else:
-            weights = _step_weights(self.plan, dt, self.params.lam, self.params.mu)
+            weights = _step_weights(self.plan, dt, self.params.lam, self.params.mu, ndim)
         if cache:
             self._key, self._weights = key, weights
         return weights
@@ -240,42 +301,43 @@ class _Stepper:
 
         phi1 integrates E over the step exactly, so the homogeneous
         equilibrium is a fixed point for every dt (k = 0: E u* + phi1 lam u*
-        = u*).  A float ``dt`` steps every row in the stepper's buffers:
-        u_hat and v_hat are updated in place and the band inverse writes
-        the new stack over the spent one.  A tuple ``dt`` gives each stepped
-        row its own step, and ``rows`` steps only those rows: they are
-        gathered, stepped in the first rows of the buffers and written back,
-        and the other rows keep their state."""
+        = u*).  Both fields take the same E, so the update runs on stacked
+        rows, each float through the field-by-field update's operations in
+        order: the first spent row takes u_hat, [n_hat, u_hat] *= [phi1,
+        mu phi1], [u_hat, v_hat] *= E and += that pair, and the inverse's
+        rows take u_hat and ik_i v_hat.  A float ``dt`` steps every row in
+        the bound views: u_hat and v_hat are updated in place and the band
+        inverse writes the new stack over the spent one.  A tuple ``dt``
+        gives each stepped row its own step, and ``rows`` steps only those
+        rows: they are gathered, stepped in the first rows of the buffers
+        and written back, and the other rows keep their state."""
         plan = self.plan
         self._v_hat_input = None
         if rows is None:
-            coef, stack, u_hat, v_hat = self.params, self.stack, self.u_hat, self.v_hat
-            scratch, spec, work = self.scratch, self._spec, self._work
+            layout = self._layout
         else:
             index = list(rows)
-            coef, stack = self.params.take(index), self.stack[:, index]
-            u_hat, v_hat = self.u_hat[index], self.v_hat[index]
             # The buffers' first rows; a 1D work holds the stack's spectra.
-            count = stack.shape[1]
-            scratch, spec = self.scratch[:count], self._spec[:, :count]
+            count = len(index)
             work = self._work[:, :count] if plan.grid.dim == 1 else self._work
-        spec = nonlinear_hat(plan, coef, stack, band=True, scratch=scratch, out=spec, work=work)
-        prop, phi, mu_phi = self.weights(dt, rows, cache=cache)
-        n_hat, tmp = spec[0], spec[1]
-        n_hat *= phi
-        np.multiply(mu_phi, u_hat, out=tmp)
-        v_hat *= prop
-        v_hat += tmp
-        u_hat *= prop
-        u_hat += n_hat
-        n_hat[...] = u_hat
-        for ik, row in zip(plan.band_ik, spec[1:]):
+            layout = _layout(
+                plan, _Kinetics.of(self.params.take(index)), self.stack[:, index],
+                self.scratch[:count], self.uv_hat[:, index], self._spec[:, :count], work,
+            )
+        kinetics, stack, scratch, uv_hat, u_hat, v_hat, spec, pair, grad_rows, work = layout
+        nonlinear_hat(plan, kinetics, stack, band=True, scratch=scratch, out=spec, work=work)
+        prop, phi_pair = self.weights(dt, rows, cache=cache)
+        pair[1] = u_hat
+        pair *= phi_pair
+        uv_hat *= prop
+        uv_hat += pair
+        spec[0] = u_hat
+        for ik, row in grad_rows:
             np.multiply(ik, v_hat, out=row)
         plan.to_physical(spec, band=True, out=stack, work=work)
         if rows is not None:
             self.stack[:, index] = stack
-            self.u_hat[index] = u_hat
-            self.v_hat[index] = v_hat
+            self.uv_hat[:, index] = uv_hat
 
     def _field_work(self) -> np.ndarray:
         """The work buffer of the band transforms of one row of the stack:
@@ -295,21 +357,18 @@ class _Stepper:
         if self._v_hat_input is not None:
             v_hat, self._v_hat_input = self._v_hat_input, None
             return plan.to_physical(np.multiply(-plan.k2, v_hat, out=v_hat), overwrite=True)
-        lap_hat = -plan.band_k2 * self.v_hat
+        # The step's band spectra are spent between steps.
+        lap_hat = np.multiply(-plan.band_k2, self.v_hat, out=self._spec[0])
         lap_v = np.empty_like(self.scratch)
         return plan.to_physical(lap_hat, band=True, out=lap_v, work=self._field_work())
 
     def keep(self, rows: list[int]) -> None:
-        """Drop every row but ``rows`` for good (members that left);
-        ``last_v`` keeps the kept rows of the last :meth:`v`."""
+        """Drop every row but ``rows`` for good (members that left) and lay
+        the stepper out on the kept rows; ``last_v`` keeps the kept rows of
+        the last :meth:`v`."""
         self.params = self.params.take(rows)
-        self.stack = self.stack[:, rows]
-        self.scratch = self.scratch[rows]
         self.last_v = self.last_v[rows]
-        self.u_hat = self.u_hat[rows]
-        self.v_hat = self.v_hat[rows]
-        self._spec, self._work = self.plan.band_workspace(self.stack.shape[: -self.plan.grid.dim])
-        self._key, self._weights = -1.0, None
+        self._bind(self.fields[:, rows], self.uv_hat[:, rows])
 
 
 def nonlinear_hat(
@@ -317,8 +376,9 @@ def nonlinear_hat(
 ) -> np.ndarray:
     """Spectrum of u (a + lam - b u) - chi div(u grad v), given the physical
     stack [u, d_1 v, ..., d_N v] (every row may carry a leading batch axis)
-    and the coefficients ``p`` (a :class:`Params`, or a block's
-    :class:`_Coefficients`, whose columns broadcast over the batch axis).
+    and the coefficients ``p`` (a :class:`Params`, a block's
+    :class:`_Coefficients`, whose columns broadcast over the batch axis, or
+    their :class:`_Kinetics`, which the stepper binds once).
     The stepper and the Duhamel oracle both integrate this term: the
     stepper on the 2/3 band (``band=True``), the oracle on full spectra.
 
@@ -328,28 +388,38 @@ def nonlinear_hat(
     ``scratch`` (a field of the stack's row shape) takes the reaction
     factor, or a new field when None; ``out`` and ``work`` are the band
     forward's buffers, which a band call must pass."""
-    u = stack[0]
-    stack[1:] *= u
-    reac = np.multiply(p.b, u, scratch)
-    np.subtract(p.a + p.lam, reac, out=reac)
+    chi, b, growth = p if isinstance(p, _Kinetics) else _Kinetics.of(p)
+    u, flux = stack[0], stack[1:]
+    # stack[:1], not u: in 1D the operands then share a shape, which
+    # numpy's fast loop needs.
+    flux *= stack[:1]
+    reac = np.multiply(b, u, scratch)
+    np.subtract(growth, reac, out=reac)
     u *= reac
     del reac  # not held through the transform
     spec = plan.to_spectral(stack, band, out=out, work=work)
     flux_hat = plan.div_hat(spec[1:], band)
-    flux_hat *= p.chi
-    spec[0] -= flux_hat
+    flux_hat *= chi
+    n_hat = spec[0]  # a name, so -= writes no copy back
+    n_hat -= flux_hat
     return spec
 
 
-def _cfl_from_norms(
-    p: Params, spacing: float, grad_sup: float, u_sup: float, ctl: StepControl
-) -> float:
-    """cfl_safety * min(dt_max, spacing/max(chi |grad v|_inf, floor),
-    1/(a + 2 b |u|_inf)): > 0 for finite norms, 0 for a norm that
-    overflowed to inf."""
-    advective = spacing / max(p.chi * grad_sup, ADVECTION_FLOOR)
-    reactive = 1.0 / (p.a + 2.0 * p.b * u_sup)
-    return ctl.cfl_safety * min(ctl.dt_max, advective, reactive)
+def _step_bound(p: Params, spacing: float, ctl: StepControl) -> Callable[[float, float], float]:
+    """The CFL step bound of a member, its constants bound once: a function
+    of sup |grad v|^2 and sup u returning cfl_safety * min(dt_max,
+    spacing/max(chi |grad v|_inf, floor), 1/(a + 2 b |u|_inf)): > 0 for
+    finite norms, 0 for a norm that overflowed to inf."""
+    chi, a, two_b = p.chi, p.a, 2.0 * p.b
+    safety, dt_max = ctl.cfl_safety, ctl.dt_max
+    sqrt = math.sqrt
+
+    def bound(grad_sq_sup: float, u_sup: float) -> float:
+        advective = spacing / max(chi * sqrt(grad_sq_sup), ADVECTION_FLOOR)
+        reactive = 1.0 / (a + two_b * u_sup)
+        return safety * min(dt_max, advective, reactive)
+
+    return bound
 
 
 def _state_error(u_min: float, t: float, neg_tol: float) -> RuntimeError | None:
@@ -426,65 +496,61 @@ def integrate(
     if ctl.t_end <= t:
         raise InvalidParameterError(f"t_end {ctl.t_end!r} must exceed start time {t!r}")
     if len(states) == 1:  # no batch axis: the member's row is the whole array
-        axes = None
         u, v = states[0].u.values, states[0].v.values
 
         def rows(a: np.ndarray) -> tuple[np.ndarray]:
             return (a,)
 
-        def per_row(reduced: np.generic) -> list:
-            return [float(reduced)]
-
     else:
-        axes = tuple(range(1, grid.dim + 1))
         u = np.stack([s.u.values for s in states])
         v = np.stack([s.v.values for s in states])
 
         def rows(a: np.ndarray) -> np.ndarray:
             return a
 
-        def per_row(reduced: np.ndarray) -> list:
-            return reduced.tolist()
-
+    axes = tuple(range(-grid.dim, 0))  # a field's
     params = [s.params for s in states]
     st = _Stepper(plan, _Coefficients.of(params, grid.dim), u, v)
     del u
     ends: list = [None] * len(states)
     live = list(range(len(states)))  # the member on each row
     ts = [t] * len(states)  # the time of each row
+    bounds = [_step_bound(p, grid.spacing, ctl) for p in params]  # the step bound of each row
 
     def drop(errors: dict) -> list[int]:
         """The members on the rows in ``errors`` leave the block with their
         errors; returns the rows kept."""
-        nonlocal live, ts
+        nonlocal live, ts, bounds
         kept = [row for row in range(len(live)) if row not in errors]
         for row, error in errors.items():
             ends[live[row]] = error
         live, ts = [live[row] for row in kept], [ts[row] for row in kept]
+        bounds = [bounds[row] for row in kept]
         if live:
             st.keep(kept)
         return kept
 
     def record(t: float, v: np.ndarray) -> None:
         lap_v = st.lap_v()
-        member_rows = zip(live, rows(st.stack[0]), rows(v), rows(st.scratch), rows(lap_v))
+        member_rows = zip(live, rows(st.u), rows(v), rows(st.scratch), rows(lap_v))
         for member, *arrays in member_rows:
             sinks[member](diagnostics(t, params[member], *arrays))
 
-    spacing, neg_tol = grid.spacing, ctl.neg_tol
+    neg_tol = ctl.neg_tol
+    # _state_error's admissible u_min; low is finite, so -inf fails too.
+    low, inf = -min(neg_tol, sys.float_info.max), math.inf
+    largest, smallest = np.maximum.reduce, np.minimum.reduce
     record(t, v)
     for target in record_times(t, ctl):
         tol = 1e-13 * max(1.0, target)
         while live:
-            grad_sups = per_row(np.maximum.reduce(st.scratch, axes))
-            u_sups = per_row(np.maximum.reduce(st.stack[0], axes))
+            grad_sq_sups, u_sups = largest(st.sups, axes).tolist()
             dts, cache, stalled = [], True, {}
             for row, t_row in enumerate(ts):
                 dt = 0.0  # a row that has reached the target sits out
                 remaining = target - t_row
                 if remaining > tol:
-                    p = params[live[row]]
-                    dt = _cfl_from_norms(p, spacing, math.sqrt(grad_sups[row]), u_sups[row], ctl)
+                    dt = bounds[row](grad_sq_sups[row], u_sups[row])
                     if not dt > 0.0:  # an overflowed norm: no step advances the row
                         stalled[row], dt = DivergenceError(t_row), 0.0
                     elif remaining <= dt * (1.0 + 1e-9):
@@ -502,27 +568,27 @@ def integrate(
                 own = tuple(dts[row] for row in stepping)
                 every = len(stepping) == len(dts)
                 st.advance(own, cache=cache, rows=None if every else stepping)
-            u_mins = per_row(np.minimum.reduce(st.stack[0], axes))
             errors = {}
-            for row, dt in enumerate(dts):
-                error = _state_error(u_mins[row], ts[row], neg_tol) if dt else None
-                if error is not None:
-                    errors[row] = error
+            for row, u_min in enumerate(smallest(st.u_rows, axes).tolist()):
+                if not low <= u_min < inf and dts[row]:
+                    errors[row] = _state_error(u_min, ts[row], neg_tol)
             if errors and not drop(errors):
                 break
-            sum_of_squares(st.stack[1:], out=st.scratch)
+            sum_of_squares(st.grad_v, out=st.scratch)
         if not live:
             break
         ts = [target] * len(live)
         v = st.v()
-        finite = per_row(np.isfinite(v).all(axis=axes))
+        finite = np.isfinite(v).all(axis=axes).ravel().tolist()
         if not all(finite):
             kept = drop({row: DivergenceError(target) for row, ok in enumerate(finite) if not ok})
             if not kept:
                 break
             v = st.last_v
         record(target, v)
-    for member, u_row, v_row in zip(live, rows(st.stack[0]), rows(v)):
+    u_end = st.u
+    del st  # its spectra and step buffers go before the final fields are copied
+    for member, u_row, v_row in zip(live, rows(u_end), rows(v)):
         u, v_end = Field(grid, u_row), Field(grid, v_row)
         ends[member] = SimState(t=target, u=u, v=v_end, params=params[member])
     if block:

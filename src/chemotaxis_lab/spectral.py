@@ -79,8 +79,9 @@ equals the full forward's band entries bit for bit, and the band inverse
 equals the full inverse of the zero-padded spectrum bit for bit
 (``tests/test_spectral.py``).  A band inverse's input is the band alone: a
 full spectrum with content off the band has no band transform.  In 1D the
-band is a prefix of the half spectrum, so a band forward is the full one
-and a copy of the prefix, and a band inverse is one c2r call on the band.
+band is a prefix of the half spectrum: a band forward is the full one, and
+the stepper's band spectra are the prefix view of its output, so nothing is
+copied; a band inverse is one c2r call on the band.
 From 2D up the band transforms work row by row (one field of a stack at a
 time) through a work buffer of one full spectrum.  A band transform
 allocates nothing: every call passes its ``out`` and ``work``, which
@@ -259,7 +260,9 @@ class SemigroupPlan:
         ``out`` and ``work`` are the caller's buffers (see
         :meth:`band_workspace`) and serve the band transform alone; a 1D
         band forward writes its r2c output, the stack's half spectra, into
-        ``work`` and copies the band out."""
+        ``work``, whose prefix is the band.  An ``out`` that is a view of
+        ``work`` must be that prefix (the spectra :meth:`band_workspace`
+        makes), and takes no copy."""
         if not band:
             # Kernel arguments: (array, scale, out), with ``axes`` off the last axis.
             spec = np.empty(values.shape[:-1] + self.spectral_shape[-1:], np.complex128)
@@ -269,7 +272,8 @@ class SemigroupPlan:
             return spec
         if self.grid.dim == 1:
             _rfft(values, 1.0, work)
-            out[...] = work[self._prefix]
+            if out.base is not work:
+                out[...] = work[self._prefix]
             return out
         for row in np.ndindex(values.shape[: -self.grid.dim]):
             _rfft(values[row], 1.0, work)
@@ -331,10 +335,13 @@ class SemigroupPlan:
         the band transforms may write.  From 2D up ``work`` is one full
         spectrum, which the transforms reuse row by row.  In 1D it is the
         stack's half spectra, which only the band forward uses: the kernel
-        writes each whole half spectrum there, and the band is copied out."""
-        spec = np.empty(lead + self.band_shape, np.complex128)
+        writes each whole half spectrum there, and the band spectra are
+        their prefix, a view of ``work``, so the band forward copies
+        nothing."""
         if self.grid.dim == 1:
-            return spec, np.empty(lead + self.spectral_shape, np.complex128)
+            work = np.empty(lead + self.spectral_shape, np.complex128)
+            return work[self._prefix], work
+        spec = np.empty(lead + self.band_shape, np.complex128)
         return spec, np.empty(self.spectral_shape, np.complex128)
 
     def band_of(self, spec: np.ndarray) -> np.ndarray:
@@ -345,10 +352,14 @@ class SemigroupPlan:
             out[band_entries] = spec[entries]
         return out
 
-    def grad(self, spec: np.ndarray) -> list[np.ndarray]:
+    def grad(self, spec: np.ndarray, out=None) -> list[np.ndarray]:
         """Physical-space gradient components of the full spectrum ``spec``
-        (a leading batch axis is allowed)."""
-        return [self.to_physical(ik * spec, overwrite=True) for ik in self.ik]
+        (a leading batch axis is allowed): new fields, or the rows of
+        ``out``, which they are written into."""
+        rows = [None] * self.grid.dim if out is None else out
+        return [
+            self.to_physical(ik * spec, overwrite=True, out=row) for ik, row in zip(self.ik, rows)
+        ]
 
     def div_hat(self, specs: np.ndarray, band: bool = False) -> np.ndarray:
         """Spectrum of the divergence of a vector field, given the spectra of
@@ -360,8 +371,9 @@ class SemigroupPlan:
         iks = self.band_ik if band else self.ik
         acc = specs[0]
         np.multiply(iks[0], acc, out=acc)
-        for ik, row in zip(iks[1:], specs[1:]):
-            np.multiply(ik, row, out=row)
+        for axis in range(1, len(iks)):  # by index, as in sum_of_squares
+            row = specs[axis]
+            np.multiply(iks[axis], row, out=row)
             acc += row
         return acc
 
@@ -384,14 +396,16 @@ class SemigroupPlan:
 
 def sum_of_squares(components, out: np.ndarray) -> np.ndarray:
     """Pointwise sum of the squared components (|grad v|^2 for the output
-    of :meth:`SemigroupPlan.grad`, or for rows 1: of the step's stack),
+    of :meth:`SemigroupPlan.grad`, or for the stepper's grad v rows),
     accumulated axis by axis in ``out``, which is returned.  The squares
     after the first are taken a chunk of ``out``'s first axis at a time
     (:func:`~chemotaxis_lab.core.row_chunks`), so no temporary as large as
     a component is made."""
     first = components[0]
     np.multiply(first, first, out)
-    for c in components[1:]:
+    # By index: iterating an array, even an empty slice, costs ~0.5 us.
+    for axis in range(1, len(components)):
+        c = components[axis]
         for rows in row_chunks(out):
             chunk = c[rows]
             out[rows] += chunk * chunk

@@ -24,7 +24,7 @@ from chemotaxis_lab import (
     picard_solve,
 )
 from chemotaxis_lab.harness import DiagnosticsRecord
-from chemotaxis_lab.imex import _cfl_from_norms, _Coefficients, _state_error, _Stepper
+from chemotaxis_lab.imex import _Coefficients, _state_error, _step_bound, _Stepper
 from chemotaxis_lab.spectral import sum_of_squares
 from conftest import bits
 
@@ -42,8 +42,7 @@ def cfl(s, ctl):
     sup|grad v| from v's spectrum and sup u."""
     plan = SemigroupPlan(s.grid)
     grad_sq = sum_of_squares(plan.grad(plan.to_spectral(s.v.values)), out=np.empty(s.grid.shape))
-    grad_sup = float(np.sqrt(grad_sq.max()))
-    return _cfl_from_norms(s.params, s.grid.spacing, grad_sup, s.u.sup(), ctl)
+    return _step_bound(s.params, s.grid.spacing, ctl)(float(grad_sq.max()), s.u.sup())
 
 
 def fixed_steps(s, dt, steps, neg_tol):
@@ -339,9 +338,9 @@ def _memory_run(grid, seed):
 def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
     # On 32^3, F is one field (256 KiB), S one half-complex spectrum
     # (17/16 F) and B one band spectrum (21 * 21 * 11 modes, 0.28 S).  Held
-    # through the run: the stack [u, grad v] (4 F), the scratch field that
-    # holds |grad v|^2 (F), the records' v (F), u_hat and v_hat (2 B), the
-    # cached weights E, phi1 and mu phi1 (3 real band spectra, 1.5 B), the
+    # through the run: the fields [scratch | u | grad v] (the scratch field
+    # holds |grad v|^2; 5 F), the records' v (F), [u_hat, v_hat] (2 B), the
+    # cached weights E and [phi1, mu phi1] (3 real band spectra, 1.5 B), the
     # step's band spectra (4 B) and the transforms' work (S): 6 F + S + 7.5 B.
     # A step adds at most an uncached set of weights (1.5 B): 6 F + S + 9 B.
     # A record adds lap v (F) and one reduction temporary (F): 8 F + S + 7.5 B.
@@ -378,7 +377,11 @@ def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
 
 @pytest.mark.parametrize(
     "grid",
-    [Grid(dim=2, extent=2 * np.pi, points=256), Grid(dim=3, extent=2 * np.pi, points=32)],
+    [
+        Grid(dim=1, extent=2 * np.pi, points=2**14),
+        Grid(dim=2, extent=2 * np.pi, points=256),
+        Grid(dim=3, extent=2 * np.pi, points=32),
+    ],
     ids=lambda g: f"{g.dim}d-{g.points}",
 )
 def test_a_step_allocates_no_field_sized_array(grid, monkeypatch):
@@ -386,11 +389,13 @@ def test_a_step_allocates_no_field_sized_array(grid, monkeypatch):
     # iteration, from the start of one step to the start of the next, steps,
     # checks positivity, forms |grad v|^2 and bounds the next step in the
     # stepper's buffers: its peak stays less than one field above its start,
-    # and the stack, the scratch field and the spectra are the same arrays
-    # throughout.  One record interval, so no record falls between two steps.
-    # The fields (512 and 256 KiB) are larger than numpy's ufunc buffer
-    # (at most 8192 values, 64 KiB of float64 or 128 KiB of complex128),
-    # which a broadcast product such as stack[1:] *= u may allocate.
+    # and the fields, the stack, the scratch field, the state [u_hat, v_hat]
+    # and its rows and the step's band spectra (in 1D a view of the
+    # transforms' work) are the same arrays throughout.  One record
+    # interval, so no record falls between two steps.  The fields (128, 512
+    # and 256 KiB) are larger than numpy's float64 ufunc buffer (at most
+    # 8192 values, 64 KiB of float64), which a broadcast product such as
+    # stack[1:] *= stack[:1] may allocate.
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -405,7 +410,9 @@ def test_a_step_allocates_no_field_sized_array(grid, monkeypatch):
         if arrays:
             tracemalloc.reset_peak()
             level[:] = [current]
-        arrays.append((self.stack, self.scratch, self.u_hat, self.v_hat))
+        arrays.append(
+            (self.fields, self.stack, self.scratch, self.uv_hat, self.u_hat, self.v_hat, self._spec)
+        )
         advance(self, dt, **kwargs)
 
     monkeypatch.setattr(_Stepper, "advance", measured)
@@ -667,6 +674,60 @@ def test_block_member_whose_step_bound_overflows_leaves_at_its_start(overflowing
             assert str(end) == str(solo_end) and len(records) == 1
         else:
             assert end.t == solo_end.t == 0.3 and len(records) == 4
+            assert np.array_equal(bits(end.u.values), bits(solo_end.u.values))
+            assert np.array_equal(bits(end.v.values), bits(solo_end.v.values))
+
+
+@pytest.mark.parametrize(
+    "neg_tol, coefficients, error_type",
+    [
+        (1e-8, [(1.0, 1.0), (10.0, 1.0), (5.0, 1.0)], PositivityViolationError),
+        (math.inf, [(1.0, 5.0), (40.0, 5.0), (5.0, 5.0)], DivergenceError),
+    ],
+    ids=["undershoot", "non-finite"],
+)
+def test_block_member_leaves_mid_run_at_its_solo_time(
+    neg_tol, coefficients, error_type, monkeypatch
+):
+    # On 16 points strong chemotaxis (chi = 10) drives u into a spectral
+    # undershoot; with no undershoot bound (neg_tol = inf) chi = 40 lets it
+    # run away until the state is non-finite.  The members step at their
+    # own CFL steps, so the block leaves lockstep.  The leaving member takes
+    # the positivity check's slow path (_state_error) once, mid-run, and
+    # leaves with its solo run's error; the others' records and ends equal
+    # their solo runs' bit for bit.
+    grid = Grid(dim=1, extent=2 * np.pi, points=16)
+    x = grid.axis_coordinates()
+    profile = Field(grid, 1.0 + 0.5 * np.cos(x))
+    states = [
+        SimState(t=0.0, u=profile, v=profile, params=Params(chi=chi, a=1, b=b, lam=1, mu=1, dim=1))
+        for chi, b in coefficients
+    ]
+    ctl = StepControl(dt_max=0.05, t_end=3.0, record_every=0.5, cfl_safety=0.5, neg_tol=neg_tol)
+    plan = SemigroupPlan(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        solo = [_run_alone(s, ctl, plan) for s in states]
+        checked = []
+        state_error = _state_error
+
+        def counted(u_min, t, tol):
+            error = state_error(u_min, t, tol)
+            checked.append(error)
+            return error
+
+        monkeypatch.setattr("chemotaxis_lab.imex._state_error", counted)
+        block_records: list[list[DiagnosticsRecord]] = [[] for _ in states]
+        ends = integrate(states, ctl, [r.append for r in block_records], plan=plan)
+    assert len(checked) == 1 and type(checked[0]) is error_type
+    for member, (records, end) in enumerate(zip(block_records, ends)):
+        solo_records, solo_end = solo[member]
+        assert _record_bits(records) == _record_bits(solo_records)
+        if member == 1:
+            assert end is checked[0]
+            assert type(end) is type(solo_end) and str(end) == str(solo_end)
+            assert end.t == solo_end.t and 0.0 < end.t < ctl.t_end
+        else:
+            assert end.t == solo_end.t == ctl.t_end
             assert np.array_equal(bits(end.u.values), bits(solo_end.u.values))
             assert np.array_equal(bits(end.v.values), bits(solo_end.v.values))
 
