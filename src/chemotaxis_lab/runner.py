@@ -42,7 +42,6 @@ import csv
 import json
 import os
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -390,6 +389,10 @@ def execute_sweep(sweep: SweepConfig, out_dir: str | Path, workers: int | None =
     if n_workers == 1:
         rows = [row for block in blocks for row in _run_sweep_block(block)]
     else:
+        # Imported here: concurrent.futures brings in multiprocessing,
+        # logging and subprocess, ~1 MB that no run or one-worker sweep uses.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             rows = [row for block_rows in pool.map(_run_sweep_block, blocks) for row in block_rows]
     rows.sort(key=lambda r: r["index"])

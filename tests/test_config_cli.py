@@ -271,13 +271,16 @@ def test_cli_run_passes_and_writes_artifacts(tmp_path):
 def test_a_run_imports_no_scipy(tmp_path):
     # scipy.fft alone adds ~27 MB to a process, paid by every run and sweep
     # worker; the package imports scipy only in functions a run never calls.
+    # Nor does a run load the sweep's process pool (concurrent.futures and
+    # multiprocessing, ~1.2 MB with what they import).
     path = write_base_config(tmp_path)
+    unused = ("scipy", "concurrent", "multiprocessing")
     script = (
         "import sys\n"
         "import chemotaxis_lab\n"
         "from chemotaxis_lab.cli import main\n"
         f"code = main(['run', {str(path)!r}])\n"
-        "print(code, [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+        f"print(code, [m for m in sys.modules if m.split('.')[0] in {unused!r}])\n"
     )
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}

@@ -24,7 +24,14 @@ from chemotaxis_lab import (
     picard_solve,
 )
 from chemotaxis_lab.harness import DiagnosticsRecord
-from chemotaxis_lab.imex import _Coefficients, _state_error, _step_bound, _Stepper
+from chemotaxis_lab.imex import (
+    ADVECTION_FLOOR,
+    _Coefficients,
+    _state_error,
+    _step_bound,
+    _Stepper,
+    nonlinear_hat,
+)
 from chemotaxis_lab.spectral import sum_of_squares
 from conftest import bits
 
@@ -338,16 +345,20 @@ def _memory_run(grid, seed):
 def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
     # On 32^3, F is one field (256 KiB), S one half-complex spectrum
     # (17/16 F) and B one band spectrum (21 * 21 * 11 modes, 0.28 S).  Held
-    # through the run: the fields [scratch | u | grad v] (the scratch field
-    # holds |grad v|^2; 5 F), the records' v (F), [u_hat, v_hat] (2 B), the
-    # cached weights E and [phi1, mu phi1] (3 real band spectra, 1.5 B), the
-    # step's band spectra (4 B) and the transforms' work (S): 6 F + S + 7.5 B.
-    # A step adds at most an uncached set of weights (1.5 B): 6 F + S + 9 B.
-    # A record adds lap v (F) and one reduction temporary (F): 8 F + S + 7.5 B.
-    # The bound is the larger of the two plus one field for small objects
-    # (numpy's 128 KiB ufunc buffer among them).  Full spectra for the
-    # step's stack add 4 (S - B), a spent stack held through a step 4 F, and
-    # a record's v made beside the last record's one F; each is over the
+    # through the run: the fields [last_v | scratch | u | grad v] (row 0
+    # takes -u after a step and the records' v, the scratch field
+    # |grad v|^2; 6 F), [u_hat, v_hat] (2 B), the cached weights E and
+    # [phi1, mu phi1] (3 complex band spectra, 3 B), the step's band spectra
+    # (4 B) and the transforms' work (S): 6 F + S + 9 B.  A step adds at
+    # most an uncached set of weights (3 B): 6 F + S + 12 B.  A record adds
+    # lap v (F) and one reduction temporary (F): 8 F + S + 9 B.  The bound
+    # is unchanged from real weights (1.5 B a set, so 6 F + S + 9 B for a
+    # step and 8 F + S + 7.5 B for a record): the larger of the two plus
+    # one field for small objects (numpy's 128 KiB ufunc buffer among
+    # them), of which the complex weights take 1.5 B.  Full spectra for the
+    # step's stack add 4 (S - B), a spent stack held through a step 4 F, a
+    # record's v in a field of its own F, and a second set of complex
+    # weights held beside the first 3 B; each takes the inventory past the
     # bound.
     grid = Grid(dim=3, extent=2 * np.pi, points=32)
     plan = SemigroupPlan(grid)
@@ -800,3 +811,124 @@ def test_lockstep_block_makes_the_transform_calls_of_one_member(monkeypatch):
     assert len(solo_steps) >= 10 and all(isinstance(dt, float) for dt in block_steps)
     assert block_steps == solo_steps
     assert block_calls == solo_calls
+
+
+def _crafted_rows(grid, rng):
+    """(name, u, grad v) rows that the monitor must reduce as the separate
+    reductions do: non-finite u, a signed-zero minimum, subnormals and a
+    gradient whose square overflows."""
+    shape = grid.shape
+    tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
+
+    def u_with(*values):
+        u = rng.uniform(0.5, 1.5, shape)
+        u.flat[[3, 7, 11][: len(values)]] = values
+        return u
+
+    def grad(scale=1.0):
+        return scale * rng.uniform(-1.0, 1.0, (grid.dim, *shape))
+
+    return [
+        ("nan", u_with(np.nan, -2.0), grad()),
+        ("+inf", u_with(np.inf), grad()),
+        ("-inf", u_with(-np.inf, np.inf), grad()),
+        ("-0.0-minimum", u_with(-0.0, 0.0), grad()),
+        ("subnormals", u_with(tiny, -tiny, 2.0 * tiny), grad(tiny)),
+        ("overflowed-grad", u_with(0.25), grad(1e200)),
+    ]
+
+
+def _builtin_bound(p, spacing, ctl, grad_sq_sup, u_sup) -> float:
+    """The CFL step bound written with the builtins max and min, as
+    _step_bound's comparisons must reproduce it, NaN included."""
+    advective = spacing / max(p.chi * math.sqrt(grad_sq_sup), ADVECTION_FLOOR)
+    reactive = 1.0 / (p.a + 2.0 * p.b * u_sup)
+    return ctl.cfl_safety * min(ctl.dt_max, advective, reactive)
+
+
+def _same_float(x, y) -> bool:
+    """x and y are the same float64 bit for bit, or both NaN (of any sign
+    or payload)."""
+    if math.isnan(x) or math.isnan(y):
+        return math.isnan(x) and math.isnan(y)
+    return bits(np.array(float(x))) == bits(np.array(float(y)))
+
+
+@pytest.mark.parametrize("grid", BLOCK_GRIDS, ids=lambda g: f"{g.dim}d-{g.points}")
+@pytest.mark.parametrize("block", [False, True], ids=["solo", "block"])
+def test_the_one_reduction_monitor_equals_the_separate_reductions(grid, block):
+    # After a step the stepper reads -min u, sup |grad v|^2 and sup u of
+    # every row from one np.maximum.reduce over [-u | |grad v|^2 | u].
+    # On crafted rows its min u, the sups, the positivity check's error
+    # (type, message and time) and the step bound must be those of
+    # u.min(), |grad v|^2.max() and u.max(), bit for bit, NaN as NaN.
+    rng = np.random.default_rng(38)
+    cases = _crafted_rows(grid, rng)
+    p = Params(chi=1.0, a=1.0, b=1.0, lam=1.0, mu=1.0, dim=grid.dim)
+    plan = SemigroupPlan(grid)
+    ctl = StepControl(dt_max=1e-2, t_end=1.0, record_every=0.5)
+    bound = _step_bound(p, grid.spacing, ctl)
+    # Steppers of a benign state, whose rows then take the crafted ones: one
+    # block of every case, or one solo stepper per case.
+    groups = [cases] if block else [[case] for case in cases]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in groups:
+            ones = np.ones((len(group), *grid.shape) if block else grid.shape)
+            coefficients = _Coefficients.of([p] * len(group), grid.dim) if block else p
+            st = _Stepper(plan, coefficients, ones, ones)
+            u_rows = np.stack([u for _, u, _ in group])
+            grad_rows = np.stack([g for _, _, g in group], axis=1)
+            st.u[...] = u_rows if block else u_rows[0]
+            st.grad_v[...] = grad_rows if block else grad_rows[:, 0]
+            neg_mins, grad_sq_sups, u_sups = st.monitor()
+            assert len(neg_mins) == len(grad_sq_sups) == len(u_sups) == len(group)
+            for (name, u_row, grad_row), neg_min, grad_sq_sup, u_sup in zip(
+                group, neg_mins, grad_sq_sups, u_sups
+            ):
+                grad_sq = sum_of_squares(grad_row, out=np.empty(grid.shape))
+                expected = (u_row.min(), grad_sq.max(), u_row.max())
+                got = (-neg_min, grad_sq_sup, u_sup)
+                assert all(_same_float(x, y) for x, y in zip(got, expected)), (name, got)
+                for tol in (0.0, 1e-8, math.inf):
+                    error = _state_error(-neg_min, 0.5, tol)
+                    parent = _state_error(float(expected[0]), 0.5, tol)
+                    assert type(error) is type(parent), (name, tol)
+                    if parent is not None:
+                        assert str(error) == str(parent) and error.t == parent.t == 0.5
+                step = bound(grad_sq_sup, u_sup)
+                assert _same_float(step, _builtin_bound(p, grid.spacing, ctl, *expected[1:]))
+                if name == "overflowed-grad":
+                    assert step == 0.0
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"{g.dim}d-{g.points}")
+@pytest.mark.parametrize("block", [False, True], ids=["solo", "block-b-column"])
+def test_the_steppers_nonlinearity_is_nonlinear_hat(grid, block):
+    # One kernel: the nonlinearity the stepper binds once per layout gives
+    # the band entries of nonlinear_hat's full spectra on the same stack,
+    # and nonlinear_hat's own band spectra, bit for bit, in every row.  The
+    # block's members differ in b, which the kernel takes as a column.
+    plan = SemigroupPlan(grid)
+    rng = np.random.default_rng(39)
+    bs = (0.7, 1.9) if block else (0.7,)
+    params = [Params(chi=1.3, a=1.1, b=b, lam=0.9, mu=1.2, dim=grid.dim) for b in bs]
+    lead = (len(bs),) if block else ()
+    u = rng.uniform(0.1, 2.0, lead + grid.shape)
+    v = rng.uniform(0.1, 2.0, lead + grid.shape)
+    coefficients = _Coefficients.of(params, grid.dim) if block else params[0]
+    st = _Stepper(plan, coefficients, u, v)
+    st.advance(1e-2)  # a stack the band inverse made
+    stack = st.stack.copy()
+    got = st.nonlinearity()
+    assert got is st._spec
+    spec, work = plan.band_workspace(stack.shape[: -grid.dim])
+    band_call = nonlinear_hat(
+        plan, coefficients, stack.copy(), band=True, scratch=np.empty(lead + grid.shape),
+        out=spec, work=work,
+    )
+    assert np.array_equal(bits(got), bits(band_call))
+    for member, p in enumerate(params):
+        member_stack = stack[:, member] if block else stack
+        full = nonlinear_hat(plan, p, member_stack.copy())
+        member_got = got[:, member] if block else got
+        assert np.array_equal(bits(member_got), bits(plan.band_of(full)))
