@@ -28,8 +28,14 @@ __all__ = [
     "Grid",
     "Field",
     "SimState",
+    "BLOCK_VALUES",
     "row_chunks",
 ]
+
+# Most grid values per batched array of a block: the members of a sweep
+# block (runner) and the quadrature nodes of a Picard block (mild) alike.
+# 64 nodes or members at 512 points, one from 32^3 up.
+BLOCK_VALUES = 2**15
 
 # Most values per chunk of a row_chunks temporary (128 KiB of float64).
 _CHUNK_VALUES = 2**14

@@ -59,12 +59,14 @@ coefficient that differs across the block is a (B, 1, ...) column in the
 nonlinearity and the step weights; a shared one stays a number, and a
 single run has no batch axis at all, so it computes exactly the expressions
 it computes alone.  Each member keeps its own CFL step, with the monitor's
-one reduction taken once per step over the block.  Members that
-desynchronise pay for it: a member that reaches the record time sits out
-(only the active rows are gathered, stepped and written back; none is
-stepped with dt = 0, where 0 * N could flip the sign of a zero), and a
-member that diverges (a non-finite or negative state, or a norm so large
-that its step bound is 0) leaves the block with its own time and reason.
+one reduction taken once per step over the block.  A block out of
+lockstep takes the same bound step with a column of steps, one per row: a
+member that reaches the record time steps with dt = 0.0, and its rows of
+the stack and the spectra are copied before the step and written back
+after it, so its floats never come from a dt = 0 update (where 0 * N could
+flip the sign of a zero).  A member that diverges (a non-finite or
+negative state, or a norm so large that its step bound is 0) leaves the
+block with its own time and reason.
 The batched transforms act row by row and the columns give each row its
 own value, so every member's records and final state equal its solo run's
 bit for bit.
@@ -172,22 +174,6 @@ class _Coefficients(NamedTuple):
         return _Coefficients(*(c[rows] if isinstance(c, np.ndarray) else c for c in self))
 
 
-class _Kinetics(NamedTuple):
-    """chi, b and a + lam as numpy scalars (chi complex, as the spectrum it
-    scales) or a block's columns.  A ufunc converts a Python float operand
-    to just these in every call: they give its floats without that cost."""
-
-    chi: np.ndarray
-    b: np.ndarray
-    growth: np.ndarray
-
-    @classmethod
-    def of(cls, p) -> _Kinetics:
-        return cls(
-            np.asarray(p.chi, np.complex128), np.asarray(p.b, float), np.asarray(p.a + p.lam, float)
-        )
-
-
 def _step_weights(plan: SemigroupPlan, dt, lam, mu, lead: tuple) -> tuple[np.ndarray, np.ndarray]:
     """E(dt) and the pair [phi1(dt), mu phi1(dt)] on the 2/3 band of rows
     with leading shape ``lead``, as complex128 arrays of real values; ``dt``,
@@ -205,35 +191,6 @@ def _step_weights(plan: SemigroupPlan, dt, lam, mu, lead: tuple) -> tuple[np.nda
     return prop, pair
 
 
-def _bind_step(
-    plan: SemigroupPlan, kinetics, stack, scratch, uv_hat, spec, work
-) -> tuple[Callable[[], np.ndarray], Callable[[np.ndarray, np.ndarray], None]]:
-    """The ETD1 update of :meth:`_Stepper.advance` bound to one layout: the
-    physical stack, the reaction scratch field, the state [u_hat, v_hat],
-    the step's band spectra and the transforms' work.  Returns the
-    layout's bound nonlinearity and a callable ``step(prop, phi_pair)``
-    that makes only the update's ufunc and transform calls."""
-    term = _bind_nonlinearity(plan, kinetics, stack, True, scratch, spec, work)
-    u_hat, v_hat = uv_hat
-    n_hat, spent, pair = spec[0], spec[1], spec[:2]
-    grad_rows = tuple(zip(plan.band_ik, spec[1:]))
-    to_physical, copyto, multiply, add = plan.to_physical, np.copyto, np.multiply, np.add
-
-    def step(prop: np.ndarray, phi_pair: np.ndarray) -> None:
-        term()
-        copyto(spent, u_hat)
-        multiply(pair, phi_pair, pair)
-        multiply(u_hat, prop, u_hat)
-        multiply(v_hat, prop, v_hat)
-        add(uv_hat, pair, uv_hat)
-        copyto(n_hat, u_hat)
-        for ik, row in grad_rows:
-            multiply(ik, v_hat, row)
-        to_physical(spec, True, out=stack, work=work)
-
-    return term, step
-
-
 class _Stepper:
     """ETD1 state of a block of members on one grid, laid out in two
     arrays: ``fields`` [last_v | scratch | u | d_1 v, ..., d_N v] of shape
@@ -245,9 +202,9 @@ class _Stepper:
     ``last_v``, ``scratch``, ``u``, ``grad_v``, ``u_hat``, ``v_hat``), the
     step's band spectra, the nonlinearity (``nonlinearity``, the band
     spectra of :func:`nonlinear_hat` of the stack), the step and the
-    monitor are bound once per layout, here and in :meth:`keep`: a lockstep
-    step calls the bound ``_step``, which makes only its ufunc and
-    transform calls.
+    monitor are bound once per layout, here and in :meth:`keep`: every
+    step, in lockstep or not, calls the bound ``_step``, which makes only
+    its ufunc and transform calls.
 
     The first three rows are the monitor (``monitor``): after a step,
     -u is written in row 0 and |grad v|^2 in the scratch row, so one
@@ -270,7 +227,7 @@ class _Stepper:
     arrays of real values: the update multiplies complex spectra by them,
     and a real operand is cast to r + 0j in every such call, so they give
     the same floats without the casts.  They sit in a one-slot cache, so
-    they are built once per step size (or per set of rows and their own
+    they are built once per step size (or per tuple of the rows' own
     steps, while members step out of lockstep).  A record interval usually
     ends on a short step a few ulps off the steady one.  Its weights are
     built with ``cache=False``, so the steady step's weights survive it and
@@ -299,21 +256,36 @@ class _Stepper:
 
     def _bind(self, fields: np.ndarray, uv_hat: np.ndarray) -> None:
         """Lay the stepper out on ``fields`` and ``uv_hat``, with new band
-        transform buffers and an empty weight cache."""
+        transform buffers and an empty weight cache, and bind the
+        nonlinearity, the step and the monitor to that layout."""
         plan = self.plan
         self.fields, self.uv_hat = fields, uv_hat
         last_v, scratch, u = fields[:3]
         self.last_v, self.scratch, self.u = last_v, scratch, u
-        self.stack, self.grad_v = fields[2:], fields[3:]
-        self.u_hat, self.v_hat = uv_hat
-        self._spec, self._work = plan.band_workspace(self.stack.shape[: -plan.grid.dim])
-        self.nonlinearity, self._step = _bind_step(
-            plan, _Kinetics.of(self.params), self.stack, scratch, uv_hat, self._spec, self._work
-        )
-        grad_v = self.grad_v
+        self.stack, self.grad_v = stack, grad_v = fields[2:], fields[3:]
+        self.u_hat, self.v_hat = u_hat, v_hat = uv_hat
+        self._spec, self._work = spec, work = plan.band_workspace(stack.shape[: -plan.grid.dim])
+        term = _bind_nonlinearity(plan, self.params, stack, True, scratch, spec, work)
+        n_hat, spent, pair = spec[0], spec[1], spec[:2]
+        grad_rows = tuple(zip(plan.band_ik, spec[1:]))
         # [-u | |grad v|^2 | u], each row a batch axis and the field's values
         rows = fields[:3].reshape(3, -1, math.prod(plan.grid.shape))
+        to_physical, copyto, multiply, add = plan.to_physical, np.copyto, np.multiply, np.add
         negative, largest = np.negative, np.maximum.reduce
+
+        def step(prop: np.ndarray, phi_pair: np.ndarray) -> None:
+            """The update of :meth:`advance` with the weights E and [phi1,
+            mu phi1]: only its ufunc and transform calls."""
+            term()
+            copyto(spent, u_hat)
+            multiply(pair, phi_pair, pair)
+            multiply(u_hat, prop, u_hat)
+            multiply(v_hat, prop, v_hat)
+            add(uv_hat, pair, uv_hat)
+            copyto(n_hat, u_hat)
+            for ik, row in grad_rows:
+                multiply(ik, v_hat, row)
+            to_physical(spec, True, out=stack, work=work)
 
         def monitor() -> list[list[float]]:
             """[-min u, sup |grad v|^2, sup u]: for each, a list over the
@@ -322,31 +294,25 @@ class _Stepper:
             sum_of_squares(grad_v, scratch)
             return largest(rows, -1).tolist()
 
-        self.monitor = monitor
+        self.nonlinearity, self._step, self.monitor = term, step, monitor
         self._key, self._weights = -1.0, None
 
-    def weights(
-        self, dt, rows: tuple[int, ...] | None = None, *, cache: bool = True
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """E(dt) and the pair [phi1(dt), mu phi1(dt)] on the band: of every
-        row at the one step ``dt``, or, for a tuple ``dt``, of the rows
-        ``rows`` (None: every row) at their own steps.  ``cache=False``
-        leaves the cached set in place."""
-        key = dt if rows is None else (dt, rows)
-        if key == self._key:
+    def weights(self, dt, *, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """E(dt) and the pair [phi1(dt), mu phi1(dt)] on the band of every
+        row: at the one step ``dt``, or, for a tuple ``dt`` of one step per
+        row, at each row's own step (a column over the rows).
+        ``cache=False`` leaves the cached set in place."""
+        if dt == self._key:
             return self._weights
-        if isinstance(dt, tuple):
-            coef = self.params if rows is None else self.params.take(list(rows))
-            column = np.reshape(dt, (-1,) + (1,) * self.plan.grid.dim)
-            weights = _step_weights(self.plan, column, coef.lam, coef.mu, (len(dt),))
-        else:
-            lead = self.u_hat.shape[: -self.plan.grid.dim]
-            weights = _step_weights(self.plan, dt, self.params.lam, self.params.mu, lead)
+        plan = self.plan
+        lead = self.u_hat.shape[: -plan.grid.dim]
+        steps = np.reshape(dt, lead + (1,) * plan.grid.dim) if isinstance(dt, tuple) else dt
+        weights = _step_weights(plan, steps, self.params.lam, self.params.mu, lead)
         if cache:
-            self._key, self._weights = key, weights
+            self._key, self._weights = dt, weights
         return weights
 
-    def advance(self, dt, *, cache: bool = True, rows: tuple[int, ...] | None = None) -> None:
+    def advance(self, dt, *, cache: bool = True) -> None:
         """One ETD1 update on the band:
 
             u_hat_new = E u_hat + phi1 (reac_hat - chi flux_hat)
@@ -358,32 +324,23 @@ class _Stepper:
         rows, each float through the field-by-field update's operations in
         order: the first spent row takes u_hat, [n_hat, u_hat] *= [phi1,
         mu phi1], u_hat and v_hat *= E, [u_hat, v_hat] += that pair, and the
-        inverse's rows take u_hat and ik_i v_hat.  A float ``dt`` steps every row
-        through the bound step: u_hat and v_hat are updated in place and the
-        band inverse writes the new stack over the spent one.  A tuple
-        ``dt`` gives each stepped row its own step, and ``rows`` steps only
-        those rows: a step is bound to their gathered rows, stepped in the
-        first rows of the buffers and written back, and the other rows keep
-        their state.  The caller reads the new state's norms from
+        inverse's rows take u_hat and ik_i v_hat.  Every row goes through
+        the bound step: u_hat and v_hat are updated in place and the band
+        inverse writes the new stack over the spent one.  A float ``dt`` is
+        every row's step; a tuple ``dt`` gives each row its own, and a row
+        whose step is 0.0 sits out: its rows of the stack and of [u_hat,
+        v_hat] are copied before the step and written back after it, so
+        they keep their bits.  The caller reads the new state's norms from
         ``monitor``."""
         self._v_hat_input = None
-        if rows is None:
-            weights = self._weights if dt == self._key else self.weights(dt, cache=cache)
+        weights = self._weights if dt == self._key else self.weights(dt, cache=cache)
+        if not isinstance(dt, tuple) or 0.0 not in dt:
             self._step(*weights)
             return
-        index = list(rows)
-        # The buffers' first rows; a 1D work holds the stack's half spectra.
-        count = len(index)
-        plan = self.plan
-        work = self._work[:, :count] if plan.grid.dim == 1 else self._work
-        stack, uv_hat = self.stack[:, index], self.uv_hat[:, index]
-        _, step = _bind_step(
-            plan, _Kinetics.of(self.params.take(index)), stack, self.scratch[:count], uv_hat,
-            self._spec[:, :count], work,
-        )
-        step(*self.weights(dt, rows, cache=cache))
-        self.stack[:, index] = stack
-        self.uv_hat[:, index] = uv_hat
+        sitting = [row for row, own in enumerate(dt) if own == 0.0]
+        saved = self.stack[:, sitting], self.uv_hat[:, sitting]
+        self._step(*weights)
+        self.stack[:, sitting], self.uv_hat[:, sitting] = saved
 
     def _field_work(self) -> np.ndarray:
         """The work buffer of the band transforms of one row of the stack:
@@ -421,8 +378,14 @@ def _bind_nonlinearity(
 ) -> Callable[[], np.ndarray]:
     """:func:`nonlinear_hat` bound once to its arguments: a callable that
     forms the term from the stack's current rows, writes it into the
-    spectra ``out`` (a new full spectrum when None) and returns them."""
-    chi, b, growth = p if isinstance(p, _Kinetics) else _Kinetics.of(p)
+    spectra ``out`` (a new full spectrum when None) and returns them.
+    ``scratch`` (a field of the stack's row shape) takes the reaction
+    factor, or a new field when None; the band forward (``band=True``)
+    needs ``out`` and ``work``.  chi, b and a + lam are bound as numpy
+    scalars (chi complex, as the spectrum it scales) or a block's columns:
+    a ufunc converts a Python float operand to just these in every call."""
+    chi = np.asarray(p.chi, np.complex128)
+    b, growth = np.asarray(p.b, float), np.asarray(p.a + p.lam, float)
     if out is None:
         out = np.empty(stack.shape[: -plan.grid.dim] + plan.spectral_shape, np.complex128)
     # stack[:1], not u: in 1D the operands then share a shape, which
@@ -447,27 +410,20 @@ def _bind_nonlinearity(
     return term
 
 
-def nonlinear_hat(
-    plan: SemigroupPlan, p, stack: np.ndarray, *, band=False, scratch=None, out=None, work=None
-) -> np.ndarray:
-    """Spectrum of u (a + lam - b u) - chi div(u grad v), given the physical
-    stack [u, d_1 v, ..., d_N v] (every row may carry a leading batch axis)
-    and the coefficients ``p`` (a :class:`Params`, a block's
-    :class:`_Coefficients`, whose columns broadcast over the batch axis, or
-    their :class:`_Kinetics`).  The stepper and the Duhamel oracle both
-    integrate this term, through the one binder
-    :func:`_bind_nonlinearity`: the stepper binds it once per layout on the
-    2/3 band (``band=True``), the oracle binds and calls it per block of
-    nodes on full spectra.
+def nonlinear_hat(plan: SemigroupPlan, p, stack: np.ndarray) -> np.ndarray:
+    """Full spectrum of u (a + lam - b u) - chi div(u grad v), given the
+    physical stack [u, d_1 v, ..., d_N v] (every row may carry a leading
+    batch axis) and the coefficients ``p`` (a :class:`Params`, or a block's
+    :class:`_Coefficients`, whose columns broadcast over the batch axis).
+    The stepper and the Duhamel oracle both integrate this term, through
+    the one binder :func:`_bind_nonlinearity`: the stepper binds it once
+    per layout on the 2/3 band, the oracle binds and calls it here per
+    block of nodes.
 
     The stack is overwritten with the products u d_i v and u (a + lam - b u)
     and transformed in one call.  The returned spectral stack holds the
-    term in row 0; its other rows are spent and the caller's to reuse.
-    ``scratch`` (a field of the stack's row shape) takes the reaction
-    factor, or a new field when None; ``out`` takes the spectra (a new
-    full spectrum when None); ``out`` and ``work`` are the band forward's
-    buffers, which a band call must pass."""
-    return _bind_nonlinearity(plan, p, stack, band, scratch, out, work)()
+    term in row 0; its other rows are spent and the caller's to reuse."""
+    return _bind_nonlinearity(plan, p, stack)()
 
 
 def _step_bound(p: Params, spacing: float, ctl: StepControl) -> Callable[[float, float], float]:
@@ -538,9 +494,10 @@ def integrate(
     time, with ``sink`` a sequence of one sink per member.  The
     members are stacked on a leading batch axis and stepped together, so
     the counts above hold for the whole block while its members step in
-    lockstep.  Each member keeps its own CFL step; a member that reaches the
-    record time sits out the rest of the interval (only the rows still short
-    of it are stepped), and a member that leaves the admissible state space
+    lockstep.  Each member keeps its own CFL step, so out of lockstep a
+    step gives each row its own.  A member that reaches the record time
+    sits out the rest of the interval (its step is 0.0 and its rows keep
+    their state), and a member that leaves the admissible state space
     leaves the block while the others go on.  Every member's records and
     final state equal those of its solo run bit for bit: batched transforms
     act row by row, and a coefficient that differs across the block is a
@@ -635,14 +592,11 @@ def integrate(
             if dts[0] and dts.count(dts[0]) == len(dts):
                 st.advance(dts[0], cache=cache)  # lockstep: every row, one step size
             else:
-                stepping = tuple(row for row, dt in enumerate(dts) if dt)
-                own = tuple(dts[row] for row in stepping)
-                every = len(stepping) == len(dts)
-                st.advance(own, cache=cache, rows=None if every else stepping)
+                st.advance(tuple(dts), cache=cache)  # each row its own; 0.0 sits out
             neg_mins, grad_sq_sups, u_sups = st.monitor()
             errors = {}
             for row, neg_min in enumerate(neg_mins):
-                if not -inf < neg_min <= high and dts[row]:
+                if not -inf < neg_min <= high:
                     errors[row] = _state_error(-neg_min, ts[row], neg_tol)
             if errors and not drop(errors):
                 break

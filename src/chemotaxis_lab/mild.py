@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, GridMismatchError, InvalidParameterError, Params, SimState
+from .core import BLOCK_VALUES, Field, GridMismatchError, InvalidParameterError, Params, SimState
 from .imex import nonlinear_hat
 from .spectral import SemigroupPlan
 
@@ -119,11 +119,6 @@ def _sup(arr: np.ndarray) -> float:
     return float(np.abs(arr).max())
 
 
-# Grid values per batched array in one block of quadrature nodes (see the
-# module docstring): 64 nodes at 512 points, one node from 32^3 up.
-_BLOCK_VALUES = 2**15
-
-
 def _c1(plan: SemigroupPlan, values: np.ndarray, spec: np.ndarray) -> np.ndarray:
     """sup|values| plus, axis by axis, sup|d/dx_i| of the spectrum ``spec``,
     reduced over the grid axes, so one value per row of a leading batch axis."""
@@ -169,7 +164,7 @@ def picard_solve(s0: SimState, T: float, cfg: PicardConfig, plan: SemigroupPlan)
     u0_hat = plan.to_spectral(u0)
     v0_hat = plan.to_spectral(v0)
 
-    block = max(1, _BLOCK_VALUES // u0.size)
+    block = max(1, BLOCK_VALUES // u0.size)
     diffs: list[float] = []
     iterations = 0
     scale = max(_sup(u0), _sup(v0), 1.0)

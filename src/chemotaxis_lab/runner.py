@@ -19,11 +19,12 @@ error writes nothing.
 
 A sweep directory adds one subdirectory per point plus ``sweep_summary.csv``
 with a row per point.  The points share one grid, so the sweep splits them
-into contiguous blocks (at least one per worker, at most ``_BLOCK_VALUES``
-grid values each) and the worker pool maps the blocks.  A block builds one
-plan and one gradient-constant calibration, sets each point up alone, and
-integrates its members as one batched ensemble (:func:`imex.integrate`);
-each point is then judged and written alone, byte-identical to a solo run.
+into contiguous blocks (at least one per worker, at most
+``core.BLOCK_VALUES`` grid values each) and the worker pool maps the
+blocks.  A block builds one plan and one gradient-constant calibration,
+sets each point up alone, and integrates its members as one batched
+ensemble (:func:`imex.integrate`); each point is then judged and written
+alone, byte-identical to a solo run.
 A poisoned point is recorded in its row and never aborts the sweep: a point
 whose set-up, checks or files fail is its own ``ERROR(...)`` row, and a
 member that diverges is its own ``DIVERGED(...)`` row.  A bug inside a
@@ -47,7 +48,7 @@ from pathlib import Path
 
 from . import constants as consts
 from .config import ConfigError, ExperimentConfig, SweepConfig, build_initial_state
-from .core import InvalidParameterError, SimState
+from .core import BLOCK_VALUES, InvalidParameterError, SimState
 from .harness import (
     DiagnosticsRecord,
     Verdict,
@@ -61,8 +62,6 @@ from .harness import (
     require_judgeable,
 )
 from .imex import DivergenceError, PositivityViolationError, integrate, record_times
-# The grid-value budget of a batched block, shared with the Picard oracle's node blocks.
-from .mild import _BLOCK_VALUES
 from .spectral import SemigroupPlan, measure_gradient_constant
 
 __all__ = [
@@ -364,7 +363,7 @@ def _run_sweep_block(tasks: list[tuple]) -> list[dict]:
 def execute_sweep(sweep: SweepConfig, out_dir: str | Path, workers: int | None = None) -> int:
     """Run every sweep point and write sweep_summary.csv.  The points are
     split into contiguous blocks, at least one per worker and at most
-    ``_BLOCK_VALUES`` grid values per block, and the bounded worker pool
+    ``BLOCK_VALUES`` grid values per block, and the bounded worker pool
     maps the blocks.  A pool size below 1 is an input error, raised before
     any output."""
     if workers is not None and workers < 1:
@@ -380,7 +379,7 @@ def execute_sweep(sweep: SweepConfig, out_dir: str | Path, workers: int | None =
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_workers = max(1, min(n_workers, len(tasks)))
     grid = sweep.base.grid
-    members = max(1, _BLOCK_VALUES // grid.points**grid.dim)
+    members = max(1, BLOCK_VALUES // grid.points**grid.dim)
     n_blocks = min(len(tasks), max(n_workers, -(-len(tasks) // members)))
     blocks = [
         tasks[i * len(tasks) // n_blocks : (i + 1) * len(tasks) // n_blocks]
