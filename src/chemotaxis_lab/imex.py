@@ -344,8 +344,9 @@ class _Stepper:
 
     def _field_work(self) -> np.ndarray:
         """The work buffer of the band transforms of one row of the stack:
-        in 1D the first row's slot of the stack's half spectra."""
-        return self._work[0] if self.plan.grid.dim == 1 else self._work
+        in 1D the first row's slot of the stack's half spectra, from 2D up
+        the first thread's spectrum, so a one-row call runs on one thread."""
+        return self._work[0]
 
     def v(self) -> np.ndarray:
         """The physical v of the band state in ``last_v``, which the next

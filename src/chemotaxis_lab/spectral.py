@@ -50,9 +50,23 @@ It is the package's only FFT, so a run imports no scipy: ``scipy.fft``
 alone adds ~27 MB to a process, ``numpy.fft`` ~0.4 MB.  Fields are float64
 and spectra complex128, as :class:`~chemotaxis_lab.core.Field` holds them
 and the plan returns them; the kernels upcast an integer or float32 array.
-The kernels run on one thread and transform one line at a time (on a
-shared 2-vCPU host, scipy's pocketfft threads made 64^3 runs 1.6 to 2.3
-times slower, because each transform waits for the slower core).
+Each kernel call runs on one thread and transforms one line at a time
+(on a shared 2-vCPU host, scipy's pocketfft threads, which split each
+transform with a wait per axis, made 64^3 runs 1.6 to 2.3 times slower,
+because each transform waits for the slower core).  The band transforms of
+a stack split it by whole rows instead: from 2D up, a call with at least
+two rows of at least ``core.BLOCK_VALUES`` (2^15) values each, in a process
+that may run on two CPUs, shares its rows between the caller and one helper
+thread, each with its own work spectrum, each taking the next row no thread
+has taken.  Every row gets the kernel calls it gets on one thread, so the
+floats do not depend on the thread count.  On a shared 2-vCPU host a
+4-row band forward and inverse took 5.6 against 10.2 ms at 64^3 and 1.24
+against 1.65 ms at 32^3 (medians of 40 interleaved pairs in one process);
+on 128^2 rows (2^14 values) a helper gained nothing resolvable (0.59
+against 0.62 ms) and at another time lost (0.88 against 0.51 ms).  The
+helper runs in a copy of the caller's context (so ``np.errstate`` holds
+there), an exception it raises is raised in the caller, and it ends before
+the call returns.
 A :class:`SemigroupPlan` is read-only after construction and safe to share
 between threads.  The plan transforms in place the arrays it allocates
 itself (``ik * spec`` in :meth:`SemigroupPlan.grad`, for example) and the
@@ -84,7 +98,7 @@ a copy of that prefix into the band spectra, which are contiguous (see
 :meth:`SemigroupPlan.band_workspace`); a band inverse is one c2r call on
 the band.
 From 2D up the band transforms work row by row (one field of a stack at a
-time) through a work buffer of one full spectrum.  A band transform
+time) through a work buffer of one full spectrum per thread.  A band transform
 allocates nothing: every call passes its ``out`` and ``work``, which
 :meth:`SemigroupPlan.band_workspace` makes and the caller (the stepper)
 owns, so the plan stays read-only.  Full transforms stay where a spectrum
@@ -97,9 +111,13 @@ but it transforms them on a 1D plan of one axis alone.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import math
+import os
+import threading
 from dataclasses import replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -108,7 +126,7 @@ import numpy as np
 # bit-identity tests against np.fft.rfftn/irfftn guard it.
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .core import Grid, row_chunks
+from .core import BLOCK_VALUES, Grid, row_chunks
 
 __all__ = [
     "CALIBRATION_TIMES",
@@ -126,6 +144,59 @@ _PRODUCT_MARGIN = 1.0 + 64 * np.finfo(np.float64).eps
 # np.fft.rfft's kernel for an even point count; a Grid's point count is a
 # power of two.
 _rfft = _pocketfft.rfft_n_even
+
+
+# Most threads a stack's band transforms run on: the caller and one helper.
+_MAX_THREADS = 2
+
+
+def _threads(rows: int, row_values: int) -> int:
+    """The threads the band transforms of ``rows`` rows of ``row_values``
+    grid values each run on: two for at least two rows of at least
+    ``BLOCK_VALUES`` values, where a row's transform is compute-bound (on
+    128^2 rows a helper thread gained nothing; see the module docstring),
+    if the process may run on two CPUs; else one."""
+    if rows < 2 or row_values < BLOCK_VALUES:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(_MAX_THREADS, cpus)
+
+
+def _on_two_threads(transform, rows: Sequence[tuple], works: np.ndarray) -> None:
+    """``transform(*row, work)`` for every row, on the caller's thread with
+    ``works[0]`` and one helper thread with ``works[1]``: each takes the
+    next row no thread has taken.  The helper runs in a copy of the
+    caller's context, so numpy's error state (``np.errstate``) holds there
+    too.  An exception the helper raises, a warning raised as an error
+    among them, is raised in the caller once the helper has ended, and the
+    helper ends before this returns."""
+    pending, lock, failed = iter(rows), threading.Lock(), []
+
+    def take(work: np.ndarray) -> None:
+        while True:
+            with lock:
+                row = next(pending, None)
+            if row is None:
+                return
+            transform(*row, work)
+
+    def helper() -> None:
+        try:
+            take(works[1])
+        except BaseException as error:  # raised in the caller
+            failed.append(error)
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        take(works[0])
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
 
 
 def _axes(axis: int) -> list[tuple[int, ...]]:
@@ -265,7 +336,9 @@ class SemigroupPlan:
         ``out`` and ``work`` are the caller's buffers (see
         :meth:`band_workspace`), which a band call must pass; a 1D band
         forward writes its r2c output, the stack's half spectra, into
-        ``work`` and copies their prefix, the band, into ``out``."""
+        ``work`` and copies their prefix, the band, into ``out``.  From 2D
+        up ``work`` is one full spectrum or one per thread
+        (:meth:`_by_rows`)."""
         if not band:
             # Kernel arguments: (array, scale, out), with ``axes`` off the last axis.
             spec = out
@@ -279,16 +352,19 @@ class SemigroupPlan:
             _rfft(values, 1.0, work)
             out[...] = work[self._prefix]
             return out
-        for row in np.ndindex(values.shape[: -self.grid.dim]):
-            _rfft(values[row], 1.0, work)
-            for axes, lines in self._forward_lines:
-                for index in lines:
-                    line = work[index]
-                    _pocketfft.fft(line, 1.0, line, axes=axes)
-            out_row = out[row]
-            for band_entries, entries in self._blocks:
-                out_row[band_entries] = work[entries]
+        self._by_rows(self._forward_row, values, out, work)
         return out
+
+    def _forward_row(self, values: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        """The band forward of one field into its band spectrum ``out``,
+        through the full spectrum ``work``."""
+        _rfft(values, 1.0, work)
+        for axes, lines in self._forward_lines:
+            for index in lines:
+                line = work[index]
+                _pocketfft.fft(line, 1.0, line, axes=axes)
+        for band_entries, entries in self._blocks:
+            out[band_entries] = work[entries]
 
     def to_physical(
         self, spec: np.ndarray, band: bool = False, *, overwrite: bool = False, out=None, work=None
@@ -305,7 +381,8 @@ class SemigroupPlan:
         c2c lines that the padding leaves all zero are skipped, and ``spec``
         is left as it is.  ``out`` and ``work`` are the caller's buffers (see
         :meth:`band_workspace`); a 1D band inverse reads no ``work``, since
-        the c2r kernel pads a short half spectrum with zeros itself."""
+        the c2r kernel pads a short half spectrum with zeros itself, and
+        from 2D up it is as in :meth:`to_spectral`."""
         scale = self._scale
         if not band:
             for axes in self._full_axes:
@@ -318,34 +395,59 @@ class SemigroupPlan:
             return _pocketfft.irfft(spec, scale, out)
         if self.grid.dim == 1:
             return _pocketfft.irfft(spec, scale, out)
+        self._by_rows(self._inverse_row, spec, out, work)
+        return out
+
+    def _inverse_row(self, spec: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        """The band inverse of one band spectrum into its field ``out``,
+        through the full spectrum ``work``."""
+        scale = self._scale
+        for band_entries, entries in self._blocks:
+            work[entries] = spec[band_entries]
+        for axes, padding, lines in self._inverse_lines:
+            for index in padding:
+                work[index] = 0.0
+            for index in lines:
+                line = work[index]
+                _pocketfft.ifft(line, scale, line, axes=axes)
         # c2r reads the half axis up to the band alone (a view of ``work``)
         # and pads the rest with zeros itself.
-        for row in np.ndindex(spec.shape[: -self.grid.dim]):
-            spec_row = spec[row]
-            for band_entries, entries in self._blocks:
-                work[entries] = spec_row[band_entries]
-            for axes, padding, lines in self._inverse_lines:
-                for index in padding:
-                    work[index] = 0.0
-                for index in lines:
-                    line = work[index]
-                    _pocketfft.ifft(line, scale, line, axes=axes)
-            _pocketfft.irfft(work[self._prefix], scale, out[row])
-        return out
+        _pocketfft.irfft(work[self._prefix], scale, out)
+
+    def _by_rows(self, transform, source: np.ndarray, dest: np.ndarray, work: np.ndarray) -> None:
+        """``transform(source row, dest row, work spectrum)`` for every row
+        of a stack, from 2D up.  ``work`` is one full spectrum, or one per
+        thread as :meth:`band_workspace` sizes it: given two and at least
+        two rows, the rows are shared between the caller and a helper
+        thread."""
+        rows = [(source[row], dest[row]) for row in np.ndindex(source.shape[: -self.grid.dim])]
+        works = work if work.ndim > self.grid.dim else work[np.newaxis]
+        if len(rows) > 1 and len(works) > 1:
+            _on_two_threads(transform, rows, works)
+            return
+        for row in rows:
+            transform(*row, works[0])
 
     def band_workspace(self, lead: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Buffers for the band transforms of a stack with leading shape
         ``lead``: its band spectra and the transforms' ``work``, which only
-        the band transforms may write.  From 2D up ``work`` is one full
-        spectrum, which the transforms reuse row by row.  In 1D it is the
-        stack's half spectra, which only the band forward uses: the kernel
-        writes each whole half spectrum there, and the forward copies their
-        prefix into the band spectra.  The band spectra are contiguous in
-        every dimension: on 22 modes a product over two rows of the
-        (2, 33) half spectra's prefix view took ~3x as long as over a
-        contiguous (2, 22) array, which outweighs the prefix's copy."""
+        the band transforms may write.  From 2D up ``work`` holds one full
+        spectrum per thread the stack's transforms run on, shape
+        ``(threads, *spectral_shape)`` (two threads where :func:`_threads`
+        allows them, else one), and each thread reuses its spectrum row by
+        row; ``work[0]`` serves a one-row call.  In 1D it is the stack's
+        half spectra, which only the band forward uses: the kernel writes
+        each whole half spectrum there, and the forward copies their prefix
+        into the band spectra.  The band spectra are contiguous in every
+        dimension: on 22 modes a product over two rows of the (2, 33) half
+        spectra's prefix view took ~3x as long as over a contiguous (2, 22)
+        array, which outweighs the prefix's copy."""
         spec = np.empty(lead + self.band_shape, np.complex128)
-        work_shape = lead + self.spectral_shape if self.grid.dim == 1 else self.spectral_shape
+        if self.grid.dim == 1:
+            work_shape = lead + self.spectral_shape
+        else:
+            threads = _threads(math.prod(lead), math.prod(self.grid.shape))
+            work_shape = (threads,) + self.spectral_shape
         return spec, np.empty(work_shape, np.complex128)
 
     def band_of(self, spec: np.ndarray) -> np.ndarray:

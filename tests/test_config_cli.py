@@ -272,23 +272,43 @@ def test_a_run_imports_no_scipy(tmp_path):
     # scipy.fft alone adds ~27 MB to a process, paid by every run and sweep
     # worker; the package imports scipy only in functions a run never calls.
     # Nor does a run load the sweep's process pool (concurrent.futures and
-    # multiprocessing, ~1.2 MB with what they import).
+    # multiprocessing, ~1.2 MB with what they import), not even a 32^3 run,
+    # whose band transforms share a stack's rows with a helper thread
+    # (given two CPUs; the script counts the transforms that do).
     path = write_base_config(tmp_path)
+    (tmp_path / "3d").mkdir()
+    path_3d = write_base_config(
+        tmp_path / "3d",
+        **{
+            "dim = 1": "dim = 3",
+            "points = 64": "points = 32",
+            "dt_max = 0.002": "dt_max = 0.01",
+            "t_end = 8.0": "t_end = 0.1",
+            "record_every = 0.5": "record_every = 0.05",
+            "eventual_bound = true\neventual_bound_target = refined\n": "",
+        },
+    )
     unused = ("scipy", "concurrent", "multiprocessing")
     script = (
         "import sys\n"
         "import chemotaxis_lab\n"
+        "from chemotaxis_lab import spectral\n"
         "from chemotaxis_lab.cli import main\n"
-        f"code = main(['run', {str(path)!r}])\n"
-        f"print(code, [m for m in sys.modules if m.split('.')[0] in {unused!r}])\n"
+        "calls = []\n"
+        "on_two_threads = spectral._on_two_threads\n"
+        "spectral._on_two_threads = lambda *args: calls.append(on_two_threads(*args))\n"
+        f"codes = [main(['run', {str(path)!r}]), main(['run', {str(path_3d)!r}])]\n"
+        "helper = len(calls) > 0 or spectral._threads(2, 2**15) == 1\n"
+        f"print(*codes, helper, [m for m in sys.modules if m.split('.')[0] in {unused!r}])\n"
     )
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.split() == ["0", "[]"], done.stdout + done.stderr
+    assert done.stdout.split() == ["0", "0", "True", "[]"], done.stdout + done.stderr
     assert (tmp_path / "results" / "diagnostics.csv").is_file()
+    assert (tmp_path / "3d" / "results" / "diagnostics.csv").is_file()
 
 
 def test_cli_run_check_failure_exits_2(tmp_path):

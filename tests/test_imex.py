@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -342,6 +343,18 @@ def _memory_run(grid, seed):
     return s, StepControl(dt_max=1e-2, t_end=0.05, record_every=0.05, cfl_safety=0.5)
 
 
+def test_integrate_leaves_no_thread_running():
+    # A 32^3 run's band transforms share each stack's rows with a helper
+    # thread (given two CPUs), which ends within its transform call.
+    grid = Grid(dim=3, extent=2 * np.pi, points=32)
+    s, ctl = _memory_run(grid, 34)
+    before = threading.active_count()
+    records: list[DiagnosticsRecord] = []
+    integrate(s, ctl, records.append, plan=SemigroupPlan(grid))
+    assert len(records) == 2
+    assert threading.active_count() == before
+
+
 def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
     # On 32^3, F is one field (256 KiB), S one half-complex spectrum
     # (17/16 F) and B one band spectrum (21 * 21 * 11 modes, 0.28 S).  Held
@@ -355,7 +368,11 @@ def test_integrate_peak_memory_is_bounded_by_its_array_inventory():
     # is unchanged from real weights (1.5 B a set, so 6 F + S + 9 B for a
     # step and 8 F + S + 7.5 B for a record): the larger of the two plus
     # one field for small objects (numpy's 128 KiB ufunc buffer among
-    # them), of which the complex weights take 1.5 B.  Full spectra for the
+    # them), of which the complex weights take 1.5 B.  With two CPUs the
+    # stack's transforms run on two threads (a 32^3 row holds 2^15 values),
+    # and the helper thread's work spectrum (S) is held through the run too:
+    # the bound is unchanged by it, the peak reads 12.1 F of its 12.3 F.
+    # Full spectra for the
     # step's stack add 4 (S - B), a spent stack held through a step 4 F, a
     # record's v in a field of its own F, and a second set of complex
     # weights held beside the first 3 B; each takes the inventory past the

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from chemotaxis_lab import Grid, Params, SemigroupPlan, measure_gradient_constant
+from chemotaxis_lab import Grid, Params, SemigroupPlan, measure_gradient_constant, spectral
 from chemotaxis_lab.imex import nonlinear_hat
 from chemotaxis_lab.spectral import CALIBRATION_TIMES
 from conftest import bits, lap, semigroup, semigroup_div, semigroup_grad
@@ -384,6 +388,168 @@ def test_band_arrays_are_the_full_arrays_band_entries(grid):
     for t, sigma in [(1e-3, 0.7), (0.5, 1.3)]:
         for weight in (plan.multiplier, plan.phi1):
             _assert_bits(weight(t, sigma, band=True), weight(t, sigma)[index], np.float64)
+
+
+GRID_32_3 = Grid(dim=3, extent=2 * np.pi, points=32)
+
+
+def _two_thread_calls(monkeypatch):
+    """A list that counts the band transforms that take a helper thread."""
+    calls = []
+    on_two_threads = spectral._on_two_threads
+
+    def counted(*args):
+        calls.append(args)
+        return on_two_threads(*args)
+
+    monkeypatch.setattr(spectral, "_on_two_threads", counted)
+    return calls
+
+
+def _cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _band_round_trip(plan, values, work):
+    """The band forward of ``values`` and the band inverse of a band
+    spectrum made from it, through ``work``."""
+    lead = values.shape[: -plan.grid.dim]
+    spec = np.empty(lead + plan.band_shape, np.complex128)
+    plan.to_spectral(values, band=True, out=spec, work=work)
+    rough = spec + 0.25
+    field = np.empty(values.shape)
+    plan.to_physical(rough, band=True, out=field, work=work)
+    return spec, field
+
+
+def _per_row_round_trip(plan, values):
+    """:func:`_band_round_trip` a row at a time, each a one-row call."""
+    spec = np.empty(values.shape[: -plan.grid.dim] + plan.band_shape, np.complex128)
+    field = np.empty(values.shape)
+    _, work = plan.band_workspace(())
+    for row in np.ndindex(values.shape[: -plan.grid.dim]):
+        spec[row], field[row] = _band_round_trip(plan, values[row], work[0])
+    return spec, field
+
+
+@pytest.mark.parametrize("lead", [(4,), (3,), (2, 4)], ids=["4-rows", "3-rows", "2x4-rows"])
+def test_band_rows_on_two_threads_equal_the_per_row_calls_bit_for_bit(lead, monkeypatch):
+    # 32^3 rows hold 2^15 values, so from 2 CPUs on a stack's band
+    # transforms share its rows between the caller and one helper thread;
+    # each row gets the same kernel calls, so the same bits.  Three rows
+    # split unevenly, and a (2, 4) lead is a block's stack.
+    plan = SemigroupPlan(GRID_32_3)
+    threads = min(2, _cpus())
+    _, work = plan.band_workspace(lead)
+    assert work.shape == (threads, *plan.spectral_shape)
+    values = np.random.default_rng(43).standard_normal(lead + GRID_32_3.shape)
+    calls = _two_thread_calls(monkeypatch)
+    spec, field = _band_round_trip(plan, values, work)
+    assert len(calls) == (2 if threads == 2 else 0)  # the forward and the inverse
+    expected_spec, expected_field = _per_row_round_trip(plan, values)
+    _assert_bits(spec, expected_spec, np.complex128)
+    _assert_bits(field, expected_field, np.float64)
+
+
+def test_small_rows_and_one_row_calls_stay_on_one_thread(monkeypatch):
+    # 128^2 rows (2^14 values) cost more on two threads than on one, and a
+    # one-row call has nothing to share, even given two work spectra.
+    calls = _two_thread_calls(monkeypatch)
+    plan_2d = SemigroupPlan(Grid(dim=2, extent=2 * np.pi, points=128))
+    _, work = plan_2d.band_workspace((4,))
+    assert work.shape == (1, *plan_2d.spectral_shape)
+    values = np.random.default_rng(44).standard_normal((4, *plan_2d.grid.shape))
+    _band_round_trip(plan_2d, values, work)
+    plan = SemigroupPlan(GRID_32_3)
+    assert plan.band_workspace((1,))[1].shape == (1, *plan.spectral_shape)
+    _, work = plan.band_workspace((4,))
+    one_row = np.random.default_rng(45).standard_normal(GRID_32_3.shape)
+    for values in (one_row, one_row[np.newaxis]):
+        _band_round_trip(plan, values, work)
+    assert calls == []
+
+
+def _stack_with_inf(plan):
+    values = np.random.default_rng(46).standard_normal((4, *plan.grid.shape))
+    values[:, 3, 5, 7] = np.inf
+    return values
+
+
+def test_helper_thread_keeps_the_callers_error_state():
+    # np.errstate is per context: the helper runs in a copy of the caller's,
+    # so a transform the caller silences warns on neither thread.  inf
+    # spreads as inf and NaN, the same bits as the per-row calls'.
+    plan = SemigroupPlan(GRID_32_3)
+    values = _stack_with_inf(plan)
+    _, work = plan.band_workspace((4,))
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        spec, field = _band_round_trip(plan, values, work)
+        expected_spec, expected_field = _per_row_round_trip(plan, values)
+    assert np.isnan(field).any() and not np.isfinite(spec).all()
+    _assert_bits(spec, expected_spec, np.complex128)
+    _assert_bits(field, expected_field, np.float64)
+
+
+def test_a_warning_raised_as_an_error_reaches_the_caller():
+    plan = SemigroupPlan(GRID_32_3)
+    values = _stack_with_inf(plan)
+    _, work = plan.band_workspace((4,))
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning):
+            _band_round_trip(plan, values, work)
+
+
+def test_the_helpers_exception_is_raised_in_the_caller_after_it_ends():
+    # The caller waits, holding its row, until the helper has taken the
+    # other row and failed (if the helper takes both rows, the caller has
+    # none to wait on): the helper's error is raised in the caller, and no
+    # thread is left running.
+    helper_done = threading.Event()
+    before = threading.active_count()
+
+    def transform(row, out, work):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_done.wait(10.0)
+            return
+        helper_done.set()
+        raise ValueError(f"row {row}")
+
+    with pytest.raises(ValueError, match="row"):
+        spectral._on_two_threads(transform, [(0, None), (1, None)], [None, None])
+    assert threading.active_count() == before
+
+
+def test_shared_plan_under_frequent_thread_switches():
+    # Three callers share one plan, each with its own buffers, so up to six
+    # threads run on the box's cores at once, switching every 10 us: every
+    # row is taken once and transformed as alone, so every caller's result
+    # has the per-row calls' bits.
+    plan = SemigroupPlan(GRID_32_3)
+    values = np.random.default_rng(47).standard_normal((3, *GRID_32_3.shape))
+    expected_spec, expected_field = _per_row_round_trip(plan, values)
+    results = []
+
+    def caller():
+        _, work = plan.band_workspace((3,))
+        results.extend(_band_round_trip(plan, values, work) for _ in range(3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(3)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(60.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 9
+    for spec, field in results:
+        _assert_bits(spec, expected_spec, np.complex128)
+        _assert_bits(field, expected_field, np.float64)
 
 
 def _gradient_kernels(plan, t):
