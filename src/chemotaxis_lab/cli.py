@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd_p.add_argument("--out", help="override the [output] dir")
         cmd_p.add_argument("--seed", type=int, help="override the [initial] seed")
         if command == "sweep":
-            cmd_p.add_argument("--workers", type=int, help="worker pool size (default: cpu count)")
+            workers = "worker pool size (default: the CPUs this process may use)"
+            cmd_p.add_argument("--workers", type=int, help=workers)
 
     report_p = sub.add_parser("report", help="summarise a results directory")
     report_p.add_argument("directory", help="directory with run/sweep outputs")

@@ -17,6 +17,7 @@ may be passed freely between workers.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "SimState",
     "BLOCK_VALUES",
     "row_chunks",
+    "usable_cpus",
 ]
 
 # Most grid values per batched array of a block: the members of a sweep
@@ -180,3 +182,13 @@ def row_chunks(a: np.ndarray) -> list[slice]:
     temporary as large as ``a``."""
     rows = max(1, min(len(a) // 4, _CHUNK_VALUES // a[0].size))
     return [slice(start, start + rows) for start in range(0, len(a), rows)]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS keeps
+    one (so a process under ``taskset -c 0`` gets 1), else the machine's
+    count.  A sweep's default pool size and the band transforms' thread
+    count both read it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

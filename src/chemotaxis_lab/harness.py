@@ -140,12 +140,17 @@ def _tail(series: Sequence[DiagnosticsRecord], transient_fraction: float):
 
 
 _MIN_FIT_POINTS = 5  # fewest records in a series and in a fitting window
+_ZERO_SERIES = "series is identically zero; nothing to fit"
 
 
-def require_judgeable(*, span=None, min_span=None, inf_u0=None, n_records=None) -> None:
+def require_judgeable(
+    *, span=None, min_span=None, inf_u0=None, n_records=None, err_sum0=None
+) -> None:
     """Raise unless a series can be judged: it spans ``min_span``, so an
     eventual bound is never a vacuous pass; it starts from inf u0 > 0, which
-    persistence is judged from; and ``n_records`` can be fitted.  A facet
+    persistence is judged from; and ``n_records`` can be fitted, from a
+    datum whose err_u + err_v (``err_sum0``) is not 0: the equilibrium is a
+    fixed point of every step, so its series has no decay to fit.  A facet
     left None is not checked.  The runner calls this before any output."""
     if min_span is not None and span < min_span:
         raise SeriesTooShortError(f"series spans {span}, need >= {min_span}")
@@ -153,6 +158,8 @@ def require_judgeable(*, span=None, min_span=None, inf_u0=None, n_records=None) 
         raise InvalidParameterError("initial inf_u must be strictly positive")
     if n_records is not None and n_records < _MIN_FIT_POINTS:
         raise WindowAdjustmentError(f"need at least {_MIN_FIT_POINTS} records")
+    if err_sum0 == 0.0:
+        raise WindowAdjustmentError(_ZERO_SERIES)
 
 
 def check_eventual_bound(
@@ -265,7 +272,7 @@ def auto_fit_window(series: Sequence[DiagnosticsRecord]) -> tuple[float, float]:
     ts = np.array([r.t for r in series])
     vmax = vals.max()
     if vmax <= 0.0:
-        raise WindowAdjustmentError("series is identically zero; nothing to fit")
+        raise WindowAdjustmentError(_ZERO_SERIES)
     v_final = max(vals[-1], vmax * 1e-13)
     cut_value = math.sqrt(vmax * v_final)
     t_skip = ts[0] + 0.02 * (ts[-1] - ts[0])

@@ -59,12 +59,12 @@ coefficient that differs across the block is a (B, 1, ...) column in the
 nonlinearity and the step weights; a shared one stays a number, and a
 single run has no batch axis at all, so it computes exactly the expressions
 it computes alone.  Each member keeps its own CFL step, with the monitor's
-one reduction taken once per step over the block.  A block out of
-lockstep takes the same bound step with a column of steps, one per row: a
-member that reaches the record time steps with dt = 0.0, and its rows of
-the stack and the spectra are copied before the step and written back
-after it, so its floats never come from a dt = 0 update (where 0 * N could
-flip the sign of a zero).  A member that diverges (a non-finite or
+one reduction taken once per step over the block.  Every step, in
+lockstep or not, is the same bound step with a column of steps, one per
+row: a member that reaches the record time steps with dt = 0.0, and its
+rows of the stack and the spectra are copied before the step and written
+back after it, so its floats never come from a dt = 0 update (where 0 * N
+could flip the sign of a zero).  A member that diverges (a non-finite or
 negative state, or a norm so large that its step bound is 0) leaves the
 block with its own time and reason.
 The batched transforms act row by row and the columns give each row its
@@ -215,44 +215,40 @@ class _Stepper:
     scratch row takes the reaction factor.
 
     The first stack holds the input u itself, not a round trip of its
-    spectrum, and its grad v rows come from v's full spectrum, which is
-    kept for the start record's lap v (:meth:`lap_v`) until the first
-    step.  A step overwrites the stack in place with the next one.  The
-    band spectra of a step and the transforms' work
+    spectrum, and its grad v rows and ``v_hat`` come from v's full spectrum,
+    which the caller passes in (and forms the start record's lap v from).  A
+    step overwrites the stack in place with the next one.  The band spectra
+    of a step and the transforms' work
     (:meth:`SemigroupPlan.band_workspace`) are buffers too: every band
-    transform writes the stepper's buffers, and a lockstep step allocates
-    no field- or spectrum-sized array.
+    transform writes the stepper's buffers, and a lockstep step allocates no
+    field- or spectrum-sized array.
 
     The weights of a step, E and the pair [phi1, mu phi1], are complex128
     arrays of real values: the update multiplies complex spectra by them,
     and a real operand is cast to r + 0j in every such call, so they give
     the same floats without the casts.  They sit in a one-slot cache, so
-    they are built once per step size (or per tuple of the rows' own
-    steps, while members step out of lockstep).  A record interval usually
-    ends on a short step a few ulps off the steady one.  Its weights are
-    built with ``cache=False``, so the steady step's weights survive it and
-    an interval builds at most one set.  A second cache slot would build
+    they are built once per list of the rows' steps.  A record interval
+    usually ends on a short step a few ulps off the steady one.  Its weights
+    are built with ``cache=False``, so the steady step's weights survive it
+    and an interval builds at most one set.  A second cache slot would build
     none, but it holds one more set of spectral weights through every step
     and record."""
 
     __slots__ = (
         "plan", "params", "fields", "stack", "last_v", "scratch", "u", "grad_v", "uv_hat",
-        "u_hat", "v_hat", "nonlinearity", "monitor", "_spec", "_work", "_step", "_v_hat_input",
-        "_key", "_weights",
+        "u_hat", "v_hat", "nonlinearity", "monitor", "_spec", "_work", "_step", "_key", "_weights",
     )
 
-    def __init__(self, plan: SemigroupPlan, params, u: np.ndarray, v: np.ndarray):
+    def __init__(self, plan: SemigroupPlan, params, u: np.ndarray, v_hat: np.ndarray):
         self.plan = plan
         self.params = params
         lead = u.shape[: u.ndim - plan.grid.dim]
-        v_hat = plan.to_spectral(v)
         fields = np.empty((3 + plan.grid.dim,) + u.shape)
         fields[2] = u
         plan.grad(v_hat, out=fields[3:])
         self._bind(fields, np.empty((2,) + lead + plan.band_shape, np.complex128))
-        plan.to_spectral(u, band=True, out=self.u_hat, work=self._field_work())
+        plan.to_spectral(u, band=True, out=self.u_hat, work=self._work[0])
         self.v_hat[...] = plan.band_of(v_hat)
-        self._v_hat_input = v_hat
 
     def _bind(self, fields: np.ndarray, uv_hat: np.ndarray) -> None:
         """Lay the stepper out on ``fields`` and ``uv_hat``, with new band
@@ -295,24 +291,9 @@ class _Stepper:
             return largest(rows, -1).tolist()
 
         self.nonlinearity, self._step, self.monitor = term, step, monitor
-        self._key, self._weights = -1.0, None
+        self._key, self._weights = None, None
 
-    def weights(self, dt, *, cache: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """E(dt) and the pair [phi1(dt), mu phi1(dt)] on the band of every
-        row: at the one step ``dt``, or, for a tuple ``dt`` of one step per
-        row, at each row's own step (a column over the rows).
-        ``cache=False`` leaves the cached set in place."""
-        if dt == self._key:
-            return self._weights
-        plan = self.plan
-        lead = self.u_hat.shape[: -plan.grid.dim]
-        steps = np.reshape(dt, lead + (1,) * plan.grid.dim) if isinstance(dt, tuple) else dt
-        weights = _step_weights(plan, steps, self.params.lam, self.params.mu, lead)
-        if cache:
-            self._key, self._weights = dt, weights
-        return weights
-
-    def advance(self, dt, *, cache: bool = True) -> None:
+    def advance(self, steps: list[float], *, cache: bool = True) -> None:
         """One ETD1 update on the band:
 
             u_hat_new = E u_hat + phi1 (reac_hat - chi flux_hat)
@@ -326,45 +307,43 @@ class _Stepper:
         mu phi1], u_hat and v_hat *= E, [u_hat, v_hat] += that pair, and the
         inverse's rows take u_hat and ik_i v_hat.  Every row goes through
         the bound step: u_hat and v_hat are updated in place and the band
-        inverse writes the new stack over the spent one.  A float ``dt`` is
-        every row's step; a tuple ``dt`` gives each row its own, and a row
-        whose step is 0.0 sits out: its rows of the stack and of [u_hat,
-        v_hat] are copied before the step and written back after it, so
-        they keep their bits.  The caller reads the new state's norms from
-        ``monitor``."""
-        self._v_hat_input = None
-        weights = self._weights if dt == self._key else self.weights(dt, cache=cache)
-        if not isinstance(dt, tuple) or 0.0 not in dt:
+        inverse writes the new stack over the spent one.  ``steps`` gives
+        each row its own step (one entry for a single run), and a row whose
+        step is 0.0 sits out: its rows of the stack and of [u_hat, v_hat]
+        are copied before the step and written back after it, so they keep
+        their bits.  The weights are built from the steps as a column over
+        the rows, which gives the floats of a single number, and
+        ``cache=False`` leaves the cached set in place.  The caller reads
+        the new state's norms from ``monitor``."""
+        if steps == self._key:
+            weights = self._weights
+        else:
+            plan = self.plan
+            lead = self.u_hat.shape[: -plan.grid.dim]
+            column = np.reshape(steps, lead + (1,) * plan.grid.dim)
+            weights = _step_weights(plan, column, self.params.lam, self.params.mu, lead)
+            if cache:
+                self._key, self._weights = list(steps), weights
+        if 0.0 not in steps:
             self._step(*weights)
             return
-        sitting = [row for row, own in enumerate(dt) if own == 0.0]
+        sitting = [row for row, own in enumerate(steps) if own == 0.0]
         saved = self.stack[:, sitting], self.uv_hat[:, sitting]
         self._step(*weights)
         self.stack[:, sitting], self.uv_hat[:, sitting] = saved
 
-    def _field_work(self) -> np.ndarray:
-        """The work buffer of the band transforms of one row of the stack:
-        in 1D the first row's slot of the stack's half spectra, from 2D up
-        the first thread's spectrum, so a one-row call runs on one thread."""
-        return self._work[0]
-
     def v(self) -> np.ndarray:
         """The physical v of the band state in ``last_v``, which the next
         ``monitor`` overwrites."""
-        work = self._field_work()
-        return self.plan.to_physical(self.v_hat, band=True, out=self.last_v, work=work)
+        return self.plan.to_physical(self.v_hat, band=True, out=self.last_v, work=self._work[0])
 
     def lap_v(self) -> np.ndarray:
-        """lap v of the state, in a new field: before the first step from
-        the input's full v spectrum (consumed here), after it from the band."""
+        """lap v of the band state, in a new field."""
         plan = self.plan
-        if self._v_hat_input is not None:
-            v_hat, self._v_hat_input = self._v_hat_input, None
-            return plan.to_physical(np.multiply(-plan.k2, v_hat, out=v_hat), overwrite=True)
         # The step's band spectra are spent between steps.
         lap_hat = np.multiply(-plan.band_k2, self.v_hat, out=self._spec[0])
         lap_v = np.empty_like(self.scratch)
-        return plan.to_physical(lap_hat, band=True, out=lap_v, work=self._field_work())
+        return plan.to_physical(lap_hat, band=True, out=lap_v, work=self._work[0])
 
     def keep(self, rows: list[int]) -> None:
         """Drop every row but ``rows`` for good (members that left) and lay
@@ -489,22 +468,22 @@ def integrate(
     (u's band, v in full) and N full inverse (grad v) at the start, one band
     forward and one band inverse per step, and at each record the band
     inverses of v and lap v (of lap v alone at the start time, where v is
-    the input, from its full spectrum).
+    the input, from the full spectrum that gave the first grad v).
 
     ``s0`` may be a block: a sequence of states on one grid at one start
-    time, with ``sink`` a sequence of one sink per member.  The
-    members are stacked on a leading batch axis and stepped together, so
-    the counts above hold for the whole block while its members step in
-    lockstep.  Each member keeps its own CFL step, so out of lockstep a
-    step gives each row its own.  A member that reaches the record time
-    sits out the rest of the interval (its step is 0.0 and its rows keep
-    their state), and a member that leaves the admissible state space
-    leaves the block while the others go on.  Every member's records and
-    final state equal those of its solo run bit for bit: batched transforms
-    act row by row, and a coefficient that differs across the block is a
-    column that gives each row its own value.  A single state is a
-    one-member block without the batch axis, so its arrays and arithmetic
-    are those of a solo run.
+    time, with ``sink`` a sequence of one sink per member.  The members are
+    stacked on a leading batch axis and stepped together, so the counts
+    above hold for the whole block while its members step in lockstep.  Each
+    member keeps its own CFL step, and a step gives each row its own (equal
+    entries in lockstep).  A member that reaches the record time sits out
+    the rest of the interval (its step is 0.0 and its rows keep their
+    state), and a member that leaves the admissible state space leaves the
+    block while the others go on.  Every member's records and final state
+    equal those of its solo run bit for bit: batched transforms act row by
+    row, and a coefficient that differs across the block is a column that
+    gives each row its own value.  A single state is a one-member block
+    without the batch axis, so its arrays and arithmetic are those of a solo
+    run.
 
     Deterministic given (s0, ctl).  A single state returns its final
     :class:`SimState` and raises :class:`PositivityViolationError` or
@@ -537,7 +516,8 @@ def integrate(
 
     axes = tuple(range(-grid.dim, 0))  # a field's
     params = [s.params for s in states]
-    st = _Stepper(plan, _Coefficients.of(params, grid.dim), u, v)
+    v_hat = plan.to_spectral(v)
+    st = _Stepper(plan, _Coefficients.of(params, grid.dim), u, v_hat)
     del u
     ends: list = [None] * len(states)
     live = list(range(len(states)))  # the member on each row
@@ -559,8 +539,7 @@ def integrate(
             st.keep(kept)
         return kept
 
-    def record(t: float, v: np.ndarray) -> None:
-        lap_v = st.lap_v()
+    def record(t: float, v: np.ndarray, lap_v: np.ndarray) -> None:
         member_rows = zip(live, rows(st.u), rows(v), rows(st.scratch), rows(lap_v))
         for member, *arrays in member_rows:
             sinks[member](diagnostics(t, params[member], *arrays))
@@ -570,7 +549,8 @@ def integrate(
     # fails the check too, as does a NaN.
     high, inf = min(neg_tol, sys.float_info.max), math.inf
     _, grad_sq_sups, u_sups = st.monitor()
-    record(t, v)
+    record(t, v, plan.to_physical(np.multiply(-plan.k2, v_hat, out=v_hat), overwrite=True))
+    del v_hat
     for target in record_times(t, ctl):
         tol = 1e-13 * max(1.0, target)
         while live:
@@ -590,10 +570,7 @@ def integrate(
                 dts = [dts[row] for row in drop(stalled)]
             if not any(dts):
                 break
-            if dts[0] and dts.count(dts[0]) == len(dts):
-                st.advance(dts[0], cache=cache)  # lockstep: every row, one step size
-            else:
-                st.advance(tuple(dts), cache=cache)  # each row its own; 0.0 sits out
+            st.advance(dts, cache=cache)  # each row its own step; 0.0 sits out
             neg_mins, grad_sq_sups, u_sups = st.monitor()
             errors = {}
             for row, neg_min in enumerate(neg_mins):
@@ -611,7 +588,7 @@ def integrate(
             if not kept:
                 break
             v = st.last_v
-        record(target, v)
+        record(target, v, st.lap_v())
     u_end = st.u
     del st  # its spectra and step buffers go before the final fields are copied
     for member, u_row, v_row in zip(live, rows(u_end), rows(v)):

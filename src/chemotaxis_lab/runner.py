@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import traceback
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import constants as consts
 from .config import ConfigError, ExperimentConfig, SweepConfig, build_initial_state
-from .core import BLOCK_VALUES, InvalidParameterError, SimState
+from .core import BLOCK_VALUES, InvalidParameterError, SimState, usable_cpus
 from .harness import (
     DiagnosticsRecord,
     Verdict,
@@ -154,16 +153,21 @@ def _set_up_point(cfg: ExperimentConfig, c_grad: float) -> _Point:
     gradient constant.  Every input error is raised here, before the run
     integrates or writes anything: a bad initial datum, checks that cannot
     judge records at integrate's record times (the eventual bound needs
-    twice the relaxation time 1/min(a, lam)), and a refined or general bound
-    target or a Lyapunov check at b <= N*mu*chi/4."""
+    twice the relaxation time 1/min(a, lam); a convergence fit needs a
+    datum off the equilibrium), and a refined or general bound target or a
+    Lyapunov check at b <= N*mu*chi/4."""
     state = build_initial_state(cfg)
     times = [state.t, *record_times(state.t, cfg.step)]
-    checks = cfg.checks
+    checks, p = cfg.checks, cfg.params
+    err_sum0 = None  # the datum's err_u + err_v, which a convergence fit needs > 0
+    if checks.convergence:
+        err_sum0 = abs(state.u.values - p.steady_u).max() + abs(state.v.values - p.steady_v).max()
     require_judgeable(
         span=times[-1] - times[0],
-        min_span=2.0 / min(cfg.params.a, cfg.params.lam) if checks.eventual_bound else None,
+        min_span=2.0 / min(p.a, p.lam) if checks.eventual_bound else None,
         inf_u0=float(state.u.values.min()) if checks.persistence else None,
         n_records=len(times) if checks.convergence else None,
+        err_sum0=err_sum0,
     )
     cal = consts.CalibrationConstants.for_params(cfg.params, c_grad=c_grad)
     pc = consts.compute_constants(cfg.params, cal)
@@ -364,8 +368,10 @@ def execute_sweep(sweep: SweepConfig, out_dir: str | Path, workers: int | None =
     """Run every sweep point and write sweep_summary.csv.  The points are
     split into contiguous blocks, at least one per worker and at most
     ``BLOCK_VALUES`` grid values per block, and the bounded worker pool
-    maps the blocks.  A pool size below 1 is an input error, raised before
-    any output."""
+    maps the blocks.  ``workers`` defaults to the CPUs the process may use
+    (:func:`core.usable_cpus`); one worker runs the blocks inline, with no
+    pool.  A pool size below 1 is an input error, raised before any
+    output."""
     if workers is not None and workers < 1:
         raise InvalidParameterError(f"workers must be >= 1, got {workers}")
     out = Path(out_dir)
@@ -376,7 +382,7 @@ def execute_sweep(sweep: SweepConfig, out_dir: str | Path, workers: int | None =
         point_dir = out / _point_dir_name(index, sweep.parameter, value)
         tasks.append((index, sweep.parameter, value, cfg, str(point_dir)))
 
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
+    n_workers = workers if workers is not None else usable_cpus()
     n_workers = max(1, min(n_workers, len(tasks)))
     grid = sweep.base.grid
     members = max(1, BLOCK_VALUES // grid.points**grid.dim)

@@ -7,7 +7,8 @@ are realised by the extra multiplier i*k, which is the constructive form of
 the bounded extension of exp(t(lap - sigma I)) div.  With the
 :class:`SemigroupPlan` methods and m = multiplier(t, sigma), E(t, sigma) f
 is to_physical(to_spectral(f) * m), grad E(t, sigma) f is
-grad(to_spectral(f) * m) and E(t, sigma) div w is to_physical(div_hat(w) * m).
+grad(to_spectral(f) * m) and E(t, sigma) div w is to_physical(d * m) for
+the divergence spectrum d = bind_div_hat(to_spectral(w))().
 
 Sup-norm facts used by tests and by the contraction horizon:
 
@@ -26,14 +27,15 @@ when sqrt(t) resolves the grid spacing: on 64 points over 2*pi at
 t = 1e-3, C is 1.05, which is 1.86/sqrt(pi).
 
 Every transform, gradient and divergence accepts a leading batch axis:
-``to_spectral``, ``to_physical``, ``grad`` and ``div_hat`` act on the
-trailing ``dim`` axes, and pocketfft transforms each row of a stack exactly
-as it transforms that row alone, so a batched call equals the per-row calls
-bit for bit.  ``div_hat`` takes the N component spectra as rows.  The ETD1
-step makes one batched forward and one batched inverse call per step, over
-its (1+N)-row stack [u, d_1 v, ..., d_N v] (see :mod:`chemotaxis_lab.imex`;
-from 2D up its band transforms walk the stack row by row inside the call),
-and the Duhamel oracle transforms whole blocks of quadrature nodes this way.
+``to_spectral``, ``to_physical``, ``grad`` and ``bind_div_hat`` act on
+the trailing ``dim`` axes, and pocketfft transforms each row of a stack
+exactly as it transforms that row alone, so a batched call equals the
+per-row calls bit for bit.  ``bind_div_hat`` takes the N component spectra
+as rows.  The ETD1 step makes one batched forward and one batched inverse
+call per step, over its (1+N)-row stack [u, d_1 v, ..., d_N v] (see
+:mod:`chemotaxis_lab.imex`; from 2D up its band transforms walk the stack
+row by row inside the call), and the Duhamel oracle transforms whole
+blocks of quadrature nodes this way.
 
 Every transform goes through :meth:`SemigroupPlan.to_spectral` and
 :meth:`SemigroupPlan.to_physical`.  They call numpy's pocketfft kernels
@@ -70,10 +72,10 @@ the call returns.
 A :class:`SemigroupPlan` is read-only after construction and safe to share
 between threads.  The plan transforms in place the arrays it allocates
 itself (``ik * spec`` in :meth:`SemigroupPlan.grad`, for example) and the
-arrays a caller hands over: ``div_hat`` overwrites the spectra it is given,
-``to_physical(..., overwrite=True)`` may destroy its input, and the band
-transforms write their ``out`` and ``work`` buffers.  No other call
-modifies a caller's array.
+arrays a caller hands over: a bound divergence overwrites the spectra it
+is bound to, ``to_physical(..., overwrite=True)`` may destroy its input,
+and the band transforms write their ``out`` and ``work`` buffers.  No
+other call modifies a caller's array.
 
 The 2/3 band.  The ETD1 step keeps only the modes with |k index| <=
 floor(points/3) on every axis (Orszag's 2/3 rule): 30% of a 64^3
@@ -114,7 +116,6 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
-import os
 import threading
 from dataclasses import replace
 from typing import Callable, Sequence
@@ -126,7 +127,7 @@ import numpy as np
 # bit-identity tests against np.fft.rfftn/irfftn guard it.
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .core import BLOCK_VALUES, Grid, row_chunks
+from .core import BLOCK_VALUES, Grid, row_chunks, usable_cpus
 
 __all__ = [
     "CALIBRATION_TIMES",
@@ -155,14 +156,11 @@ def _threads(rows: int, row_values: int) -> int:
     grid values each run on: two for at least two rows of at least
     ``BLOCK_VALUES`` values, where a row's transform is compute-bound (on
     128^2 rows a helper thread gained nothing; see the module docstring),
-    if the process may run on two CPUs; else one."""
+    if the process may run on two CPUs (:func:`core.usable_cpus`); else
+    one."""
     if rows < 2 or row_values < BLOCK_VALUES:
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(_MAX_THREADS, cpus)
+    return min(_MAX_THREADS, usable_cpus())
 
 
 def _on_two_threads(transform, rows: Sequence[tuple], works: np.ndarray) -> None:
@@ -467,19 +465,14 @@ class SemigroupPlan:
             self.to_physical(ik * spec, overwrite=True, out=row) for ik, row in zip(self.ik, rows)
         ]
 
-    def div_hat(self, specs: np.ndarray, band: bool = False) -> np.ndarray:
-        """Spectrum of the divergence of a vector field, given the spectra of
-        its components as the rows of ``specs`` (each may carry a leading
-        batch axis; band spectra with ``band=True``): sum_i ik_i specs[i],
-        accumulated axis by axis.  The rows are overwritten with the
-        products and the sum is returned in the first row, so no
-        spectrum-sized temporary is made."""
-        return self.bind_div_hat(specs, band)()
-
     def bind_div_hat(self, specs: np.ndarray, band: bool = False) -> Callable[[], np.ndarray]:
-        """:meth:`div_hat` bound once to the rows of ``specs``: a callable
-        that forms the divergence of the spectra the rows hold when it is
-        called, as :meth:`div_hat` forms it, with no per-call slicing."""
+        """The divergence bound once to the rows of ``specs``, the spectra
+        of a vector field's components (each may carry a leading batch
+        axis; band spectra with ``band=True``): a callable that forms
+        sum_i ik_i specs[i] of the spectra the rows hold when it is called,
+        accumulated axis by axis, with no per-call slicing.  The rows are
+        overwritten with the products and the sum is returned in the first
+        row, so no spectrum-sized temporary is made."""
         iks = self.band_ik if band else self.ik
         acc, first, rest = specs[0], iks[0], tuple(zip(iks[1:], specs[1:]))
         multiply, add = np.multiply, np.add

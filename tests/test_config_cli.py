@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chemotaxis_lab import runner
 from chemotaxis_lab.cli import main
 from chemotaxis_lab.config import (
     ConfigError,
@@ -19,6 +20,7 @@ from chemotaxis_lab.config import (
     load_sweep_config,
     write_config,
 )
+from chemotaxis_lab.core import usable_cpus
 from chemotaxis_lab.imex import _Stepper
 from chemotaxis_lab.runner import CSV_HEADER, execute_run
 
@@ -172,6 +174,18 @@ REJECTED = {
         {"b = 1.0": "b = 0.2", "eventual_bound = true": "eventual_bound = false\nlyapunov = true"},
         "error: lyapunov check needs b > N*mu*chi/4",
     ),
+    # (u0, v0) = (a/b, mu a/(lam b)) = (1, 1): a fixed point of every step,
+    # so the error series the convergence check fits is zero throughout
+    "convergence-from-the-equilibrium": (
+        {
+            "u_kind = cosine\nu_base = 0.8\nu_amplitude = 0.2\nu_wavenumber = 1.0": (
+                "u_kind = constant\nu_base = 1.0"
+            ),
+            "v_base = 0.8": "v_base = 1.0",
+            "persistence = true": "persistence = true\nconvergence = true",
+        },
+        "error: series is identically zero; nothing to fit",
+    ),
 }
 
 
@@ -185,7 +199,12 @@ def test_bad_input_exits_4_before_any_output(tmp_path, capsys, edits, message):
 
 
 @pytest.mark.parametrize(
-    "case", ["refined-bound-below-threshold", "lyapunov-below-threshold"]
+    "case",
+    [
+        "refined-bound-below-threshold",
+        "lyapunov-below-threshold",
+        "convergence-from-the-equilibrium",
+    ],
 )
 def test_late_input_error_is_judged_before_integrating(tmp_path, capsys, monkeypatch, case):
     def refuse(*args, **kwargs):
@@ -575,9 +594,9 @@ def test_sweep_block_member_that_diverges_leaves_the_others_as_solo_runs(
     own_steps = []  # whether each step gave the rows their own dt
     advance = _Stepper.advance
 
-    def watched(self, dt, **kwargs):
-        own_steps.append(isinstance(dt, tuple))
-        return advance(self, dt, **kwargs)
+    def watched(self, steps, **kwargs):
+        own_steps.append(len(set(steps)) > 1)  # the entries differ
+        return advance(self, steps, **kwargs)
 
     monkeypatch.setattr(_Stepper, "advance", watched)
     path = write_sweep_config(tmp_path, "0.5, 20.0", **POISONED)
@@ -625,6 +644,69 @@ def test_sweep_point_rejected_at_set_up_joins_no_block(tmp_path, capsys):
     assert dict(zip(header, good))["status"] == "OK"
     points = sorted(d.name for d in (tmp_path / "sweep_results").iterdir() if d.is_dir())
     assert points == ["point_001_b=1.0"]
+
+
+def test_sweep_point_at_the_equilibrium_is_an_error_row_and_joins_no_block(
+    tmp_path, capsys, monkeypatch
+):
+    # at b = 1.0 the datum (1, 1) is the equilibrium, which a convergence
+    # check cannot fit: that point is its ERROR row, and b = 2.0 steps alone
+    blocks = []
+    integrate = runner.integrate
+
+    def watched(states, *args, **kwargs):
+        blocks.append(len(states))
+        return integrate(states, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "integrate", watched)
+    edits, _ = REJECTED["convergence-from-the-equilibrium"]
+    path = write_sweep_config(tmp_path, "1.0, 2.0", **edits)
+    assert main(["sweep", str(path), "--workers", "1"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert blocks == [1]
+    with open(tmp_path / "sweep_results" / "sweep_summary.csv", newline="") as fh:
+        header, bad, good = csv.reader(fh)
+    assert dict(zip(header, bad))["status"] == (
+        "ERROR(WindowAdjustmentError: series is identically zero; nothing to fit)"
+    )
+    assert dict(zip(header, good))["status"] == "OK"
+    points = sorted(d.name for d in (tmp_path / "sweep_results").iterdir() if d.is_dir())
+    assert points == ["point_001_b=2.0"]
+
+
+def test_sweep_point_whose_files_fail_is_its_error_row(tmp_path, capsys):
+    # a file where the first point's directory goes: writing that point
+    # fails with an I/O error (one line, no traceback), and the other point
+    # is written and reads back
+    path = write_sweep_config(tmp_path, "1.0, 2.0", **{"t_end = 8.0": "t_end = 4.0"})
+    out = tmp_path / "sweep_results"
+    out.mkdir()
+    (out / "point_000_b=1.0").write_text("in the way\n")
+    assert main(["sweep", str(path), "--workers", "1"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(out / "sweep_summary.csv", newline="") as fh:
+        header, bad, good = csv.reader(fh)
+    bad, good = dict(zip(header, bad)), dict(zip(header, good))
+    assert bad["status"].startswith("ERROR(FileExistsError: ") and bad["verdicts"] == ""
+    assert good["status"] == "OK" and good["verdicts"]
+    files = sorted(p.name for p in (out / "point_001_b=2.0").iterdir())
+    assert files == ["constants.json", "diagnostics.csv", "verdicts.json"]
+    assert main(["report", str(out)]) == 0
+
+
+def test_default_sweep_on_one_cpu_runs_inline(tmp_path, monkeypatch):
+    # the default pool size is the CPUs the process may use: pinned to one,
+    # a sweep runs its points in this process, with no pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-CPU sweep started a pool")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    assert usable_cpus() == 1
+    path = write_sweep_config(tmp_path, "1.0, 2.0", **{"t_end = 8.0": "t_end = 4.0"})
+    assert main(["sweep", str(path)]) == 0
+    lines = (tmp_path / "sweep_results" / "sweep_summary.csv").read_text().splitlines()
+    assert [line.split(",")[3] for line in lines[1:]] == ["OK", "OK"]
 
 
 @pytest.mark.parametrize(

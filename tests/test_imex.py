@@ -56,10 +56,11 @@ def cfl(s, ctl):
 def fixed_steps(s, dt, steps, neg_tol):
     """``steps`` steps of size dt from s, each the two calls integrate makes
     per step (advance, then _state_error), without its step control."""
-    st = _Stepper(SemigroupPlan(s.grid), s.params, s.u.values, s.v.values)
+    plan = SemigroupPlan(s.grid)
+    st = _Stepper(plan, s.params, s.u.values, plan.to_spectral(s.v.values))
     t = s.t
     for _ in range(steps):
-        st.advance(dt)
+        st.advance([dt])
         t += dt
         error = _state_error(float(st.stack[0].min()), t, neg_tol)
         if error is not None:
@@ -125,10 +126,10 @@ def test_stacked_step_equals_the_per_field_step_bit_for_bit(grid, v_kind):
     )
     mask = np.zeros(plan.spectral_shape, bool)
     mask[band] = True
-    st = _Stepper(plan, p, u, v)
+    st = _Stepper(plan, p, u, plan.to_spectral(v))
     reference = _per_field_steps(plan, p, u, v, dts, mask)
     for step, (dt_step, (ref_u, ref_vx, ref_u_hat, ref_v_hat)) in enumerate(zip(dts, reference)):
-        st.advance(dt_step, cache=dt_step == dt)
+        st.advance([dt_step], cache=dt_step == dt)
         assert np.array_equal(bits(st.stack[0]), bits(ref_u)), step
         for row, ref_row in zip(st.stack[1:], ref_vx):
             assert np.array_equal(bits(row), bits(ref_row)), step
@@ -311,9 +312,9 @@ def test_integrate_makes_one_forward_and_one_inverse_transform_per_step(grid, mo
     steps = []
     advance = _Stepper.advance
 
-    def counted_advance(self, dt, **kwargs):
-        steps.append(dt)
-        return advance(self, dt, **kwargs)
+    def counted_advance(self, dts, **kwargs):
+        steps.append(dts)
+        return advance(self, dts, **kwargs)
 
     monkeypatch.setattr(_Stepper, "advance", counted_advance)
     p = Params(chi=1, a=1, b=1, lam=1, mu=1, dim=grid.dim)
@@ -431,7 +432,7 @@ def test_a_step_allocates_no_field_sized_array(grid, monkeypatch):
     level = []  # the traced memory at the start of the last step measured
     advance = _Stepper.advance
 
-    def measured(self, dt, **kwargs):
+    def measured(self, dts, **kwargs):
         current, peak = tracemalloc.get_traced_memory()
         if level:
             rises.append(peak - level[0])
@@ -441,7 +442,7 @@ def test_a_step_allocates_no_field_sized_array(grid, monkeypatch):
         arrays.append(
             (self.fields, self.stack, self.scratch, self.uv_hat, self.u_hat, self.v_hat, self._spec)
         )
-        advance(self, dt, **kwargs)
+        advance(self, dts, **kwargs)
 
     monkeypatch.setattr(_Stepper, "advance", measured)
     s, ctl = _memory_run(grid, 37)
@@ -706,6 +707,43 @@ def test_block_member_whose_step_bound_overflows_leaves_at_its_start(overflowing
             assert np.array_equal(bits(end.v.values), bits(solo_end.v.values))
 
 
+def test_member_whose_v_overflows_on_an_intervals_last_step_leaves_at_the_record(monkeypatch):
+    # mu = 1.7e308 overflows v's mean to inf on the first step, which
+    # (cfl_safety = 1, dt_max = record_every) is the interval's last: u is
+    # still finite, so no step check fires, and the record check on v takes
+    # the member out at t = 0.01.  Overflowing earlier would turn the
+    # infinite mean into NaN gradients (ik v_hat at k = 0), which the next
+    # step's check catches first.
+    grid = Grid(dim=1, extent=2 * np.pi, points=64)
+    states = [
+        SimState(
+            t=0.0,
+            u=Field(grid, np.full(grid.shape, 10.0)),
+            v=Field(grid, np.ones(grid.shape)),
+            params=Params(chi=1, a=1, b=1, lam=1, mu=mu, dim=1),
+        )
+        for mu in (1.0, 1.7e308)
+    ]
+    ctl = StepControl(dt_max=0.01, t_end=0.02, record_every=0.01, cfl_safety=1.0)
+    plan = SemigroupPlan(grid)
+
+    def refuse(*args):
+        raise AssertionError("a step check caught the overflow")
+
+    monkeypatch.setattr("chemotaxis_lab.imex._state_error", refuse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        solo = [_run_alone(s, ctl, plan) for s in states]
+        block_records: list[list[DiagnosticsRecord]] = [[], []]
+        ends = integrate(states, ctl, [r.append for r in block_records], plan=plan)
+    (solo_records, solo_end), (records, end) = solo[0], (block_records[0], ends[0])
+    assert _record_bits(records) == _record_bits(solo_records) and len(records) == 3
+    assert end.t == solo_end.t == ctl.t_end
+    assert np.array_equal(bits(end.u.values), bits(solo_end.u.values))
+    assert np.array_equal(bits(end.v.values), bits(solo_end.v.values))
+    for records, end in (block_records[1], ends[1]), solo[1]:
+        assert isinstance(end, DivergenceError) and end.t == 0.01 and len(records) == 1
+
+
 @pytest.mark.parametrize(
     "neg_tol, coefficients, error_type",
     [
@@ -773,25 +811,24 @@ def test_block_steps_of_some_rows_equal_their_solo_steps(grid):
     params = [Params(chi=1.3, a=1.1, b=0.7, lam=lam, mu=1.2, dim=grid.dim) for lam in (0.9, 1.7)]
     u = rng.uniform(0.1, 2.0, (2, *grid.shape))
     v = rng.uniform(0.1, 2.0, (2, *grid.shape))
-    block = _Stepper(plan, _Coefficients.of(params, grid.dim), u, v)
-    solo = [_Stepper(plan, p, u[row], v[row]) for row, p in enumerate(params)]
+    block = _Stepper(plan, _Coefficients.of(params, grid.dim), u, plan.to_spectral(v))
+    solo = [_Stepper(plan, p, u[row], plan.to_spectral(v[row])) for row, p in enumerate(params)]
 
     def state(row):
         return block.stack[:, row], block.u_hat[row], block.v_hat[row]
 
     dt = 1e-2
-    for step in [(dt, 0.0), (0.0, dt), dt, (dt, dt / 2)]:
+    for steps in [[dt, 0.0], [0.0, dt], [dt, dt], [dt, dt / 2]]:
         before = [tuple(array.copy() for array in state(row)) for row in range(2)]
-        block.advance(step)
-        steps = step if isinstance(step, tuple) else (step, step)
+        block.advance(steps)
         for row, row_dt in enumerate(steps):
             if row_dt:
-                solo[row].advance(row_dt)
+                solo[row].advance([row_dt])
                 expected = solo[row].stack, solo[row].u_hat, solo[row].v_hat
             else:
                 expected = before[row]
             for got, want in zip(state(row), expected):
-                assert np.array_equal(bits(got), bits(want)), (step, row)
+                assert np.array_equal(bits(got), bits(want)), (steps, row)
 
 
 def test_lockstep_block_makes_the_transform_calls_of_one_member(monkeypatch):
@@ -809,9 +846,9 @@ def test_lockstep_block_makes_the_transform_calls_of_one_member(monkeypatch):
     steps = []
     advance = _Stepper.advance
 
-    def counted_advance(self, dt, **kwargs):
-        steps.append(dt)
-        return advance(self, dt, **kwargs)
+    def counted_advance(self, dts, **kwargs):
+        steps.append(dts)
+        return advance(self, dts, **kwargs)
 
     monkeypatch.setattr(_Stepper, "advance", counted_advance)
     grid = Grid(dim=1, extent=2 * np.pi, points=64)
@@ -835,8 +872,9 @@ def test_lockstep_block_makes_the_transform_calls_of_one_member(monkeypatch):
         integrate(s0, ctl, sink, plan=SemigroupPlan(grid))
         counts.append((dict(calls), list(steps)))
     (solo_calls, solo_steps), (block_calls, block_steps) = counts
-    assert len(solo_steps) >= 10 and all(isinstance(dt, float) for dt in block_steps)
-    assert block_steps == solo_steps
+    # lockstep: every step gives the three rows one step size
+    assert len(solo_steps) >= 10 and all(dts == dts[:1] * 3 for dts in block_steps)
+    assert [dts[:1] for dts in block_steps] == solo_steps
     assert block_calls == solo_calls
 
 
@@ -902,7 +940,7 @@ def test_the_one_reduction_monitor_equals_the_separate_reductions(grid, block):
         for group in groups:
             ones = np.ones((len(group), *grid.shape) if block else grid.shape)
             coefficients = _Coefficients.of([p] * len(group), grid.dim) if block else p
-            st = _Stepper(plan, coefficients, ones, ones)
+            st = _Stepper(plan, coefficients, ones, plan.to_spectral(ones))
             u_rows = np.stack([u for _, u, _ in group])
             grad_rows = np.stack([g for _, _, g in group], axis=1)
             st.u[...] = u_rows if block else u_rows[0]
@@ -943,8 +981,8 @@ def test_the_steppers_nonlinearity_is_nonlinear_hat(grid, block):
     u = rng.uniform(0.1, 2.0, lead + grid.shape)
     v = rng.uniform(0.1, 2.0, lead + grid.shape)
     coefficients = _Coefficients.of(params, grid.dim) if block else params[0]
-    st = _Stepper(plan, coefficients, u, v)
-    st.advance(1e-2)  # a stack the band inverse made
+    st = _Stepper(plan, coefficients, u, plan.to_spectral(v))
+    st.advance([1e-2] * len(bs))  # a stack the band inverse made
     stack = st.stack.copy()
     got = st.nonlinearity()
     assert got is st._spec

@@ -150,7 +150,8 @@ def test_div_hat_of_grad_is_the_laplacian():
     xx, yy = grid.coordinate_arrays()
     f = np.cos(xx) * np.sin(2 * yy) + np.sin(3 * xx)
     spec = plan.to_spectral(f)
-    div_grad = plan.to_physical(plan.div_hat(plan.to_spectral(np.stack(plan.grad(spec)))))
+    div_hat = plan.bind_div_hat(plan.to_spectral(np.stack(plan.grad(spec))))()
+    div_grad = plan.to_physical(div_hat)
     assert sup(div_grad - lap(plan, f)) < 1e-12
     assert sup(div_grad + 5 * np.cos(xx) * np.sin(2 * yy) + 9 * np.sin(3 * xx)) < 1e-12
 
@@ -257,7 +258,7 @@ def test_transforms_accept_a_leading_batch_axis(grid):
 @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.dim}d")
 def test_transforms_leave_their_inputs_unmodified(grid):
     plan = SemigroupPlan(grid)
-    # div_hat and imex.nonlinear_hat overwrite the arrays they are handed,
+    # a bound div_hat and imex.nonlinear_hat overwrite the arrays they are handed,
     # by contract; every other entry point leaves its input alone.
     rng = np.random.default_rng(22)
     values = rng.standard_normal(grid.shape)
@@ -275,7 +276,7 @@ def test_transforms_leave_their_inputs_unmodified(grid):
 
 @pytest.mark.parametrize("grid", TRANSFORM_GRIDS, ids=lambda g: f"{g.dim}d")
 def test_stacked_calls_equal_the_per_row_calls_bit_for_bit(grid):
-    # The batched Duhamel oracle rests on this: a stack through grad, div_hat
+    # The batched Duhamel oracle rests on this: a stack through grad, bind_div_hat
     # and nonlinear_hat gives each row exactly what the row alone gives.
     plan = SemigroupPlan(grid)
     p = Params(chi=1.3, a=1.1, b=0.7, lam=0.9, mu=1.2, dim=grid.dim)
@@ -283,12 +284,12 @@ def test_stacked_calls_equal_the_per_row_calls_bit_for_bit(grid):
     u = rng.uniform(0.1, 2.0, (3, *grid.shape))
     v_hat = plan.to_spectral(rng.uniform(0.1, 2.0, (3, *grid.shape)))
     vx = plan.grad(v_hat)
-    div = plan.div_hat(plan.to_spectral(np.stack(vx)))
+    div = plan.bind_div_hat(plan.to_spectral(np.stack(vx)))()
     n_hat = nonlinear_hat(plan, p, np.stack((u, *vx)))[0]
     for row in range(3):
         row_vx = plan.grad(v_hat[row])
         assert all(np.array_equal(bits(c[row]), bits(r)) for c, r in zip(vx, row_vx))
-        row_div = plan.div_hat(plan.to_spectral(np.stack(row_vx)))
+        row_div = plan.bind_div_hat(plan.to_spectral(np.stack(row_vx)))()
         assert np.array_equal(bits(div[row]), bits(row_div))
         row_n_hat = nonlinear_hat(plan, p, np.stack((u[row], *row_vx)))[0]
         assert np.array_equal(bits(n_hat[row]), bits(row_n_hat))
