@@ -50,6 +50,20 @@ spent once reduced, and a record writes v there.  Every band transform
 writes buffers the stepper keeps, as do the reaction term and the monitor,
 so a step allocates no field- or spectrum-sized array.
 
+From 2D up, in a process that may run on two CPUs, a step whose rows hold
+at least ``core.BLOCK_VALUES`` values (32^3 and 256^2 up; see
+:meth:`SemigroupPlan.band_threads`) runs on two threads: the caller and
+one :class:`~chemotaxis_lab.spectral.Helper` thread, which the stepper
+starts with the run and :func:`integrate` stops when the run ends.  The
+band transforms share the stack's rows, and each pointwise phase of the
+step (the nonlinearity's products, its assembly from their spectra, the
+ETD1 update and the monitor) is bound once per layout to the two halves
+of its arrays along the grid's first axis: the caller takes one half and
+the helper the other (:func:`_on_halves`).  Each operation of a phase is
+elementwise, and the monitor merges the maxima of the halves with
+``np.maximum``, so every float is the one-thread float.  In 1D and on one
+CPU every phase is bound to the whole arrays and runs on the caller.
+
 :func:`integrate` also advances a block of runs that share a grid (the
 points of a sweep) as one ensemble: their states are stacked on a leading
 batch axis, [u, d_1 v, ..., d_N v] of shape (1+N, B, ...) and band spectra
@@ -90,7 +104,7 @@ import numpy as np
 
 from .core import Field, InvalidParameterError, Params, SimState
 from .harness import DiagnosticsRecord, diagnostics
-from .spectral import SemigroupPlan, sum_of_squares
+from .spectral import Helper, SemigroupPlan, bind_div_hat, sum_of_squares
 
 __all__ = [
     "PositivityViolationError",
@@ -204,7 +218,11 @@ class _Stepper:
     spectra of :func:`nonlinear_hat` of the stack), the step and the
     monitor are bound once per layout, here and in :meth:`keep`: every
     step, in lockstep or not, calls the bound ``_step``, which makes only
-    its ufunc and transform calls.
+    its ufunc and transform calls.  ``helper`` is the stepper's
+    :class:`~chemotaxis_lab.spectral.Helper` thread where its steps run on
+    two threads (see the module docstring), else None; it is started here
+    and kept through every layout, since from 2D up a stack has at least
+    1 + N >= 3 rows whichever members leave, and :meth:`stop` ends it.
 
     The first three rows are the monitor (``monitor``): after a step,
     -u is written in row 0 and |grad v|^2 in the scratch row, so one
@@ -235,60 +253,63 @@ class _Stepper:
     and record."""
 
     __slots__ = (
-        "plan", "params", "fields", "stack", "last_v", "scratch", "u", "grad_v", "uv_hat",
-        "u_hat", "v_hat", "nonlinearity", "monitor", "_spec", "_work", "_step", "_key", "_weights",
+        "plan", "params", "helper", "fields", "stack", "last_v", "scratch", "u", "grad_v",
+        "uv_hat", "u_hat", "v_hat", "nonlinearity", "monitor", "_spec", "_work", "_step", "_key",
+        "_weights",
     )
 
     def __init__(self, plan: SemigroupPlan, params, u: np.ndarray, v_hat: np.ndarray):
         self.plan = plan
         self.params = params
-        lead = u.shape[: u.ndim - plan.grid.dim]
-        fields = np.empty((3 + plan.grid.dim,) + u.shape)
+        dim = plan.grid.dim
+        lead = u.shape[: u.ndim - dim]
+        fields = np.empty((3 + dim,) + u.shape)
         fields[2] = u
         plan.grad(v_hat, out=fields[3:])
-        self._bind(fields, np.empty((2,) + lead + plan.band_shape, np.complex128))
-        plan.to_spectral(u, band=True, out=self.u_hat, work=self._work[0])
-        self.v_hat[...] = plan.band_of(v_hat)
+        self.helper = Helper() if plan.band_threads((1 + dim,) + lead) > 1 else None
+        try:
+            self._bind(fields, np.empty((2,) + lead + plan.band_shape, np.complex128))
+            plan.to_spectral(u, band=True, out=self.u_hat, work=self._work[0])
+            self.v_hat[...] = plan.band_of(v_hat)
+        except BaseException:
+            self.stop()
+            raise
+
+    def stop(self) -> None:
+        """End the helper thread, if the stepper has one; no step may
+        follow."""
+        if self.helper is not None:
+            self.helper.stop()
 
     def _bind(self, fields: np.ndarray, uv_hat: np.ndarray) -> None:
         """Lay the stepper out on ``fields`` and ``uv_hat``, with new band
         transform buffers and an empty weight cache, and bind the
-        nonlinearity, the step and the monitor to that layout."""
-        plan = self.plan
+        nonlinearity, the step and the monitor to that layout, each phase
+        on two threads if the stepper has a helper (:func:`_on_halves`)."""
+        plan, helper = self.plan, self.helper
+        dim = plan.grid.dim
         self.fields, self.uv_hat = fields, uv_hat
-        last_v, scratch, u = fields[:3]
-        self.last_v, self.scratch, self.u = last_v, scratch, u
+        self.last_v, self.scratch, self.u = fields[:3]
         self.stack, self.grad_v = stack, grad_v = fields[2:], fields[3:]
-        self.u_hat, self.v_hat = u_hat, v_hat = uv_hat
-        self._spec, self._work = spec, work = plan.band_workspace(stack.shape[: -plan.grid.dim])
-        term = _bind_nonlinearity(plan, self.params, stack, True, scratch, spec, work)
-        n_hat, spent, pair = spec[0], spec[1], spec[:2]
-        grad_rows = tuple(zip(plan.band_ik, spec[1:]))
-        # [-u | |grad v|^2 | u], each row a batch axis and the field's values
-        rows = fields[:3].reshape(3, -1, math.prod(plan.grid.shape))
-        to_physical, copyto, multiply, add = plan.to_physical, np.copyto, np.multiply, np.add
-        negative, largest = np.negative, np.maximum.reduce
+        self.u_hat, self.v_hat = uv_hat
+        lead = stack.shape[:-dim]
+        self._spec, self._work = spec, work = plan.band_workspace(lead)
+        term = _bind_nonlinearity(plan, self.params, stack, True, self.scratch, spec, work, helper)
+        update = _on_halves(_bind_update, helper, dim, uv_hat, spec, plan.band_ik)
+        extremes = _on_halves(_bind_extremes, helper, dim, fields[:3], grad_v, math.prod(lead[1:]))
+        to_physical = plan.to_physical
 
         def step(prop: np.ndarray, phi_pair: np.ndarray) -> None:
             """The update of :meth:`advance` with the weights E and [phi1,
             mu phi1]: only its ufunc and transform calls."""
             term()
-            copyto(spent, u_hat)
-            multiply(pair, phi_pair, pair)
-            multiply(u_hat, prop, u_hat)
-            multiply(v_hat, prop, v_hat)
-            add(uv_hat, pair, uv_hat)
-            copyto(n_hat, u_hat)
-            for ik, row in grad_rows:
-                multiply(ik, v_hat, row)
-            to_physical(spec, True, out=stack, work=work)
+            update(prop, phi_pair)
+            to_physical(spec, True, out=stack, work=work, helper=helper)
 
         def monitor() -> list[list[float]]:
             """[-min u, sup |grad v|^2, sup u]: for each, a list over the
             rows.  Writes -u over ``last_v`` and |grad v|^2 in ``scratch``."""
-            negative(u, last_v)
-            sum_of_squares(grad_v, scratch)
-            return largest(rows, -1).tolist()
+            return extremes().tolist()
 
         self.nonlinearity, self._step, self.monitor = term, step, monitor
         self._key, self._weights = None, None
@@ -353,38 +374,148 @@ class _Stepper:
         self._bind(self.fields[:, rows], self.uv_hat[:, rows])
 
 
+def _halves(a, dim: int) -> tuple:
+    """The two slabs of ``a`` along the grid's first axis (axis -dim), cut
+    at its middle, or ``a`` twice where it has no such axis to cut: a
+    number, None, or a coefficient column or derivative multiplier of
+    length 1 there, each of which broadcasts over both slabs.  A tuple is
+    cut item by item."""
+    if isinstance(a, tuple):
+        return tuple(zip(*(_halves(item, dim) for item in a)))
+    if not isinstance(a, np.ndarray) or a.ndim < dim or a.shape[-dim] == 1:
+        return a, a
+    cut, rest = a.shape[-dim] // 2, (slice(None),) * (dim - 1)
+    return a[(Ellipsis, slice(None, cut), *rest)], a[(Ellipsis, slice(cut, None), *rest)]
+
+
+def _on_halves(bind: Callable, helper: Helper | None, dim: int, *arrays) -> Callable:
+    """A pointwise phase of the step, ``bind(*arrays)``, bound to the whole
+    arrays, or, given a ``helper``, on two threads: a callable that runs
+    the phase bound to the first slab of every array (:func:`_halves`) on
+    the caller and the phase bound to the second slab on the helper, with
+    its own arguments cut the same way.  A phase returns None, or maxima
+    over its arrays' values, which are merged with ``np.maximum``.  Every
+    operation of a phase is elementwise, or a max, so each value gets the
+    operations it gets on one thread, and every float is the same."""
+    if helper is None:
+        return bind(*arrays)
+    first, second = (bind(*slabs) for slabs in zip(*(_halves(a, dim) for a in arrays)))
+    run, maximum = helper.run, np.maximum
+
+    def on_halves(*args):
+        mine, theirs = zip(*(_halves(a, dim) for a in args)) if args else ((), ())
+        results = run(first, mine, second, theirs)
+        return None if results[0] is None else maximum(*results)
+
+    return on_halves
+
+
+def _bind_products(stack: np.ndarray, scratch, b, growth) -> Callable[[], None]:
+    """The nonlinearity's pointwise products, written over the stack: u d_i
+    v over the gradient rows, then u (growth - b u) over u, its factor in
+    ``scratch`` (a new field when None)."""
+    # stack[:1], not u: in 1D the operands then share a shape, which
+    # numpy's fast loop needs.
+    u, head, flux = stack[0], stack[:1], stack[1:]
+    multiply, subtract = np.multiply, np.subtract
+
+    def products() -> None:
+        multiply(flux, head, flux)
+        reac = multiply(b, u, scratch)
+        subtract(growth, reac, reac)
+        multiply(u, reac, u)
+
+    return products
+
+
+def _bind_assembly(iks, out: np.ndarray, chi) -> Callable[[], None]:
+    """The term from the spectra of the products, ``out``: chi times the
+    divergence of the flux rows is subtracted from the reaction's spectrum
+    in row 0."""
+    n_hat, div_hat = out[0], bind_div_hat(iks, out[1:])
+    multiply, subtract = np.multiply, np.subtract
+
+    def assemble() -> None:
+        flux_hat = div_hat()
+        multiply(flux_hat, chi, flux_hat)
+        subtract(n_hat, flux_hat, n_hat)
+
+    return assemble
+
+
+def _bind_update(uv_hat: np.ndarray, spec: np.ndarray, iks) -> Callable:
+    """The step's ETD1 update of [u_hat, v_hat] from the term in ``spec``'s
+    row 0 (see :meth:`_Stepper.advance`); the spent rows of ``spec`` then
+    take u_hat and ik_i v_hat for the band inverse."""
+    u_hat, v_hat = uv_hat
+    n_hat, spent, pair = spec[0], spec[1], spec[:2]
+    grad_rows = tuple(zip(iks, spec[1:]))
+    copyto, multiply, add = np.copyto, np.multiply, np.add
+
+    def update(prop: np.ndarray, phi_pair: np.ndarray) -> None:
+        copyto(spent, u_hat)
+        multiply(pair, phi_pair, pair)
+        multiply(u_hat, prop, u_hat)
+        multiply(v_hat, prop, v_hat)
+        add(uv_hat, pair, uv_hat)
+        copyto(n_hat, u_hat)
+        for ik, row in grad_rows:
+            multiply(ik, v_hat, row)
+
+    return update
+
+
+def _bind_extremes(monitor_rows: np.ndarray, grad_v: np.ndarray, members: int) -> Callable:
+    """The monitor's reduction: writes -u over row 0 of ``monitor_rows``
+    [last_v | scratch | u] and |grad v|^2 over row 1, and returns the max
+    of each row over each member's values, shape (3, members).  A row's
+    values are contiguous (or two contiguous halves of it are), so the
+    reduction reads them in place."""
+    last_v, scratch, u = monitor_rows
+    rows = monitor_rows.reshape(3, members, -1)
+    negative, largest = np.negative, np.maximum.reduce
+
+    def extremes() -> np.ndarray:
+        negative(u, last_v)
+        sum_of_squares(grad_v, scratch)
+        return largest(rows, -1)
+
+    return extremes
+
+
 def _bind_nonlinearity(
-    plan: SemigroupPlan, p, stack: np.ndarray, band=False, scratch=None, out=None, work=None
+    plan: SemigroupPlan,
+    p,
+    stack: np.ndarray,
+    band=False,
+    scratch=None,
+    out=None,
+    work=None,
+    helper=None,
 ) -> Callable[[], np.ndarray]:
     """:func:`nonlinear_hat` bound once to its arguments: a callable that
     forms the term from the stack's current rows, writes it into the
     spectra ``out`` (a new full spectrum when None) and returns them.
     ``scratch`` (a field of the stack's row shape) takes the reaction
     factor, or a new field when None; the band forward (``band=True``)
-    needs ``out`` and ``work``.  chi, b and a + lam are bound as numpy
-    scalars (chi complex, as the spectrum it scales) or a block's columns:
-    a ufunc converts a Python float operand to just these in every call."""
+    needs ``out`` and ``work``.  Given a ``helper``, the pointwise products
+    and the assembly run on two threads (:func:`_on_halves`), as do the
+    band forward's rows.  chi, b and a + lam are bound as numpy scalars
+    (chi complex, as the spectrum it scales) or a block's columns: a ufunc
+    converts a Python float operand to just these in every call."""
     chi = np.asarray(p.chi, np.complex128)
     b, growth = np.asarray(p.b, float), np.asarray(p.a + p.lam, float)
     if out is None:
         out = np.empty(stack.shape[: -plan.grid.dim] + plan.spectral_shape, np.complex128)
-    # stack[:1], not u: in 1D the operands then share a shape, which
-    # numpy's fast loop needs.
-    u, head, flux = stack[0], stack[:1], stack[1:]
-    n_hat = out[0]
-    div_hat = plan.bind_div_hat(out[1:], band)
-    to_spectral, multiply, subtract = plan.to_spectral, np.multiply, np.subtract
+    dim, iks = plan.grid.dim, plan.band_ik if band else plan.ik
+    products = _on_halves(_bind_products, helper, dim, stack, scratch, b, growth)
+    assemble = _on_halves(_bind_assembly, helper, dim, iks, out, chi)
+    to_spectral = plan.to_spectral
 
     def term() -> np.ndarray:
-        multiply(flux, head, flux)
-        reac = multiply(b, u, scratch)
-        subtract(growth, reac, reac)
-        multiply(u, reac, u)
-        del reac  # not held through the transform
-        to_spectral(stack, band, out=out, work=work)
-        flux_hat = div_hat()
-        multiply(flux_hat, chi, flux_hat)
-        subtract(n_hat, flux_hat, n_hat)
+        products()
+        to_spectral(stack, band, out=out, work=work, helper=helper)
+        assemble()
         return out
 
     return term
@@ -408,11 +539,16 @@ def nonlinear_hat(plan: SemigroupPlan, p, stack: np.ndarray) -> np.ndarray:
 
 def _step_bound(p: Params, spacing: float, ctl: StepControl) -> Callable[[float, float], float]:
     """The CFL step bound of a member, its constants bound once: a function
-    of sup |grad v|^2 and sup u returning cfl_safety * min(dt_max,
-    spacing/max(chi |grad v|_inf, floor), 1/(a + 2 b |u|_inf)): > 0 for
-    finite norms, 0 for a norm that overflowed to inf.  The max and the min
-    are written out as the comparisons the builtins make, in their order
-    (~0.25 us a call less), so a NaN is passed on as they pass it on."""
+    of sup |grad v|^2 and sup u returning cfl_safety *
+    min(spacing/max(chi |grad v|_inf, floor), dt_max, 1/(a + 2 b |u|_inf)):
+    > 0 for finite norms, 0 for a norm that overflowed to inf.  The max and
+    the min are written out as the comparisons the builtins make, in their
+    order (~0.25 us a call less), so a NaN is passed on as they pass it on:
+    a NaN sup |grad v|^2 makes the advective limit, the min's first
+    operand, NaN, and the bound NaN, which the caller's ``not dt > 0``
+    check takes for a divergence before any step reads the NaN gradient.
+    (A NaN sup u comes with a NaN min u, which the positivity check has
+    caught already.)"""
     chi, a, two_b = p.chi, p.a, 2.0 * p.b
     safety, dt_max, floor = ctl.cfl_safety, ctl.dt_max, ADVECTION_FLOOR
     sqrt = math.sqrt
@@ -421,7 +557,7 @@ def _step_bound(p: Params, spacing: float, ctl: StepControl) -> Callable[[float,
         speed = chi * sqrt(grad_sq_sup)
         advective = spacing / (floor if floor > speed else speed)
         reactive = 1.0 / (a + two_b * u_sup)
-        dt = advective if advective < dt_max else dt_max
+        dt = dt_max if dt_max < advective else advective
         return safety * (reactive if reactive < dt else dt)
 
     return bound
@@ -470,6 +606,10 @@ def integrate(
     inverses of v and lap v (of lap v alone at the start time, where v is
     the input, from the full spectrum that gave the first grad v).
 
+    From 2D up a run's steps may run on two threads (see the module
+    docstring): the helper thread starts with the run and is stopped when
+    it ends, however it ends.
+
     ``s0`` may be a block: a sequence of states on one grid at one start
     time, with ``sink`` a sequence of one sink per member.  The members are
     stacked on a leading batch axis and stepped together, so the counts
@@ -489,7 +629,8 @@ def integrate(
     :class:`SimState` and raises :class:`PositivityViolationError` or
     :class:`DivergenceError` with the offending time when the run leaves
     the admissible state space; records emitted so far remain with the sink.
-    A step bound that is not > 0 (an overflowed norm) is divergence too.
+    A step bound that is not > 0 (an overflowed or NaN norm) is divergence
+    too.
     A block returns one entry per member: its final state, or the error it
     left the block with.
     """
@@ -548,47 +689,52 @@ def integrate(
     # The largest admissible -min u: neg_tol, but finite, so -min u = +inf
     # fails the check too, as does a NaN.
     high, inf = min(neg_tol, sys.float_info.max), math.inf
-    _, grad_sq_sups, u_sups = st.monitor()
-    record(t, v, plan.to_physical(np.multiply(-plan.k2, v_hat, out=v_hat), overwrite=True))
-    del v_hat
-    for target in record_times(t, ctl):
-        tol = 1e-13 * max(1.0, target)
-        while live:
-            dts, cache, stalled = [], True, {}
-            for row, t_row in enumerate(ts):
-                dt = 0.0  # a row that has reached the target sits out
-                remaining = target - t_row
-                if remaining > tol:
-                    dt = bounds[row](grad_sq_sups[row], u_sups[row])
-                    if not dt > 0.0:  # an overflowed norm: no step advances the row
-                        stalled[row], dt = DivergenceError(t_row), 0.0
-                    elif remaining <= dt * (1.0 + 1e-9):
-                        dt, cache = remaining, False
-                    ts[row] = t_row + dt
-                dts.append(dt)
-            if stalled:
-                dts = [dts[row] for row in drop(stalled)]
-            if not any(dts):
+    try:
+        _, grad_sq_sups, u_sups = st.monitor()
+        lap_v = plan.to_physical(np.multiply(-plan.k2, v_hat, out=v_hat), overwrite=True)
+        del v_hat  # spent: it goes before the record's temporaries come
+        record(t, v, lap_v)
+        del lap_v
+        for target in record_times(t, ctl):
+            tol = 1e-13 * max(1.0, target)
+            while live:
+                dts, cache, stalled = [], True, {}
+                for row, t_row in enumerate(ts):
+                    dt = 0.0  # a row that has reached the target sits out
+                    remaining = target - t_row
+                    if remaining > tol:
+                        dt = bounds[row](grad_sq_sups[row], u_sups[row])
+                        if not dt > 0.0:  # an overflowed or NaN norm: no step advances it
+                            stalled[row], dt = DivergenceError(t_row), 0.0
+                        elif remaining <= dt * (1.0 + 1e-9):
+                            dt, cache = remaining, False
+                        ts[row] = t_row + dt
+                    dts.append(dt)
+                if stalled:
+                    dts = [dts[row] for row in drop(stalled)]
+                if not any(dts):
+                    break
+                st.advance(dts, cache=cache)  # each row its own step; 0.0 sits out
+                neg_mins, grad_sq_sups, u_sups = st.monitor()
+                errors = {}
+                for row, neg_min in enumerate(neg_mins):
+                    if not -inf < neg_min <= high:
+                        errors[row] = _state_error(-neg_min, ts[row], neg_tol)
+                if errors and not drop(errors):
+                    break
+            if not live:
                 break
-            st.advance(dts, cache=cache)  # each row its own step; 0.0 sits out
-            neg_mins, grad_sq_sups, u_sups = st.monitor()
-            errors = {}
-            for row, neg_min in enumerate(neg_mins):
-                if not -inf < neg_min <= high:
-                    errors[row] = _state_error(-neg_min, ts[row], neg_tol)
-            if errors and not drop(errors):
-                break
-        if not live:
-            break
-        ts = [target] * len(live)
-        v = st.v()
-        finite = np.isfinite(v).all(axis=axes).ravel().tolist()
-        if not all(finite):
-            kept = drop({row: DivergenceError(target) for row, ok in enumerate(finite) if not ok})
-            if not kept:
-                break
-            v = st.last_v
-        record(target, v, st.lap_v())
+            ts = [target] * len(live)
+            v = st.v()
+            finite = np.isfinite(v).all(axis=axes).ravel().tolist()
+            if not all(finite):
+                errors = {row: DivergenceError(target) for row, ok in enumerate(finite) if not ok}
+                if not drop(errors):
+                    break
+                v = st.last_v
+            record(target, v, st.lap_v())
+    finally:
+        st.stop()
     u_end = st.u
     del st  # its spectra and step buffers go before the final fields are copied
     for member, u_row, v_row in zip(live, rows(u_end), rows(v)):

@@ -5,10 +5,11 @@ on Fourier modes: mode k is scaled by exp(-(|k|^2 + sigma) t), which is exact
 for the trigonometric interpolant.  The gradient and divergence compositions
 are realised by the extra multiplier i*k, which is the constructive form of
 the bounded extension of exp(t(lap - sigma I)) div.  With the
-:class:`SemigroupPlan` methods and m = multiplier(t, sigma), E(t, sigma) f
-is to_physical(to_spectral(f) * m), grad E(t, sigma) f is
-grad(to_spectral(f) * m) and E(t, sigma) div w is to_physical(d * m) for
-the divergence spectrum d = bind_div_hat(to_spectral(w))().
+:class:`SemigroupPlan` methods, :func:`bind_div_hat` and m =
+multiplier(t, sigma), E(t, sigma) f is to_physical(to_spectral(f) * m),
+grad E(t, sigma) f is grad(to_spectral(f) * m) and E(t, sigma) div w is
+to_physical(d * m) for the divergence spectrum
+d = bind_div_hat(ik, to_spectral(w))().
 
 Sup-norm facts used by tests and by the contraction horizon:
 
@@ -58,17 +59,23 @@ transform with a wait per axis, made 64^3 runs 1.6 to 2.3 times slower,
 because each transform waits for the slower core).  The band transforms of
 a stack split it by whole rows instead: from 2D up, a call with at least
 two rows of at least ``core.BLOCK_VALUES`` (2^15) values each, in a process
-that may run on two CPUs, shares its rows between the caller and one helper
-thread, each with its own work spectrum, each taking the next row no thread
-has taken.  Every row gets the kernel calls it gets on one thread, so the
-floats do not depend on the thread count.  On a shared 2-vCPU host a
-4-row band forward and inverse took 5.6 against 10.2 ms at 64^3 and 1.24
+that may run on two CPUs (:meth:`SemigroupPlan.band_threads`), shares its
+rows between the caller and the :class:`Helper` thread the caller passes,
+each with its own work spectrum, each taking the next row no thread has
+taken.  Every row gets the kernel calls it gets on one thread, so the
+floats do not depend on the thread count.  On a shared 2-vCPU host a 4-row
+band forward and inverse took 5.6 against 10.2 ms at 64^3 and 1.24
 against 1.65 ms at 32^3 (medians of 40 interleaved pairs in one process);
 on 128^2 rows (2^14 values) a helper gained nothing resolvable (0.59
 against 0.62 ms) and at another time lost (0.88 against 0.51 ms).  The
-helper runs in a copy of the caller's context (so ``np.errstate`` holds
-there), an exception it raises is raised in the caller, and it ends before
-the call returns.
+helper is the caller's, kept as long as the caller likes: the ETD1 stepper
+starts one with the run and hands it one half of each pointwise phase of
+a step too (:mod:`chemotaxis_lab.imex`), and ``integrate`` stops it when
+the run ends, so a run starts one thread, not one per call.  Each call
+runs the helper's share in a copy of the caller's current context (so
+``np.errstate`` holds there), an exception raised there is raised in the
+caller, and the call returns once both threads are done with it.  A call
+given no helper transforms every row on the caller's thread.
 A :class:`SemigroupPlan` is read-only after construction and safe to share
 between threads.  The plan transforms in place the arrays it allocates
 itself (``ik * spec`` in :meth:`SemigroupPlan.grad`, for example) and the
@@ -116,6 +123,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
+import queue
 import threading
 from dataclasses import replace
 from typing import Callable, Sequence
@@ -131,7 +139,9 @@ from .core import BLOCK_VALUES, Grid, row_chunks, usable_cpus
 
 __all__ = [
     "CALIBRATION_TIMES",
+    "Helper",
     "SemigroupPlan",
+    "bind_div_hat",
     "measure_gradient_constant",
     "sum_of_squares",
 ]
@@ -151,27 +161,57 @@ _rfft = _pocketfft.rfft_n_even
 _MAX_THREADS = 2
 
 
-def _threads(rows: int, row_values: int) -> int:
-    """The threads the band transforms of ``rows`` rows of ``row_values``
-    grid values each run on: two for at least two rows of at least
-    ``BLOCK_VALUES`` values, where a row's transform is compute-bound (on
-    128^2 rows a helper thread gained nothing; see the module docstring),
-    if the process may run on two CPUs (:func:`core.usable_cpus`); else
-    one."""
-    if rows < 2 or row_values < BLOCK_VALUES:
-        return 1
-    return min(_MAX_THREADS, usable_cpus())
+class Helper:
+    """One helper thread, kept until :meth:`stop`, that takes one half of a
+    two-thread call: a stack's band transform rows (:func:`_on_two_threads`)
+    and the halves of the stepper's pointwise phases
+    (:mod:`chemotaxis_lab.imex`).  :meth:`run` hands the helper its half,
+    which runs in a copy of the caller's current context (so numpy's error
+    state, ``np.errstate``, holds there too), runs the caller's half on the
+    caller, and returns once both have ended.  An exception the helper's
+    half raises, a warning raised as an error among them, is raised in the
+    caller.  :meth:`stop` ends the thread; its owner calls it once done."""
+
+    __slots__ = ("_calls", "_results", "_thread")
+
+    def __init__(self) -> None:
+        self._calls, self._results = queue.SimpleQueue(), queue.SimpleQueue()
+        # A daemon, so an owner that never stops it cannot hold up the exit.
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        calls, results = self._calls, self._results
+        while (call := calls.get()) is not None:
+            context, function, args = call
+            try:
+                results.put((context.run(function, *args), None))
+            except BaseException as error:  # raised in the caller
+                results.put((None, error))
+
+    def run(self, mine: Callable, mine_args: tuple, theirs: Callable, theirs_args: tuple) -> tuple:
+        """``mine(*mine_args)`` on the caller and ``theirs(*theirs_args)``
+        on the helper, at once: their two results, once both have ended."""
+        self._calls.put((contextvars.copy_context(), theirs, theirs_args))
+        try:
+            result = mine(*mine_args)
+        finally:
+            their_result, error = self._results.get()
+        if error is not None:
+            raise error
+        return result, their_result
+
+    def stop(self) -> None:
+        """End the helper thread, once its last call has ended."""
+        self._calls.put(None)
+        self._thread.join()
 
 
-def _on_two_threads(transform, rows: Sequence[tuple], works: np.ndarray) -> None:
+def _on_two_threads(helper: Helper, transform, rows: Sequence[tuple], works: np.ndarray) -> None:
     """``transform(*row, work)`` for every row, on the caller's thread with
-    ``works[0]`` and one helper thread with ``works[1]``: each takes the
-    next row no thread has taken.  The helper runs in a copy of the
-    caller's context, so numpy's error state (``np.errstate``) holds there
-    too.  An exception the helper raises, a warning raised as an error
-    among them, is raised in the caller once the helper has ended, and the
-    helper ends before this returns."""
-    pending, lock, failed = iter(rows), threading.Lock(), []
+    ``works[0]`` and on ``helper`` with ``works[1]``: each takes the next
+    row no thread has taken (see :meth:`Helper.run`)."""
+    pending, lock = iter(rows), threading.Lock()
 
     def take(work: np.ndarray) -> None:
         while True:
@@ -181,20 +221,7 @@ def _on_two_threads(transform, rows: Sequence[tuple], works: np.ndarray) -> None
                 return
             transform(*row, work)
 
-    def helper() -> None:
-        try:
-            take(works[1])
-        except BaseException as error:  # raised in the caller
-            failed.append(error)
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
-    thread.start()
-    try:
-        take(works[0])
-    finally:
-        thread.join()
-    if failed:
-        raise failed[0]
+    helper.run(take, (works[0],), take, (works[1],))
 
 
 def _axes(axis: int) -> list[tuple[int, ...]]:
@@ -318,7 +345,7 @@ class SemigroupPlan:
         ]
 
     def to_spectral(
-        self, values: np.ndarray, band: bool = False, *, out=None, work=None
+        self, values: np.ndarray, band: bool = False, *, out=None, work=None, helper=None
     ) -> np.ndarray:
         """rfftn over the trailing ``dim`` axes (a leading batch axis is
         allowed): the last axis real-to-complex, then the others from the
@@ -335,8 +362,8 @@ class SemigroupPlan:
         :meth:`band_workspace`), which a band call must pass; a 1D band
         forward writes its r2c output, the stack's half spectra, into
         ``work`` and copies their prefix, the band, into ``out``.  From 2D
-        up ``work`` is one full spectrum or one per thread
-        (:meth:`_by_rows`)."""
+        up ``work`` is one full spectrum or one per thread, and a
+        :class:`Helper` given as ``helper`` takes rows (:meth:`_by_rows`)."""
         if not band:
             # Kernel arguments: (array, scale, out), with ``axes`` off the last axis.
             spec = out
@@ -350,7 +377,7 @@ class SemigroupPlan:
             _rfft(values, 1.0, work)
             out[...] = work[self._prefix]
             return out
-        self._by_rows(self._forward_row, values, out, work)
+        self._by_rows(self._forward_row, values, out, work, helper)
         return out
 
     def _forward_row(self, values: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
@@ -365,7 +392,14 @@ class SemigroupPlan:
             out[band_entries] = work[entries]
 
     def to_physical(
-        self, spec: np.ndarray, band: bool = False, *, overwrite: bool = False, out=None, work=None
+        self,
+        spec: np.ndarray,
+        band: bool = False,
+        *,
+        overwrite: bool = False,
+        out=None,
+        work=None,
+        helper=None,
     ) -> np.ndarray:
         """irfftn over the trailing ``dim`` axes, in numpy's order: the
         leading axes complex-to-complex, then the last complex-to-real, each
@@ -393,7 +427,7 @@ class SemigroupPlan:
             return _pocketfft.irfft(spec, scale, out)
         if self.grid.dim == 1:
             return _pocketfft.irfft(spec, scale, out)
-        self._by_rows(self._inverse_row, spec, out, work)
+        self._by_rows(self._inverse_row, spec, out, work, helper)
         return out
 
     def _inverse_row(self, spec: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
@@ -412,40 +446,52 @@ class SemigroupPlan:
         # and pads the rest with zeros itself.
         _pocketfft.irfft(work[self._prefix], scale, out)
 
-    def _by_rows(self, transform, source: np.ndarray, dest: np.ndarray, work: np.ndarray) -> None:
+    def _by_rows(
+        self, transform, source: np.ndarray, dest: np.ndarray, work: np.ndarray, helper
+    ) -> None:
         """``transform(source row, dest row, work spectrum)`` for every row
         of a stack, from 2D up.  ``work`` is one full spectrum, or one per
-        thread as :meth:`band_workspace` sizes it: given two and at least
-        two rows, the rows are shared between the caller and a helper
-        thread."""
+        thread as :meth:`band_workspace` sizes it: given two, a ``helper``
+        and at least two rows, the rows are shared between the caller and
+        the helper thread."""
         rows = [(source[row], dest[row]) for row in np.ndindex(source.shape[: -self.grid.dim])]
         works = work if work.ndim > self.grid.dim else work[np.newaxis]
-        if len(rows) > 1 and len(works) > 1:
-            _on_two_threads(transform, rows, works)
+        if helper is not None and len(rows) > 1 and len(works) > 1:
+            _on_two_threads(helper, transform, rows, works)
             return
         for row in rows:
             transform(*row, works[0])
+
+    def band_threads(self, lead: tuple[int, ...]) -> int:
+        """The threads the band transforms of a stack with leading shape
+        ``lead`` run on: from 2D up, two for at least two rows of at least
+        ``BLOCK_VALUES`` values, where a row's transform is compute-bound
+        (on 128^2 rows a helper thread gained nothing; see the module
+        docstring), if the process may run on two CPUs
+        (:func:`core.usable_cpus`); else one."""
+        grid = self.grid
+        if grid.dim == 1 or math.prod(lead) < 2 or math.prod(grid.shape) < BLOCK_VALUES:
+            return 1
+        return min(_MAX_THREADS, usable_cpus())
 
     def band_workspace(self, lead: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Buffers for the band transforms of a stack with leading shape
         ``lead``: its band spectra and the transforms' ``work``, which only
         the band transforms may write.  From 2D up ``work`` holds one full
-        spectrum per thread the stack's transforms run on, shape
-        ``(threads, *spectral_shape)`` (two threads where :func:`_threads`
-        allows them, else one), and each thread reuses its spectrum row by
-        row; ``work[0]`` serves a one-row call.  In 1D it is the stack's
-        half spectra, which only the band forward uses: the kernel writes
-        each whole half spectrum there, and the forward copies their prefix
-        into the band spectra.  The band spectra are contiguous in every
-        dimension: on 22 modes a product over two rows of the (2, 33) half
-        spectra's prefix view took ~3x as long as over a contiguous (2, 22)
-        array, which outweighs the prefix's copy."""
+        spectrum per thread the stack's transforms run on
+        (:meth:`band_threads`), shape ``(threads, *spectral_shape)``, and each
+        thread reuses its spectrum row by row; ``work[0]`` serves a one-row
+        call.  In 1D it is the stack's half spectra, which only the band
+        forward uses: the kernel writes each whole half spectrum there, and
+        the forward copies their prefix into the band spectra.  The band
+        spectra are contiguous in every dimension: on 22 modes a product over
+        two rows of the (2, 33) half spectra's prefix view took ~3x as long as
+        over a contiguous (2, 22) array, which outweighs the prefix's copy."""
         spec = np.empty(lead + self.band_shape, np.complex128)
         if self.grid.dim == 1:
             work_shape = lead + self.spectral_shape
         else:
-            threads = _threads(math.prod(lead), math.prod(self.grid.shape))
-            work_shape = (threads,) + self.spectral_shape
+            work_shape = (self.band_threads(lead),) + self.spectral_shape
         return spec, np.empty(work_shape, np.complex128)
 
     def band_of(self, spec: np.ndarray) -> np.ndarray:
@@ -465,27 +511,6 @@ class SemigroupPlan:
             self.to_physical(ik * spec, overwrite=True, out=row) for ik, row in zip(self.ik, rows)
         ]
 
-    def bind_div_hat(self, specs: np.ndarray, band: bool = False) -> Callable[[], np.ndarray]:
-        """The divergence bound once to the rows of ``specs``, the spectra
-        of a vector field's components (each may carry a leading batch
-        axis; band spectra with ``band=True``): a callable that forms
-        sum_i ik_i specs[i] of the spectra the rows hold when it is called,
-        accumulated axis by axis, with no per-call slicing.  The rows are
-        overwritten with the products and the sum is returned in the first
-        row, so no spectrum-sized temporary is made."""
-        iks = self.band_ik if band else self.ik
-        acc, first, rest = specs[0], iks[0], tuple(zip(iks[1:], specs[1:]))
-        multiply, add = np.multiply, np.add
-
-        def div_hat() -> np.ndarray:
-            multiply(first, acc, acc)
-            for ik, row in rest:
-                multiply(ik, row, row)
-                add(acc, row, acc)
-            return acc
-
-        return div_hat
-
     def multiplier(self, t: float, sigma: float, band: bool = False) -> np.ndarray:
         """exp(-(|k|^2 + sigma) t) per mode (on the band with ``band=True``),
         flushed to zero below 1e-300."""
@@ -501,6 +526,28 @@ class SemigroupPlan:
         divides by sigma."""
         rate = (self.band_k2 if band else self.k2) + sigma
         return -np.expm1(-rate * t) / rate
+
+
+def bind_div_hat(iks: Sequence[np.ndarray], specs: np.ndarray) -> Callable[[], np.ndarray]:
+    """The divergence bound once to the rows of ``specs``, the spectra of a
+    vector field's components (each may carry a leading batch axis), with
+    the derivative multipliers ``iks`` (a plan's ``ik``, or ``band_ik`` for
+    band spectra): a callable that forms sum_i iks[i] specs[i] of the
+    spectra the rows hold when it is called, accumulated axis by axis, with
+    no per-call slicing.  The rows are overwritten with the products and
+    the sum is returned in the first row, so no spectrum-sized temporary is
+    made."""
+    acc, first, rest = specs[0], iks[0], tuple(zip(iks[1:], specs[1:]))
+    multiply, add = np.multiply, np.add
+
+    def div_hat() -> np.ndarray:
+        multiply(first, acc, acc)
+        for ik, row in rest:
+            multiply(ik, row, row)
+            add(acc, row, acc)
+        return acc
+
+    return div_hat
 
 
 def sum_of_squares(components, out: np.ndarray) -> np.ndarray:

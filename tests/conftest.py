@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from chemotaxis_lab import Grid, Params, SemigroupPlan
+from chemotaxis_lab.spectral import bind_div_hat
 
 
 @pytest.fixture
@@ -39,7 +40,7 @@ def semigroup_grad(plan: SemigroupPlan, values, t: float, sigma: float) -> list[
 
 def semigroup_div(plan: SemigroupPlan, components, t: float, sigma: float) -> np.ndarray:
     """exp(t(lap - sigma I)) div w for the components of w."""
-    div_hat = plan.bind_div_hat(plan.to_spectral(np.stack(components)))()
+    div_hat = bind_div_hat(plan.ik, plan.to_spectral(np.stack(components)))()
     return plan.to_physical(div_hat * plan.multiplier(t, sigma), overwrite=True)
 
 

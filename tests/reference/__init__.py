@@ -4,8 +4,8 @@ checkout still writes them.
     python -m tests.reference --update    # rewrite the trees from this checkout
 
 ``trees/`` holds what ``chemlab`` wrote for each case in :data:`CASES`: the
-three shipped configs (the sweep at ``--workers 1``) and the 2D run that CI
-steps (``run_2d.ini``, stored here).  ``manifest.json`` records each case's
+three shipped configs (the sweep at ``--workers 1``) and the 2D and 3D runs
+that CI steps (``run_2d.ini`` and ``run_3d.ini``, stored here).  ``manifest.json`` records each case's
 exit code and the numpy version and platform that wrote the trees.
 
 :func:`compare_trees` holds a regenerated tree to the reference.  Statuses,
@@ -41,6 +41,7 @@ CASES = (
     ("convergence", "run", ROOT / "configs" / "convergence.ini", []),
     ("sweep_damping", "sweep", ROOT / "configs" / "sweep_damping.ini", ["--workers", "1"]),
     ("run_2d", "run", HERE / "run_2d.ini", []),
+    ("run_3d", "run", HERE / "run_3d.ini", []),
 )
 
 RELATIVE = 1e-9

@@ -317,7 +317,8 @@ def test_a_run_imports_no_scipy(tmp_path):
         "on_two_threads = spectral._on_two_threads\n"
         "spectral._on_two_threads = lambda *args: calls.append(on_two_threads(*args))\n"
         f"codes = [main(['run', {str(path)!r}]), main(['run', {str(path_3d)!r}])]\n"
-        "helper = len(calls) > 0 or spectral._threads(2, 2**15) == 1\n"
+        "grid = chemotaxis_lab.Grid(dim=3, extent=1.0, points=32)\n"
+        "helper = len(calls) > 0 or spectral.SemigroupPlan(grid).band_threads((4,)) == 1\n"
         f"print(*codes, helper, [m for m in sys.modules if m.split('.')[0] in {unused!r}])\n"
     )
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]

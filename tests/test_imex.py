@@ -24,6 +24,7 @@ from chemotaxis_lab import (
     integrate,
     picard_solve,
 )
+from chemotaxis_lab import imex, spectral
 from chemotaxis_lab.harness import DiagnosticsRecord
 from chemotaxis_lab.imex import (
     ADVECTION_FLOOR,
@@ -344,15 +345,175 @@ def _memory_run(grid, seed):
     return s, StepControl(dt_max=1e-2, t_end=0.05, record_every=0.05, cfl_safety=0.5)
 
 
-def test_integrate_leaves_no_thread_running():
-    # A 32^3 run's band transforms share each stack's rows with a helper
-    # thread (given two CPUs), which ends within its transform call.
-    grid = Grid(dim=3, extent=2 * np.pi, points=32)
-    s, ctl = _memory_run(grid, 34)
+GRID_32_3 = Grid(dim=3, extent=2 * np.pi, points=32)
+
+
+def _on_cpus(monkeypatch, cpus: int) -> None:
+    """Let the band transforms' thread count read ``cpus`` usable CPUs."""
+    monkeypatch.setattr(spectral, "usable_cpus", lambda: cpus)
+
+
+def _undershooting_state(chi: float = 10.0) -> SimState:
+    """A 32^3 state whose strong chemotaxis (chi = 10) drives u below zero
+    at t ~ 0.32, between the records at 0.25 and 0.5 of
+    :data:`_UNDERSHOOT_CONTROL`."""
+    x, y, z = GRID_32_3.coordinate_arrays()
+    profile = Field(GRID_32_3, 1.0 + 0.5 * np.cos(x) * np.cos(y) * np.cos(z))
+    params = Params(chi=chi, a=1, b=1, lam=1, mu=1, dim=3)
+    return SimState(t=0.0, u=profile, v=profile, params=params)
+
+
+_UNDERSHOOT_CONTROL = StepControl(dt_max=0.05, t_end=1.0, record_every=0.25, cfl_safety=0.5)
+
+
+def test_integrate_leaves_no_thread_running(monkeypatch):
+    # A 32^3 run shares each step's pointwise phases and band transforms
+    # with a helper thread (given two CPUs, here patched so), which
+    # integrate stops when the run ends: at t_end, or on an undershoot
+    # mid-run.
+    _on_cpus(monkeypatch, 2)
+    s, ctl = _memory_run(GRID_32_3, 34)
     before = threading.active_count()
     records: list[DiagnosticsRecord] = []
-    integrate(s, ctl, records.append, plan=SemigroupPlan(grid))
+    integrate(s, ctl, records.append, plan=SemigroupPlan(GRID_32_3))
     assert len(records) == 2
+    assert threading.active_count() == before
+    records.clear()
+    plan = SemigroupPlan(GRID_32_3)
+    with pytest.raises(PositivityViolationError) as stopped:
+        integrate(_undershooting_state(), _UNDERSHOOT_CONTROL, records.append, plan=plan)
+    assert 0.25 < stopped.value.t < 0.5 and len(records) == 2
+    assert threading.active_count() == before
+
+
+def _started_helpers(monkeypatch) -> list:
+    """A list of the helper threads started from now on."""
+    started = []
+
+    class Counted(spectral.Helper):
+        __slots__ = ()
+
+        def __init__(self):
+            started.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(imex, "Helper", Counted)
+    return started
+
+
+def _run_bits(s0, ctl, plan):
+    """A run's (or a block's) records and ends as bits: each member's
+    records, then its end time and u and v, or its error."""
+    if isinstance(s0, SimState):
+        runs = [_run_alone(s0, ctl, plan)]
+    else:
+        sinks = [[] for _ in s0]
+        runs = zip(sinks, integrate(s0, ctl, [r.append for r in sinks], plan=plan))
+    result = []
+    for records, end in runs:
+        if isinstance(end, SimState):
+            end = (end.t, bits(end.u.values).tolist(), bits(end.v.values).tolist())
+        else:
+            end = (type(end).__name__, str(end))
+        result.append((_record_bits(records), end))
+    return result
+
+
+def _two_thread_cases():
+    rng = np.random.default_rng(37)
+    grid_2d = Grid(dim=2, extent=2 * np.pi, points=256)
+
+    def state(grid, chi=1.0):
+        return SimState(
+            t=0.0,
+            u=Field(grid, rng.uniform(0.1, 2.0, grid.shape)),
+            v=Field(grid, rng.uniform(0.5, 1.5, grid.shape)),
+            params=Params(chi=chi, a=1, b=1, lam=1, mu=1, dim=grid.dim),
+        )
+
+    steady = StepControl(dt_max=1e-2, t_end=0.1, record_every=0.05, cfl_safety=0.5)
+    # dt_max is loose, so the CFL bounds, which differ with chi, set the
+    # members' steps: the block leaves lockstep and members sit out
+    loose = StepControl(dt_max=0.5, t_end=0.2, record_every=0.1, cfl_safety=0.5)
+    block = [state(GRID_32_3, chi) for chi in (1.0, 3.0)]
+    return {
+        "32^3": (state(GRID_32_3), steady),
+        "32^3-block-out-of-lockstep": (block, loose),
+        "256^2": (state(grid_2d), steady),
+    }
+
+
+@pytest.mark.parametrize("case", ["32^3", "32^3-block-out-of-lockstep", "256^2"])
+def test_the_step_on_two_threads_equals_the_step_on_one_bit_for_bit(case, monkeypatch):
+    # Rows of 2^15 values and more: given two CPUs every pointwise phase of
+    # a step runs on two halves of the grid's first axis, one per thread,
+    # and the band transforms share the stack's rows.  Every operation is
+    # elementwise or a max, so the records and ends equal those of one
+    # thread (one usable CPU) bit for bit.
+    s0, ctl = _two_thread_cases()[case]
+    plan = SemigroupPlan(s0[0].grid if isinstance(s0, list) else s0.grid)
+    started = _started_helpers(monkeypatch)
+    steps = []
+    advance = _Stepper.advance
+
+    def counted_advance(self, dts, **kwargs):
+        steps.append(list(dts))
+        return advance(self, dts, **kwargs)
+
+    monkeypatch.setattr(_Stepper, "advance", counted_advance)
+    _on_cpus(monkeypatch, 1)
+    one = _run_bits(s0, ctl, plan)
+    assert started == []
+    _on_cpus(monkeypatch, 2)
+    two = _run_bits(s0, ctl, plan)
+    assert len(started) == 1
+    assert two == one
+    if isinstance(s0, list):
+        assert any(len(set(dts)) > 1 for dts in steps) and any(0.0 in dts for dts in steps)
+
+
+def test_a_run_starts_one_helper_thread_not_one_per_transform(monkeypatch):
+    # The helper is started with the stepper and kept for the run, through
+    # its layouts: a 32^3 block whose chi = 10 member undershoots mid-run
+    # (the others go on, laid out anew) starts one thread in all, where a
+    # thread per two-thread call would start several a step.
+    _on_cpus(monkeypatch, 2)
+    starts = []
+    start = threading.Thread.start
+
+    def counted(self):
+        starts.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    block = [_undershooting_state(chi) for chi in (1.0, 10.0)]
+    plan = SemigroupPlan(GRID_32_3)
+    ends = integrate(block, _UNDERSHOOT_CONTROL, [[].append, [].append], plan=plan)
+    assert isinstance(ends[0], SimState) and isinstance(ends[1], PositivityViolationError)
+    assert len(starts) == 1
+
+
+def test_an_error_in_the_helpers_half_of_a_phase_reaches_the_caller(monkeypatch):
+    # The update phase fails on the helper's half alone: the error is
+    # raised in integrate's caller, and the helper is stopped.
+    _on_cpus(monkeypatch, 2)
+    bind_update = imex._bind_update
+
+    def failing_on_the_helper(*arrays):
+        update = bind_update(*arrays)
+
+        def half(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("the helper's half")
+            return update(*args)
+
+        return half
+
+    monkeypatch.setattr(imex, "_bind_update", failing_on_the_helper)
+    s, ctl = _memory_run(GRID_32_3, 35)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="the helper's half"):
+        integrate(s, ctl, [].append, plan=SemigroupPlan(GRID_32_3))
     assert threading.active_count() == before
 
 
@@ -707,6 +868,43 @@ def test_block_member_whose_step_bound_overflows_leaves_at_its_start(overflowing
             assert np.array_equal(bits(end.v.values), bits(solo_end.v.values))
 
 
+def test_member_whose_grad_v_turns_nan_leaves_at_its_step_bound(monkeypatch):
+    # mu = 1.7e308 overflows v's mean to inf on the first step (cfl_safety
+    # = 0.5, so to t = 0.005) while u stays finite, and the next step bound
+    # reads sup |grad v|^2 = NaN (ik v_hat at k = 0 is 0 * inf).  The bound
+    # passes the NaN on, so the member leaves at 0.005 with a divergence,
+    # before any step reads the NaN gradient; no step check fires.  The
+    # other member's records and end equal its solo run's.
+    grid = Grid(dim=1, extent=2 * np.pi, points=64)
+    states = [
+        SimState(
+            t=0.0,
+            u=Field(grid, np.full(grid.shape, 10.0)),
+            v=Field(grid, np.ones(grid.shape)),
+            params=Params(chi=1, a=1, b=1, lam=1, mu=mu, dim=1),
+        )
+        for mu in (1.0, 1.7e308)
+    ]
+    ctl = StepControl(dt_max=0.01, t_end=0.02, record_every=0.01, cfl_safety=0.5)
+    plan = SemigroupPlan(grid)
+
+    def refuse(*args):
+        raise AssertionError("a step check caught the overflow")
+
+    monkeypatch.setattr("chemotaxis_lab.imex._state_error", refuse)
+    with np.errstate(over="ignore", invalid="ignore"):
+        solo = [_run_alone(s, ctl, plan) for s in states]
+        block_records: list[list[DiagnosticsRecord]] = [[], []]
+        ends = integrate(states, ctl, [r.append for r in block_records], plan=plan)
+    (solo_records, solo_end), (records, end) = solo[0], (block_records[0], ends[0])
+    assert _record_bits(records) == _record_bits(solo_records) and len(records) == 3
+    assert end.t == solo_end.t == ctl.t_end
+    assert np.array_equal(bits(end.u.values), bits(solo_end.u.values))
+    assert np.array_equal(bits(end.v.values), bits(solo_end.v.values))
+    for records, end in (block_records[1], ends[1]), solo[1]:
+        assert isinstance(end, DivergenceError) and end.t == 0.005 and len(records) == 1
+
+
 def test_member_whose_v_overflows_on_an_intervals_last_step_leaves_at_the_record(monkeypatch):
     # mu = 1.7e308 overflows v's mean to inf on the first step, which
     # (cfl_safety = 1, dt_max = record_every) is the interval's last: u is
@@ -881,7 +1079,7 @@ def test_lockstep_block_makes_the_transform_calls_of_one_member(monkeypatch):
 def _crafted_rows(grid, rng):
     """(name, u, grad v) rows that the monitor must reduce as the separate
     reductions do: non-finite u, a signed-zero minimum, subnormals and a
-    gradient whose square overflows."""
+    gradient whose square overflows or that holds NaN."""
     shape = grid.shape
     tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal
 
@@ -900,15 +1098,18 @@ def _crafted_rows(grid, rng):
         ("-0.0-minimum", u_with(-0.0, 0.0), grad()),
         ("subnormals", u_with(tiny, -tiny, 2.0 * tiny), grad(tiny)),
         ("overflowed-grad", u_with(0.25), grad(1e200)),
+        ("nan-grad", u_with(0.25), grad(np.where(np.arange(grid.points) == 5, np.nan, 1.0))),
     ]
 
 
 def _builtin_bound(p, spacing, ctl, grad_sq_sup, u_sup) -> float:
     """The CFL step bound written with the builtins max and min, as
-    _step_bound's comparisons must reproduce it, NaN included."""
+    _step_bound's comparisons must reproduce it, NaN included: the
+    advective limit is the min's first operand, so a NaN gradient norm
+    gives a NaN bound."""
     advective = spacing / max(p.chi * math.sqrt(grad_sq_sup), ADVECTION_FLOOR)
     reactive = 1.0 / (p.a + 2.0 * p.b * u_sup)
-    return ctl.cfl_safety * min(ctl.dt_max, advective, reactive)
+    return ctl.cfl_safety * min(advective, ctl.dt_max, reactive)
 
 
 def _same_float(x, y) -> bool:
@@ -964,6 +1165,8 @@ def test_the_one_reduction_monitor_equals_the_separate_reductions(grid, block):
                 assert _same_float(step, _builtin_bound(p, grid.spacing, ctl, *expected[1:]))
                 if name == "overflowed-grad":
                     assert step == 0.0
+                if name == "nan-grad":
+                    assert math.isnan(step)
 
 
 @pytest.mark.parametrize("grid", STACK_GRIDS, ids=lambda g: f"{g.dim}d-{g.points}")

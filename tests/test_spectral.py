@@ -12,7 +12,7 @@ import pytest
 
 from chemotaxis_lab import Grid, Params, SemigroupPlan, measure_gradient_constant, spectral
 from chemotaxis_lab.imex import nonlinear_hat
-from chemotaxis_lab.spectral import CALIBRATION_TIMES
+from chemotaxis_lab.spectral import CALIBRATION_TIMES, bind_div_hat
 from conftest import bits, lap, semigroup, semigroup_div, semigroup_grad
 
 SQRT_PI = np.sqrt(np.pi)
@@ -150,7 +150,7 @@ def test_div_hat_of_grad_is_the_laplacian():
     xx, yy = grid.coordinate_arrays()
     f = np.cos(xx) * np.sin(2 * yy) + np.sin(3 * xx)
     spec = plan.to_spectral(f)
-    div_hat = plan.bind_div_hat(plan.to_spectral(np.stack(plan.grad(spec))))()
+    div_hat = bind_div_hat(plan.ik, plan.to_spectral(np.stack(plan.grad(spec))))()
     div_grad = plan.to_physical(div_hat)
     assert sup(div_grad - lap(plan, f)) < 1e-12
     assert sup(div_grad + 5 * np.cos(xx) * np.sin(2 * yy) + 9 * np.sin(3 * xx)) < 1e-12
@@ -284,12 +284,12 @@ def test_stacked_calls_equal_the_per_row_calls_bit_for_bit(grid):
     u = rng.uniform(0.1, 2.0, (3, *grid.shape))
     v_hat = plan.to_spectral(rng.uniform(0.1, 2.0, (3, *grid.shape)))
     vx = plan.grad(v_hat)
-    div = plan.bind_div_hat(plan.to_spectral(np.stack(vx)))()
+    div = bind_div_hat(plan.ik, plan.to_spectral(np.stack(vx)))()
     n_hat = nonlinear_hat(plan, p, np.stack((u, *vx)))[0]
     for row in range(3):
         row_vx = plan.grad(v_hat[row])
         assert all(np.array_equal(bits(c[row]), bits(r)) for c, r in zip(vx, row_vx))
-        row_div = plan.bind_div_hat(plan.to_spectral(np.stack(row_vx)))()
+        row_div = bind_div_hat(plan.ik, plan.to_spectral(np.stack(row_vx)))()
         assert np.array_equal(bits(div[row]), bits(row_div))
         row_n_hat = nonlinear_hat(plan, p, np.stack((u[row], *row_vx)))[0]
         assert np.array_equal(bits(n_hat[row]), bits(row_n_hat))
@@ -411,15 +411,23 @@ def _cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-def _band_round_trip(plan, values, work):
+@pytest.fixture
+def helper():
+    """A helper thread for the band transforms, stopped after the test."""
+    helper = spectral.Helper()
+    yield helper
+    helper.stop()
+
+
+def _band_round_trip(plan, values, work, helper=None):
     """The band forward of ``values`` and the band inverse of a band
-    spectrum made from it, through ``work``."""
+    spectrum made from it, through ``work`` (and ``helper``)."""
     lead = values.shape[: -plan.grid.dim]
     spec = np.empty(lead + plan.band_shape, np.complex128)
-    plan.to_spectral(values, band=True, out=spec, work=work)
+    plan.to_spectral(values, band=True, out=spec, work=work, helper=helper)
     rough = spec + 0.25
     field = np.empty(values.shape)
-    plan.to_physical(rough, band=True, out=field, work=work)
+    plan.to_physical(rough, band=True, out=field, work=work, helper=helper)
     return spec, field
 
 
@@ -434,9 +442,9 @@ def _per_row_round_trip(plan, values):
 
 
 @pytest.mark.parametrize("lead", [(4,), (3,), (2, 4)], ids=["4-rows", "3-rows", "2x4-rows"])
-def test_band_rows_on_two_threads_equal_the_per_row_calls_bit_for_bit(lead, monkeypatch):
+def test_band_rows_on_two_threads_equal_the_per_row_calls_bit_for_bit(lead, helper, monkeypatch):
     # 32^3 rows hold 2^15 values, so from 2 CPUs on a stack's band
-    # transforms share its rows between the caller and one helper thread;
+    # transforms share its rows between the caller and the helper thread;
     # each row gets the same kernel calls, so the same bits.  Three rows
     # split unevenly, and a (2, 4) lead is a block's stack.
     plan = SemigroupPlan(GRID_32_3)
@@ -445,28 +453,30 @@ def test_band_rows_on_two_threads_equal_the_per_row_calls_bit_for_bit(lead, monk
     assert work.shape == (threads, *plan.spectral_shape)
     values = np.random.default_rng(43).standard_normal(lead + GRID_32_3.shape)
     calls = _two_thread_calls(monkeypatch)
-    spec, field = _band_round_trip(plan, values, work)
+    spec, field = _band_round_trip(plan, values, work, helper)
     assert len(calls) == (2 if threads == 2 else 0)  # the forward and the inverse
     expected_spec, expected_field = _per_row_round_trip(plan, values)
     _assert_bits(spec, expected_spec, np.complex128)
     _assert_bits(field, expected_field, np.float64)
 
 
-def test_small_rows_and_one_row_calls_stay_on_one_thread(monkeypatch):
+def test_small_rows_and_one_row_calls_stay_on_one_thread(helper, monkeypatch):
     # 128^2 rows (2^14 values) cost more on two threads than on one, and a
-    # one-row call has nothing to share, even given two work spectra.
+    # one-row call has nothing to share, even given two work spectra and a
+    # helper; nor does a call without a helper.
     calls = _two_thread_calls(monkeypatch)
     plan_2d = SemigroupPlan(Grid(dim=2, extent=2 * np.pi, points=128))
     _, work = plan_2d.band_workspace((4,))
     assert work.shape == (1, *plan_2d.spectral_shape)
     values = np.random.default_rng(44).standard_normal((4, *plan_2d.grid.shape))
-    _band_round_trip(plan_2d, values, work)
+    _band_round_trip(plan_2d, values, work, helper)
     plan = SemigroupPlan(GRID_32_3)
     assert plan.band_workspace((1,))[1].shape == (1, *plan.spectral_shape)
     _, work = plan.band_workspace((4,))
     one_row = np.random.default_rng(45).standard_normal(GRID_32_3.shape)
     for values in (one_row, one_row[np.newaxis]):
-        _band_round_trip(plan, values, work)
+        _band_round_trip(plan, values, work, helper)
+    _band_round_trip(plan, np.random.default_rng(45).standard_normal((4, *GRID_32_3.shape)), work)
     assert calls == []
 
 
@@ -476,7 +486,7 @@ def _stack_with_inf(plan):
     return values
 
 
-def test_helper_thread_keeps_the_callers_error_state():
+def test_helper_thread_keeps_the_callers_error_state(helper):
     # np.errstate is per context: the helper runs in a copy of the caller's,
     # so a transform the caller silences warns on neither thread.  inf
     # spreads as inf and NaN, the same bits as the per-row calls'.
@@ -485,28 +495,29 @@ def test_helper_thread_keeps_the_callers_error_state():
     _, work = plan.band_workspace((4,))
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
-        spec, field = _band_round_trip(plan, values, work)
+        spec, field = _band_round_trip(plan, values, work, helper)
         expected_spec, expected_field = _per_row_round_trip(plan, values)
     assert np.isnan(field).any() and not np.isfinite(spec).all()
     _assert_bits(spec, expected_spec, np.complex128)
     _assert_bits(field, expected_field, np.float64)
 
 
-def test_a_warning_raised_as_an_error_reaches_the_caller():
+def test_a_warning_raised_as_an_error_reaches_the_caller(helper):
     plan = SemigroupPlan(GRID_32_3)
     values = _stack_with_inf(plan)
     _, work = plan.band_workspace((4,))
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning):
-            _band_round_trip(plan, values, work)
+            _band_round_trip(plan, values, work, helper)
 
 
 def test_the_helpers_exception_is_raised_in_the_caller_after_it_ends():
     # The caller waits, holding its row, until the helper has taken the
     # other row and failed (if the helper takes both rows, the caller has
-    # none to wait on): the helper's error is raised in the caller, and no
-    # thread is left running.
+    # none to wait on): the helper's error is raised in the caller, the
+    # helper serves the next call, and once stopped no thread is left
+    # running.
     helper_done = threading.Event()
     before = threading.active_count()
 
@@ -517,8 +528,13 @@ def test_the_helpers_exception_is_raised_in_the_caller_after_it_ends():
         helper_done.set()
         raise ValueError(f"row {row}")
 
-    with pytest.raises(ValueError, match="row"):
-        spectral._on_two_threads(transform, [(0, None), (1, None)], [None, None])
+    helper = spectral.Helper()
+    try:
+        with pytest.raises(ValueError, match="row"):
+            spectral._on_two_threads(helper, transform, [(0, None), (1, None)], [None, None])
+        assert helper.run(abs, (-1,), abs, (-2,)) == (1, 2)
+    finally:
+        helper.stop()
     assert threading.active_count() == before
 
 
@@ -534,7 +550,11 @@ def test_shared_plan_under_frequent_thread_switches():
 
     def caller():
         _, work = plan.band_workspace((3,))
-        results.extend(_band_round_trip(plan, values, work) for _ in range(3))
+        helper = spectral.Helper()
+        try:
+            results.extend(_band_round_trip(plan, values, work, helper) for _ in range(3))
+        finally:
+            helper.stop()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
