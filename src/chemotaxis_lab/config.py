@@ -7,7 +7,7 @@ its annotation is the key's type, and its default makes the key optional.
 
     [params]   Params: chi, a, b, lambda, mu, dim
     [grid]     Grid without dim (taken from [params]): extent, points
-    [initial]  seed, u_kind, v_kind plus the generator keys below
+    [initial]  seed (>= 0), u_kind, v_kind plus the generator keys below
     [step]     StepControl
     [checks]   ChecksSpec; optional, like each of its keys
     [output]   dir
@@ -95,6 +95,11 @@ class InitialSpec:
     v_kind: str
     u_args: dict
     v_args: dict
+
+    def __post_init__(self) -> None:
+        # numpy's generator takes no negative seed.
+        if not self.seed >= 0:
+            raise ConfigError(f"[initial] seed must be >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -54,15 +54,16 @@ From 2D up, in a process that may run on two CPUs, a step whose rows hold
 at least ``core.BLOCK_VALUES`` values (32^3 and 256^2 up; see
 :meth:`SemigroupPlan.band_threads`) runs on two threads: the caller and
 one :class:`~chemotaxis_lab.spectral.Helper` thread, which the stepper
-starts with the run and :func:`integrate` stops when the run ends.  The
-band transforms share the stack's rows, and each pointwise phase of the
-step (the nonlinearity's products, its assembly from their spectra, the
+starts with the run and :func:`integrate` stops when the run ends.  Each
+phase is cut in two once, the first part for the caller and the second
+for the helper: the band transforms cut the stack's rows (at least 1 + N),
+and each pointwise phase (the nonlinearity's products, its assembly, the
 ETD1 update and the monitor) is bound once per layout to the two halves
-of its arrays along the grid's first axis: the caller takes one half and
-the helper the other (:func:`_on_halves`).  Each operation of a phase is
-elementwise, and the monitor merges the maxima of the halves with
-``np.maximum``, so every float is the one-thread float.  In 1D and on one
-CPU every phase is bound to the whole arrays and runs on the caller.
+of its arrays along the grid's first axis (:func:`_on_halves`).  Each
+operation of a phase is elementwise, and the monitor merges the maxima of
+the halves with ``np.maximum``, so every float is the one-thread float.
+In 1D and on one CPU every phase is bound to the whole arrays and runs on
+the caller.
 
 :func:`integrate` also advances a block of runs that share a grid (the
 points of a sweep) as one ensemble: their states are stacked on a leading
@@ -220,9 +221,8 @@ class _Stepper:
     step, in lockstep or not, calls the bound ``_step``, which makes only
     its ufunc and transform calls.  ``helper`` is the stepper's
     :class:`~chemotaxis_lab.spectral.Helper` thread where its steps run on
-    two threads (see the module docstring), else None; it is started here
-    and kept through every layout, since from 2D up a stack has at least
-    1 + N >= 3 rows whichever members leave, and :meth:`stop` ends it.
+    two threads (see the module docstring), else None; it is started here,
+    kept through every layout, and :meth:`stop` ends it.
 
     The first three rows are the monitor (``monitor``): after a step,
     -u is written in row 0 and |grad v|^2 in the scratch row, so one
@@ -266,7 +266,7 @@ class _Stepper:
         fields = np.empty((3 + dim,) + u.shape)
         fields[2] = u
         plan.grad(v_hat, out=fields[3:])
-        self.helper = Helper() if plan.band_threads((1 + dim,) + lead) > 1 else None
+        self.helper = Helper() if plan.band_threads() > 1 else None
         try:
             self._bind(fields, np.empty((2,) + lead + plan.band_shape, np.complex128))
             plan.to_spectral(u, band=True, out=self.u_hat, work=self._work[0])

@@ -419,9 +419,35 @@ def _load_diagnostics_csv(path: Path) -> list[tuple[str, list[float]]]:
         parts = line.split(",")
         if len(parts) != len(columns):
             raise ConfigError(f"{path}: malformed row {line!r}")
-        for slot, part in zip(data, parts):
-            slot.append(float(part))
+        try:
+            for slot, part in zip(data, parts):
+                slot.append(float(part))
+        except ValueError:
+            raise ConfigError(f"{path}: a field does not parse in row {line!r}") from None
     return list(zip(columns, data))
+
+
+def _verdict_rows(path: Path, run_name: str) -> list[tuple[str, ...]]:
+    """The report's rows of one ``verdicts.json``."""
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: not a JSON object")
+    if payload.get("status") == "diverged":
+        return [(run_name, f"DIVERGED(t={payload.get('divergence_t')!r})", "", "", "")]
+    rows = []
+    try:
+        for v in payload.get("verdicts") or []:
+            result = "PASS" if v["passed"] else "FAIL"
+            rows.append((run_name, str(v["name"]), result, _fmt(v["measured"]), _fmt(v["target"])))
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(
+            f"{path}: 'verdicts' must list objects with a name, passed, and a number measured"
+            " and target"
+        ) from None
+    return rows or [(run_name, "(no checks requested)", "", "", "")]
 
 
 def execute_report(results_dir: str | Path) -> int:
@@ -447,26 +473,7 @@ def execute_report(results_dir: str | Path) -> int:
 
     rows = []
     for path in verdict_files:
-        run_name = path.parent.relative_to(root).as_posix() or "."
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        if payload.get("status") == "diverged":
-            rows.append((run_name, f"DIVERGED(t={payload['divergence_t']!r})", "", "", ""))
-            continue
-        for v in payload.get("verdicts", []):
-            rows.append(
-                (
-                    run_name,
-                    v["name"],
-                    "PASS" if v["passed"] else "FAIL",
-                    _fmt(v["measured"]),
-                    _fmt(v["target"]),
-                )
-            )
-        if not payload.get("verdicts"):
-            rows.append((run_name, "(no checks requested)", "", "", ""))
+        rows.extend(_verdict_rows(path, path.parent.relative_to(root).as_posix() or "."))
 
     header = ("run", "check", "result", "measured", "target")
     widths = [

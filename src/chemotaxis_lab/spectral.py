@@ -57,25 +57,24 @@ Each kernel call runs on one thread and transforms one line at a time
 (on a shared 2-vCPU host, scipy's pocketfft threads, which split each
 transform with a wait per axis, made 64^3 runs 1.6 to 2.3 times slower,
 because each transform waits for the slower core).  The band transforms of
-a stack split it by whole rows instead: from 2D up, a call with at least
-two rows of at least ``core.BLOCK_VALUES`` (2^15) values each, in a process
-that may run on two CPUs (:meth:`SemigroupPlan.band_threads`), shares its
-rows between the caller and the :class:`Helper` thread the caller passes,
-each with its own work spectrum, each taking the next row no thread has
-taken.  Every row gets the kernel calls it gets on one thread, so the
-floats do not depend on the thread count.  On a shared 2-vCPU host a 4-row
-band forward and inverse took 5.6 against 10.2 ms at 64^3 and 1.24
-against 1.65 ms at 32^3 (medians of 40 interleaved pairs in one process);
-on 128^2 rows (2^14 values) a helper gained nothing resolvable (0.59
-against 0.62 ms) and at another time lost (0.88 against 0.51 ms).  The
-helper is the caller's, kept as long as the caller likes: the ETD1 stepper
-starts one with the run and hands it one half of each pointwise phase of
-a step too (:mod:`chemotaxis_lab.imex`), and ``integrate`` stops it when
-the run ends, so a run starts one thread, not one per call.  Each call
-runs the helper's share in a copy of the caller's current context (so
-``np.errstate`` holds there), an exception raised there is raised in the
-caller, and the call returns once both threads are done with it.  A call
-given no helper transforms every row on the caller's thread.
+a stack split it by whole rows instead: from 2D up, on rows of at least
+``core.BLOCK_VALUES`` (2^15) values, in a process that may run on two CPUs
+(:meth:`SemigroupPlan.band_threads`), the caller transforms the first
+ceil(rows/2) rows and the :class:`Helper` thread it passes the rest, each
+with its own work spectrum.  Every row gets the kernel calls it gets on
+one thread, so the floats do not depend on the thread count.  On a shared
+2-vCPU host a 4-row band forward and inverse took 5.6 against 10.2 ms at
+64^3 and 1.24 against 1.65 ms at 32^3 (medians of 40 interleaved pairs in
+one process); on 128^2 rows (2^14 values) a helper gained nothing
+resolvable (0.59 against 0.62 ms) and at another time lost (0.88 against
+0.51 ms).  The helper is the caller's, kept as long as the caller likes:
+the ETD1 stepper starts one with the run and hands it the second half of
+each pointwise phase of a step too (:mod:`chemotaxis_lab.imex`), and
+``integrate`` stops it when the run ends, so a run starts one thread, not
+one per call.  Each call runs the helper's half in a copy of the caller's
+current context (so ``np.errstate`` holds there), an exception raised
+there is raised in the caller, and the call returns once both threads are
+done with it.  A call given no helper transforms every row on the caller.
 A :class:`SemigroupPlan` is read-only after construction and safe to share
 between threads.  The plan transforms in place the arrays it allocates
 itself (``ik * spec`` in :meth:`SemigroupPlan.grad`, for example) and the
@@ -157,14 +156,10 @@ _PRODUCT_MARGIN = 1.0 + 64 * np.finfo(np.float64).eps
 _rfft = _pocketfft.rfft_n_even
 
 
-# Most threads a stack's band transforms run on: the caller and one helper.
-_MAX_THREADS = 2
-
-
 class Helper:
-    """One helper thread, kept until :meth:`stop`, that takes one half of a
-    two-thread call: a stack's band transform rows (:func:`_on_two_threads`)
-    and the halves of the stepper's pointwise phases
+    """One helper thread, kept until :meth:`stop`, that takes the second
+    half of a two-thread call: of a stack's band transform rows
+    (:meth:`SemigroupPlan._by_rows`) or of a pointwise phase of the step
     (:mod:`chemotaxis_lab.imex`).  :meth:`run` hands the helper its half,
     which runs in a copy of the caller's current context (so numpy's error
     state, ``np.errstate``, holds there too), runs the caller's half on the
@@ -207,21 +202,10 @@ class Helper:
         self._thread.join()
 
 
-def _on_two_threads(helper: Helper, transform, rows: Sequence[tuple], works: np.ndarray) -> None:
-    """``transform(*row, work)`` for every row, on the caller's thread with
-    ``works[0]`` and on ``helper`` with ``works[1]``: each takes the next
-    row no thread has taken (see :meth:`Helper.run`)."""
-    pending, lock = iter(rows), threading.Lock()
-
-    def take(work: np.ndarray) -> None:
-        while True:
-            with lock:
-                row = next(pending, None)
-            if row is None:
-                return
-            transform(*row, work)
-
-    helper.run(take, (works[0],), take, (works[1],))
+def _each(transform, rows: Sequence[tuple], work: np.ndarray) -> None:
+    """``transform(*row, work)`` for every row, in order."""
+    for row in rows:
+        transform(*row, work)
 
 
 def _axes(axis: int) -> list[tuple[int, ...]]:
@@ -363,7 +347,7 @@ class SemigroupPlan:
         forward writes its r2c output, the stack's half spectra, into
         ``work`` and copies their prefix, the band, into ``out``.  From 2D
         up ``work`` is one full spectrum or one per thread, and a
-        :class:`Helper` given as ``helper`` takes rows (:meth:`_by_rows`)."""
+        :class:`Helper` given as ``helper`` takes half the rows (:meth:`_by_rows`)."""
         if not band:
             # Kernel arguments: (array, scale, out), with ``axes`` off the last axis.
             spec = out
@@ -450,48 +434,49 @@ class SemigroupPlan:
         self, transform, source: np.ndarray, dest: np.ndarray, work: np.ndarray, helper
     ) -> None:
         """``transform(source row, dest row, work spectrum)`` for every row
-        of a stack, from 2D up.  ``work`` is one full spectrum, or one per
-        thread as :meth:`band_workspace` sizes it: given two, a ``helper``
-        and at least two rows, the rows are shared between the caller and
-        the helper thread."""
+        of a stack, from 2D up, with ``work`` one full spectrum or one per
+        thread (:meth:`band_workspace`).  Given a ``helper``, the caller
+        transforms the first ceil(rows/2) rows with ``work[0]`` and the
+        helper the rest with ``work[1]``; else the caller transforms all."""
         rows = [(source[row], dest[row]) for row in np.ndindex(source.shape[: -self.grid.dim])]
         works = work if work.ndim > self.grid.dim else work[np.newaxis]
-        if helper is not None and len(rows) > 1 and len(works) > 1:
-            _on_two_threads(helper, transform, rows, works)
+        if helper is None:
+            _each(transform, rows, works[0])
             return
-        for row in rows:
-            transform(*row, works[0])
+        cut = (len(rows) + 1) // 2
+        mine, theirs = (transform, rows[:cut], works[0]), (transform, rows[cut:], works[1])
+        helper.run(_each, mine, _each, theirs)
 
-    def band_threads(self, lead: tuple[int, ...]) -> int:
-        """The threads the band transforms of a stack with leading shape
-        ``lead`` run on: from 2D up, two for at least two rows of at least
-        ``BLOCK_VALUES`` values, where a row's transform is compute-bound
-        (on 128^2 rows a helper thread gained nothing; see the module
-        docstring), if the process may run on two CPUs
+    def band_threads(self) -> int:
+        """The threads a stack's band transforms run on: from 2D up, two for
+        rows of at least ``BLOCK_VALUES`` values, where a row's transform is
+        compute-bound (on 128^2 rows a helper thread gained nothing; see the
+        module docstring), if the process may run on two CPUs
         (:func:`core.usable_cpus`); else one."""
         grid = self.grid
-        if grid.dim == 1 or math.prod(lead) < 2 or math.prod(grid.shape) < BLOCK_VALUES:
+        if grid.dim == 1 or math.prod(grid.shape) < BLOCK_VALUES:
             return 1
-        return min(_MAX_THREADS, usable_cpus())
+        return min(2, usable_cpus())
 
     def band_workspace(self, lead: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Buffers for the band transforms of a stack with leading shape
         ``lead``: its band spectra and the transforms' ``work``, which only
         the band transforms may write.  From 2D up ``work`` holds one full
-        spectrum per thread the stack's transforms run on
-        (:meth:`band_threads`), shape ``(threads, *spectral_shape)``, and each
-        thread reuses its spectrum row by row; ``work[0]`` serves a one-row
-        call.  In 1D it is the stack's half spectra, which only the band
-        forward uses: the kernel writes each whole half spectrum there, and
-        the forward copies their prefix into the band spectra.  The band
-        spectra are contiguous in every dimension: on 22 modes a product over
-        two rows of the (2, 33) half spectra's prefix view took ~3x as long as
-        over a contiguous (2, 22) array, which outweighs the prefix's copy."""
+        spectrum per thread the grid's band transforms run on
+        (:meth:`band_threads`), shape ``(threads, *spectral_shape)``, and
+        each thread reuses its spectrum row by row; ``work[0]`` serves a call
+        on the caller's thread alone.  In 1D it is the stack's half spectra,
+        which only the band forward uses: the kernel writes each whole half
+        spectrum there, and the forward copies their prefix into the band
+        spectra.  The band spectra are contiguous in every dimension: on 22
+        modes a product over two rows of the (2, 33) half spectra's prefix
+        view took ~3x as long as over a contiguous (2, 22) array, which
+        outweighs the prefix's copy."""
         spec = np.empty(lead + self.band_shape, np.complex128)
         if self.grid.dim == 1:
             work_shape = lead + self.spectral_shape
         else:
-            work_shape = (self.band_threads(lead),) + self.spectral_shape
+            work_shape = (self.band_threads(),) + self.spectral_shape
         return spec, np.empty(work_shape, np.complex128)
 
     def band_of(self, spec: np.ndarray) -> np.ndarray:

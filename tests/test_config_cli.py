@@ -145,6 +145,10 @@ REJECTED = {
         {"persistence = true": "persistence = true\ntransient_fraction = 1.5"},
         "experiment.ini: [checks] transient_fraction must be in [0, 1]",
     ),
+    "negative-seed": (
+        {"seed = 424242": "seed = -1"},
+        "experiment.ini: [initial] seed must be >= 0, got -1",
+    ),
     "wavenumber-off-the-box": (
         {"u_wavenumber = 1.0": "u_wavenumber = 1.3"},
         "does not fit the periodic box",
@@ -196,6 +200,20 @@ def test_bad_input_exits_4_before_any_output(tmp_path, capsys, edits, message):
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1
     assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_seed_option_exits_4_before_any_output(tmp_path, capsys, command):
+    # numpy's generator takes no negative seed; --seed overrides [initial]
+    # seed, and is checked as that key is.
+    if command == "run":
+        path, out = write_base_config(tmp_path), tmp_path / "results"
+    else:
+        path, out = write_sweep_config(tmp_path, "1.0, 2.0"), tmp_path / "sweep_results"
+    assert main([command, str(path), "--seed", "-1"]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: [initial] seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -292,7 +310,7 @@ def test_a_run_imports_no_scipy(tmp_path):
     # worker; the package imports scipy only in functions a run never calls.
     # Nor does a run load the sweep's process pool (concurrent.futures and
     # multiprocessing, ~1.2 MB with what they import), not even a 32^3 run,
-    # whose band transforms share a stack's rows with a helper thread
+    # whose band transforms hand half of a stack's rows to a helper thread
     # (given two CPUs; the script counts the transforms that do).
     path = write_base_config(tmp_path)
     (tmp_path / "3d").mkdir()
@@ -314,11 +332,14 @@ def test_a_run_imports_no_scipy(tmp_path):
         "from chemotaxis_lab import spectral\n"
         "from chemotaxis_lab.cli import main\n"
         "calls = []\n"
-        "on_two_threads = spectral._on_two_threads\n"
-        "spectral._on_two_threads = lambda *args: calls.append(on_two_threads(*args))\n"
+        "run = spectral.Helper.run\n"
+        "def counted(helper, mine, mine_args, theirs, theirs_args):\n"
+        "    calls.extend([theirs] if theirs is spectral._each else [])\n"
+        "    return run(helper, mine, mine_args, theirs, theirs_args)\n"
+        "spectral.Helper.run = counted\n"
         f"codes = [main(['run', {str(path)!r}]), main(['run', {str(path_3d)!r}])]\n"
         "grid = chemotaxis_lab.Grid(dim=3, extent=1.0, points=32)\n"
-        "helper = len(calls) > 0 or spectral.SemigroupPlan(grid).band_threads((4,)) == 1\n"
+        "helper = len(calls) > 0 or spectral.SemigroupPlan(grid).band_threads() == 1\n"
         f"print(*codes, helper, [m for m in sys.modules if m.split('.')[0] in {unused!r}])\n"
     )
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
@@ -831,6 +852,31 @@ def test_report_on_empty_directory_exits_4(tmp_path):
     empty.mkdir()
     assert main(["report", str(empty)]) == 4
     assert main(["report", str(tmp_path / "missing")]) == 4
+
+
+_RECORD = ",".join(["0.5"] * len(CSV_HEADER.split(",")))
+_VERDICT = '{"name": "persistence_floor", "passed": true, "measured": null, "target": 0.5}'
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("diagnostics.csv", f"{CSV_HEADER}\n{_RECORD}\n{_RECORD[:-3]}abc\n", "does not parse"),
+        ("verdicts.json", "[1, 2]", "not a JSON object"),
+        ("verdicts.json", '{"verdicts": 5}', "'verdicts' must list objects"),
+        ("verdicts.json", '{"verdicts": [1]}', "'verdicts' must list objects"),
+        ("verdicts.json", '{"verdicts": [{"name": "x", "passed": true}]}', "with a name, passed"),
+        ("verdicts.json", f'{{"verdicts": [{_VERDICT}]}}', "a number measured"),
+    ],
+    ids=["csv-field", "json-list", "verdicts-number", "verdict-number", "verdict-keys", "null"],
+)
+def test_report_of_a_malformed_file_exits_4_naming_it(tmp_path, capsys, name, text, message):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / name).write_text(text)
+    assert main(["report", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'run' / name}: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_exit_codes_are_the_documented_set(tmp_path):

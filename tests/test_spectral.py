@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -395,20 +396,28 @@ GRID_32_3 = Grid(dim=3, extent=2 * np.pi, points=32)
 
 
 def _two_thread_calls(monkeypatch):
-    """A list that counts the band transforms that take a helper thread."""
+    """A list that counts the band transforms that hand rows to a helper
+    thread: the :meth:`spectral.Helper.run` calls made for their rows."""
     calls = []
-    on_two_threads = spectral._on_two_threads
+    run = spectral.Helper.run
 
-    def counted(*args):
-        calls.append(args)
-        return on_two_threads(*args)
+    def counted(helper, mine, mine_args, theirs, theirs_args):
+        if theirs is spectral._each:
+            calls.append((mine_args, theirs_args))
+        return run(helper, mine, mine_args, theirs, theirs_args)
 
-    monkeypatch.setattr(spectral, "_on_two_threads", counted)
+    monkeypatch.setattr(spectral.Helper, "run", counted)
     return calls
 
 
 def _cpus():
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _two_works(plan):
+    """The work spectra of a call given a helper thread, one per thread,
+    whatever the box's CPU count makes of :meth:`SemigroupPlan.band_workspace`."""
+    return np.empty((2, *plan.spectral_shape), np.complex128)
 
 
 @pytest.fixture
@@ -444,38 +453,41 @@ def _per_row_round_trip(plan, values):
 @pytest.mark.parametrize("lead", [(4,), (3,), (2, 4)], ids=["4-rows", "3-rows", "2x4-rows"])
 def test_band_rows_on_two_threads_equal_the_per_row_calls_bit_for_bit(lead, helper, monkeypatch):
     # 32^3 rows hold 2^15 values, so from 2 CPUs on a stack's band
-    # transforms share its rows between the caller and the helper thread;
-    # each row gets the same kernel calls, so the same bits.  Three rows
-    # split unevenly, and a (2, 4) lead is a block's stack.
+    # transforms cut its rows in two, the first ceil(rows/2) for the caller
+    # and the rest for the helper thread; each row gets the same kernel
+    # calls, so the same bits.  Three rows split unevenly, and a (2, 4) lead
+    # is a block's stack.
     plan = SemigroupPlan(GRID_32_3)
-    threads = min(2, _cpus())
     _, work = plan.band_workspace(lead)
-    assert work.shape == (threads, *plan.spectral_shape)
+    assert work.shape == (min(2, _cpus()), *plan.spectral_shape)
     values = np.random.default_rng(43).standard_normal(lead + GRID_32_3.shape)
     calls = _two_thread_calls(monkeypatch)
-    spec, field = _band_round_trip(plan, values, work, helper)
-    assert len(calls) == (2 if threads == 2 else 0)  # the forward and the inverse
+    spec, field = _band_round_trip(plan, values, _two_works(plan), helper)
+    rows = math.prod(lead)
+    assert len(calls) == 2  # the forward and the inverse
+    for mine, theirs in calls:
+        assert [len(mine[1]), len(theirs[1])] == [(rows + 1) // 2, rows // 2]
     expected_spec, expected_field = _per_row_round_trip(plan, values)
     _assert_bits(spec, expected_spec, np.complex128)
     _assert_bits(field, expected_field, np.float64)
 
 
-def test_small_rows_and_one_row_calls_stay_on_one_thread(helper, monkeypatch):
-    # 128^2 rows (2^14 values) cost more on two threads than on one, and a
-    # one-row call has nothing to share, even given two work spectra and a
-    # helper; nor does a call without a helper.
+def test_small_rows_and_one_row_calls_stay_on_one_thread(monkeypatch):
+    # 128^2 rows (2^14 values) cost more on two threads than on one, so the
+    # rule gives them one thread and one work spectrum; a call without a
+    # helper stays on the caller's thread, even given two work spectra.
     calls = _two_thread_calls(monkeypatch)
     plan_2d = SemigroupPlan(Grid(dim=2, extent=2 * np.pi, points=128))
+    assert plan_2d.band_threads() == 1
     _, work = plan_2d.band_workspace((4,))
     assert work.shape == (1, *plan_2d.spectral_shape)
     values = np.random.default_rng(44).standard_normal((4, *plan_2d.grid.shape))
-    _band_round_trip(plan_2d, values, work, helper)
+    _band_round_trip(plan_2d, values, work)
     plan = SemigroupPlan(GRID_32_3)
-    assert plan.band_workspace((1,))[1].shape == (1, *plan.spectral_shape)
     _, work = plan.band_workspace((4,))
     one_row = np.random.default_rng(45).standard_normal(GRID_32_3.shape)
     for values in (one_row, one_row[np.newaxis]):
-        _band_round_trip(plan, values, work, helper)
+        _band_round_trip(plan, values, work)
     _band_round_trip(plan, np.random.default_rng(45).standard_normal((4, *GRID_32_3.shape)), work)
     assert calls == []
 
@@ -492,7 +504,7 @@ def test_helper_thread_keeps_the_callers_error_state(helper):
     # spreads as inf and NaN, the same bits as the per-row calls'.
     plan = SemigroupPlan(GRID_32_3)
     values = _stack_with_inf(plan)
-    _, work = plan.band_workspace((4,))
+    work = _two_works(plan)
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error")
         spec, field = _band_round_trip(plan, values, work, helper)
@@ -505,37 +517,66 @@ def test_helper_thread_keeps_the_callers_error_state(helper):
 def test_a_warning_raised_as_an_error_reaches_the_caller(helper):
     plan = SemigroupPlan(GRID_32_3)
     values = _stack_with_inf(plan)
-    _, work = plan.band_workspace((4,))
+    work = _two_works(plan)
     with warnings.catch_warnings(), np.errstate(all="warn"):
         warnings.simplefilter("error")
         with pytest.raises(RuntimeWarning):
             _band_round_trip(plan, values, work, helper)
 
 
-def test_the_helpers_exception_is_raised_in_the_caller_after_it_ends():
-    # The caller waits, holding its row, until the helper has taken the
-    # other row and failed (if the helper takes both rows, the caller has
-    # none to wait on): the helper's error is raised in the caller, the
-    # helper serves the next call, and once stopped no thread is left
+def test_the_helpers_exception_is_raised_in_the_caller_after_it_ends(monkeypatch):
+    # The caller waits, holding its half of the rows, until the helper has
+    # failed on the other half: the helper's error is raised in the caller,
+    # the helper serves the next call, and once stopped no thread is left
     # running.
     helper_done = threading.Event()
     before = threading.active_count()
+    calls = _two_thread_calls(monkeypatch)
+    plan = SemigroupPlan(Grid(dim=2, extent=2 * np.pi, points=8))
+    source, dest = np.zeros((2, *plan.grid.shape)), np.zeros((2, *plan.grid.shape))
+    work = _two_works(plan)
 
     def transform(row, out, work):
         if threading.current_thread() is threading.main_thread():
             assert helper_done.wait(10.0)
             return
         helper_done.set()
-        raise ValueError(f"row {row}")
+        raise ValueError("the helper's row")
 
     helper = spectral.Helper()
     try:
-        with pytest.raises(ValueError, match="row"):
-            spectral._on_two_threads(helper, transform, [(0, None), (1, None)], [None, None])
+        with pytest.raises(ValueError, match="helper's row"):
+            plan._by_rows(transform, source, dest, work, helper)
+        assert len(calls) == 1
         assert helper.run(abs, (-1,), abs, (-2,)) == (1, 2)
     finally:
         helper.stop()
     assert threading.active_count() == before
+
+
+def test_the_helper_ends_before_the_callers_exception_is_raised():
+    # The caller's half raises while the helper's half is still running:
+    # run waits for the helper to end before it raises, and takes the
+    # helper's result with it, so the next call gets its own results.
+    release, finished = threading.Event(), threading.Event()
+
+    def theirs():
+        assert release.wait(10.0)
+        time.sleep(0.05)  # still running when the caller's half has raised
+        finished.set()
+
+    def mine():
+        release.set()
+        raise ValueError("the caller's half")
+
+    helper = spectral.Helper()
+    try:
+        with pytest.raises(ValueError, match="caller's half"):
+            helper.run(mine, (), theirs, ())
+        assert finished.is_set()
+        assert helper.run(abs, (-1,), abs, (-2,)) == (1, 2)
+    finally:
+        helper.stop()
 
 
 def test_shared_plan_under_frequent_thread_switches():
@@ -549,7 +590,7 @@ def test_shared_plan_under_frequent_thread_switches():
     results = []
 
     def caller():
-        _, work = plan.band_workspace((3,))
+        work = _two_works(plan)
         helper = spectral.Helper()
         try:
             results.extend(_band_round_trip(plan, values, work, helper) for _ in range(3))
